@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "ClusterCenters": "clustering",
     "SoftAssignment": "clustering",
-    "cosine_sim": "clustering",
     "kmeans": "clustering",
     "soft_assign": "clustering",
     "Dataset": "data",

@@ -24,9 +24,6 @@ logger = logging.getLogger(__name__)
 # clamped at this floor, 0 * log(clamp) evaluates to exactly 0.0.
 GUARD_EPS = 1e-12
 
-# Inputs to elementwise exp beyond this overflow float64.
-_EXP_LIMIT = 709.0
-
 
 class GraphError(ValueError):
     """Malformed graph, shape mismatch, missing binding, or domain violation."""
@@ -110,15 +107,6 @@ def tanh(a: Node) -> Node:
     return Node("tanh", (a,), shape=a.shape)
 
 
-def exp(a: Node) -> Node:
-    return Node("exp", (a,), shape=a.shape)
-
-
-def log(a: Node) -> Node:
-    """Natural log. Rejects non-positive entries at forward time."""
-    return Node("log", (a,), shape=a.shape)
-
-
 def log_guarded(a: Node) -> Node:
     """log(max(x, GUARD_EPS)): the clamped log used inside entropy sums."""
     return Node("log_guarded", (a,), shape=a.shape)
@@ -139,10 +127,6 @@ def normalize_rows(a: Node) -> Node:
 
 def sum_all(a: Node) -> Node:
     return Node("sum", (a,), shape=())
-
-
-def mean_all(a: Node) -> Node:
-    return Node("mean", (a,), shape=())
 
 
 def scale(a: Node, factor: float) -> Node:
@@ -201,14 +185,6 @@ def _compute(node: Node) -> np.ndarray:
         return vals[0] * vals[1]
     if op == "tanh":
         return np.tanh(vals[0])
-    if op == "exp":
-        if np.any(np.abs(vals[0]) > _EXP_LIMIT):
-            raise GraphError(f"exp overflow at {node!r}")
-        return np.exp(vals[0])
-    if op == "log":
-        if np.any(vals[0] <= 0.0):
-            raise GraphError(f"log of non-positive value at {node!r}")
-        return np.log(vals[0])
     if op == "log_guarded":
         return np.log(np.maximum(vals[0], GUARD_EPS))
     if op == "softmax_rows":
@@ -228,8 +204,6 @@ def _compute(node: Node) -> np.ndarray:
         return x / norms[:, None]
     if op == "sum":
         return np.asarray(vals[0].sum())
-    if op == "mean":
-        return np.asarray(vals[0].mean())
     if op == "scale":
         return vals[0] * node.factor
     if op == "square":
@@ -286,10 +260,6 @@ def _accumulate(node: Node):
         ps[1].grad += g * ps[0].value
     elif op == "tanh":
         ps[0].grad += g * (1.0 - node.value * node.value)
-    elif op == "exp":
-        ps[0].grad += g * node.value
-    elif op == "log":
-        ps[0].grad += g / ps[0].value
     elif op == "log_guarded":
         x = ps[0].value
         ps[0].grad += g * np.where(x > GUARD_EPS, 1.0 / np.maximum(x, GUARD_EPS), 0.0)
@@ -304,8 +274,6 @@ def _accumulate(node: Node):
         ps[0].grad += (g - y * inner) / norms[:, None]
     elif op == "sum":
         ps[0].grad += g  # scalar broadcast over the operand
-    elif op == "mean":
-        ps[0].grad += g / ps[0].value.size
     elif op == "scale":
         ps[0].grad += g * node.factor
     elif op == "square":

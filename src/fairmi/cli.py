@@ -120,7 +120,7 @@ def _cmd_eval(args):
 
 def _read_label_columns(path, columns):
     """Pull label-ish columns out of a CSV; values become dense ids by first appearance."""
-    import numpy as np
+    from .data import _dense_ids
 
     with open(path, newline="") as fh:
         rows = [r for r in csv.reader(fh) if r]
@@ -137,17 +137,14 @@ def _read_label_columns(path, columns):
         if col not in header:
             raise ValueError(f"{path}: no column named {col!r}")
         i = header.index(col)
-        ids, values = {}, []
+        values = []
         for r, row in enumerate(rows[1:], start=2):
             if len(row) != len(header):
                 raise ValueError(f"{path}: row {r} has {len(row)} cells, header has {len(header)}")
-            v = row[i]
-            if v.strip() == "":
+            if row[i].strip() == "":
                 raise ValueError(f"{path}: row {r} is missing its {col!r} value")
-            if v not in ids:
-                ids[v] = len(ids)
-            values.append(ids[v])
-        out.append(np.asarray(values, dtype=np.int64))
+            values.append(row[i])
+        out.append(_dense_ids(values)[0])
     return out
 
 

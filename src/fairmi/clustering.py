@@ -176,17 +176,6 @@ def kmeans(features: np.ndarray, k: int, seed, max_iter: int = 100, tol: float =
     return ClusterCenters(centers=best[1]), best[2]
 
 
-def cosine_sim(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise ClusteringError("vectors must have the same length")
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ClusteringError("cosine similarity of a zero vector is undefined")
-    return float(a @ b / (na * nb))
-
-
 def _unit_rows(x):
     norms = np.sqrt((x * x).sum(axis=1))
     zero = norms == 0.0

@@ -6,7 +6,6 @@ and label values may be arbitrary strings; they are mapped to dense ids in
 order of first appearance, which keeps repeated loads of the same file
 byte-stable. Features are standardized per column by default.
 
-A binary container mirrors the checkpoint header scheme for fast reloads.
 Ground-truth labels ride along for evaluation only: the trainer receives a
 view without them.
 """
@@ -14,13 +13,9 @@ view without them.
 from __future__ import annotations
 
 import csv
-import struct
 from dataclasses import dataclass
 
 import numpy as np
-
-DATASET_MAGIC = b"FCMD"
-DATASET_VERSION = 1
 
 
 class DataError(ValueError):
@@ -91,14 +86,13 @@ class TrainView:
 
 
 def _dense_ids(values):
-    ids, order = {}, []
-    out = np.empty(len(values), dtype=np.int64)
-    for i, v in enumerate(values):
+    """Dense int64 ids in order of first appearance, and the distinct values in that order."""
+    ids, out = {}, []
+    for v in values:
         if v not in ids:
-            ids[v] = len(order)
-            order.append(v)
-        out[i] = ids[v]
-    return out, tuple(order)
+            ids[v] = len(ids)
+        out.append(ids[v])
+    return np.asarray(out, dtype=np.int64), tuple(ids)
 
 
 def standardize(features: np.ndarray) -> np.ndarray:
@@ -114,8 +108,8 @@ def load_csv(path, group_column: str, label_column: str | None = None,
     """Load a dataset from CSV.
 
     All columns except the group and label columns must be numeric features.
-    Rejects empty files, duplicate header names, missing group cells, and
-    non-numeric feature cells (naming the row and column).
+    Rejects empty files, duplicate header names, missing group or label
+    cells, and non-numeric feature cells (naming the row and column).
     """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -147,6 +141,8 @@ def load_csv(path, group_column: str, label_column: str | None = None,
             raise DataError(f"{path}: row {r} is missing its group value")
         group_vals.append(row[g_idx])
         if l_idx is not None:
+            if row[l_idx].strip() == "":
+                raise DataError(f"{path}: row {r} is missing its {label_column!r} value")
             label_vals.append(row[l_idx])
         for j, i in enumerate(f_idx):
             try:
@@ -193,53 +189,6 @@ def save_csv(dataset: Dataset, path):
                 l = dataset.labels[i]
                 row.append(str(dataset.label_names[l]) if dataset.label_names else str(int(l)))
             writer.writerow(row)
-
-
-# ---------------------------------------------------------------------------
-# binary container: header scheme as for checkpoints, then raw arrays.
-#   "FCMD", u32 version, u32 n, u32 dim, u32 n_groups, u32 has_labels,
-#   features as n*dim f64 LE, groups as n i64 LE, labels as n i64 LE if any.
-
-def save_binary(dataset: Dataset, path):
-    header = struct.pack(
-        "<4sIIIII",
-        DATASET_MAGIC, DATASET_VERSION, dataset.n, dataset.dim, dataset.n_groups,
-        1 if dataset.labels is not None else 0,
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(dataset.features, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(dataset.groups, dtype="<i8").tobytes())
-        if dataset.labels is not None:
-            fh.write(np.ascontiguousarray(dataset.labels, dtype="<i8").tobytes())
-
-
-def load_binary(path) -> Dataset:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    head = struct.calcsize("<4sIIIII")
-    if len(blob) < head:
-        raise DataError("dataset file truncated before header")
-    magic, version, n, dim, n_groups, has_labels = struct.unpack_from("<4sIIIII", blob, 0)
-    if magic != DATASET_MAGIC:
-        raise DataError(f"bad dataset magic {magic!r}")
-    if version != DATASET_VERSION:
-        raise DataError(f"unsupported dataset version {version}")
-    expected = head + 8 * n * dim + 8 * n + (8 * n if has_labels else 0)
-    if len(blob) != expected:
-        raise DataError(f"dataset file has {len(blob)} bytes, expected {expected}")
-    off = head
-    features = np.frombuffer(blob, dtype="<f8", count=n * dim, offset=off).reshape(n, dim).astype(np.float64)
-    off += 8 * n * dim
-    groups = np.frombuffer(blob, dtype="<i8", count=n, offset=off).astype(np.int64)
-    off += 8 * n
-    labels = None
-    if has_labels:
-        labels = np.frombuffer(blob, dtype="<i8", count=n, offset=off).astype(np.int64)
-    ds = Dataset(features=features, groups=groups, labels=labels)
-    if ds.n_groups != n_groups:
-        raise DataError("group id range does not match the header")
-    return ds
 
 
 # ---------------------------------------------------------------------------

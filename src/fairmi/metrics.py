@@ -21,7 +21,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .clustering import SoftAssignment
-from .objectives import conditional_mi, group_cluster_mi
+from .objectives import _mutual_information, _xlogx, conditional_mi, group_cluster_mi
 
 logger = logging.getLogger(__name__)
 
@@ -41,11 +41,12 @@ def _labels(a, name):
     return arr.astype(np.int64)
 
 
-def _warn_on_gaps(labels, name):
-    present = np.unique(labels)
-    if present.size != labels.max() + 1:
+def _present_rows(table, name):
+    """Rows of a cluster-by-group table for clusters that have members."""
+    present = np.flatnonzero(table.sum(axis=1))
+    if present.size != table.shape[0]:
         logger.warning("%s: ids %s leave empty clusters; empties are excluded", name, present.tolist())
-    return present
+    return table[present]
 
 
 def contingency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -59,8 +60,7 @@ def contingency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _entropy_from_counts(counts):
-    p = counts[counts > 0] / counts.sum()
-    return float(-(p * np.log(p)).sum())
+    return float(-_xlogx(counts / counts.sum()).sum())
 
 
 def accuracy(pred: np.ndarray, truth: np.ndarray) -> float:
@@ -84,12 +84,7 @@ def nmi(pred: np.ndarray, truth: np.ndarray) -> float:
         return 1.0
     if h_pred == 0.0 or h_truth == 0.0:
         return 0.0
-    p = table / n
-    pi = p.sum(axis=1, keepdims=True)
-    pj = p.sum(axis=0, keepdims=True)
-    mask = p > 0
-    mi = float((p[mask] * np.log(p[mask] / (pi @ pj)[mask])).sum())
-    value = mi / np.sqrt(h_pred * h_truth)
+    value = _mutual_information(table / n) / np.sqrt(h_pred * h_truth)
     return float(min(max(value, 0.0), 1.0))
 
 
@@ -98,17 +93,8 @@ def balance(pred: np.ndarray, groups: np.ndarray) -> float:
 
     A cluster missing any group scores 0 and therefore zeroes the minimum.
     """
-    pred = _labels(pred, "pred")
-    groups = _labels(groups, "groups")
-    if pred.shape != groups.shape:
-        raise MetricError("pred and groups must have the same length")
-    clusters = _warn_on_gaps(pred, "balance")
-    n_groups = groups.max() + 1
-    worst = 1.0
-    for k in clusters:
-        counts = np.bincount(groups[pred == k], minlength=n_groups)
-        worst = min(worst, counts.min() / counts.max())
-    return float(worst)
+    counts = _present_rows(contingency(pred, groups), "balance")
+    return float((counts.min(axis=1) / counts.max(axis=1)).min())
 
 
 def mnce(pred: np.ndarray, groups: np.ndarray) -> float:
@@ -118,19 +104,11 @@ def mnce(pred: np.ndarray, groups: np.ndarray) -> float:
     partition is independent of the groups); 0.0 means some cluster contains
     a single group. Rejects single-group data (the normalizer would be 0).
     """
-    pred = _labels(pred, "pred")
-    groups = _labels(groups, "groups")
-    if pred.shape != groups.shape:
-        raise MetricError("pred and groups must have the same length")
-    n_groups = groups.max() + 1
-    h_global = _entropy_from_counts(np.bincount(groups, minlength=n_groups))
+    table = contingency(pred, groups)
+    h_global = _entropy_from_counts(table.sum(axis=0))
     if h_global == 0.0:
         raise MetricError("single-group data: normalized conditional entropy is undefined")
-    clusters = _warn_on_gaps(pred, "mnce")
-    worst = np.inf
-    for k in clusters:
-        h_k = _entropy_from_counts(np.bincount(groups[pred == k], minlength=n_groups))
-        worst = min(worst, h_k)
+    worst = min(_entropy_from_counts(counts) for counts in _present_rows(table, "mnce"))
     return float(worst / h_global)
 
 

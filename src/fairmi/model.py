@@ -150,17 +150,6 @@ def decode(params: ModelParams, h: np.ndarray, groups: np.ndarray) -> np.ndarray
 # ---------------------------------------------------------------------------
 # flat parameter dict <-> ModelParams (shared storage, no copies)
 
-def _names(layer_dims, group_count):
-    depth = len(layer_dims) - 1
-    for i in range(depth):
-        yield f"enc.{i}.W"
-        yield f"enc.{i}.b"
-    for t in range(group_count):
-        for i in range(depth):
-            yield f"dec.{t}.{i}.W"
-            yield f"dec.{t}.{i}.b"
-
-
 def flatten_params(params: ModelParams) -> dict[str, np.ndarray]:
     flat = {}
     for i, (w, b) in enumerate(params.encoder):

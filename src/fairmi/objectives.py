@@ -20,7 +20,6 @@ log clamped at 1e-12 so that zero cells contribute exactly zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -91,35 +90,16 @@ def _group_counts(groups, n_groups):
     return np.bincount(groups, minlength=n_groups)
 
 
-@dataclass(frozen=True)
-class JointGroupCluster:
-    """Empirical joint p(group, cluster) with its two marginals."""
-
-    p_gc: np.ndarray
-    p_g: np.ndarray
-    p_c: np.ndarray
-
-    def __post_init__(self):
-        if abs(self.p_gc.sum() - 1.0) > 1e-9:
-            raise ObjectiveError("joint must sum to 1")
-        if np.any(self.p_gc < 0.0):
-            raise ObjectiveError("joint entries must be non-negative")
-        if np.any(np.abs(self.p_gc.sum(axis=1) - self.p_g) > 1e-9):
-            raise ObjectiveError("row sums must match the group marginal")
-        if np.any(np.abs(self.p_gc.sum(axis=0) - self.p_c) > 1e-9):
-            raise ObjectiveError("column sums must match the cluster marginal")
+def _group_onehot(groups, n_groups):
+    # (n_groups, n) indicator: row t marks the members of group t
+    onehot = np.zeros((n_groups, groups.shape[0]))
+    onehot[groups, np.arange(groups.shape[0])] = 1.0
+    return onehot
 
 
-def joint_group_cluster(assign: SoftAssignment, groups, n_groups: int) -> JointGroupCluster:
-    """Average the soft assignment rows inside each group (groups are constants)."""
-    groups = np.asarray(groups)
-    if groups.shape != (assign.n,):
-        raise ObjectiveError("need one group id per assignment row")
-    counts = _group_counts(groups, n_groups)
-    onehot = np.zeros((n_groups, assign.n))
-    onehot[groups, np.arange(assign.n)] = 1.0
-    p_gc = onehot @ assign.probs / assign.n
-    return JointGroupCluster(p_gc=p_gc, p_g=counts / assign.n, p_c=assign.probs.sum(axis=0) / assign.n)
+def _mutual_information(joint):
+    """I(A;B) of a 2-d joint table: sum p log p minus the two marginal terms."""
+    return float(_xlogx(joint).sum() - _xlogx(joint.sum(axis=1)).sum() - _xlogx(joint.sum(axis=0)).sum())
 
 
 def group_cluster_mi(assign: SoftAssignment, groups, n_groups: int) -> float:
@@ -133,14 +113,10 @@ def group_cluster_mi(assign: SoftAssignment, groups, n_groups: int) -> float:
     counts = _group_counts(groups, n_groups)
     if np.any(counts == 0):
         raise ObjectiveError("every group needs at least one member")
-    joint = joint_group_cluster(assign, groups, n_groups)
-    total = 0.0
-    for t in range(joint.p_gc.shape[0]):
-        for k in range(joint.p_gc.shape[1]):
-            p = joint.p_gc[t, k]
-            if p > 0.0:
-                total += p * (np.log(p) - np.log(joint.p_g[t]) - np.log(joint.p_c[k]))
-    return float(total)
+    groups = np.asarray(groups)
+    if groups.shape != (assign.n,):
+        raise ObjectiveError("need one group id per assignment row")
+    return _mutual_information(_group_onehot(groups, n_groups) @ assign.probs / assign.n)
 
 
 def total_loss(l_rec: float, l_clu: float, l_fair: float, alpha: float, beta_fair: float) -> float:
@@ -191,8 +167,7 @@ def group_cluster_mi_graph(c_node: ad.Node, groups, n_groups: int) -> ad.Node:
     groups = np.asarray(groups)
     n = groups.shape[0]
     counts = _group_counts(groups, n_groups)
-    onehot = np.zeros((n_groups, n))
-    onehot[groups, np.arange(n)] = 1.0
+    onehot = _group_onehot(groups, n_groups)
     p_g = counts / n
     neg_h_g = float(_xlogx(p_g).sum())
 

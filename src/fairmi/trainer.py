@@ -24,6 +24,11 @@ from .data import Dataset, minibatches
 
 logger = logging.getLogger(__name__)
 
+# Adam's moment decays and denominator floor (the usual defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 class TrainError(ValueError):
     pass
@@ -43,9 +48,6 @@ class TrainConfig:
     max_epochs: int = 300
     batch_size: int = 256
     learning_rate: float = 1e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     f_beta_weight: float = 1.0
 
@@ -67,12 +69,10 @@ class TrainConfig:
             raise TrainError("max_epochs must be >= 1")
         if self.batch_size < 1:
             raise TrainError("batch_size must be >= 1")
-        if self.learning_rate <= 0 or self.tau <= 0 or self.adam_eps <= 0:
-            raise TrainError("learning_rate, tau, and adam_eps must be positive")
+        if self.learning_rate <= 0 or self.tau <= 0:
+            raise TrainError("learning_rate and tau must be positive")
         if self.alpha < 0 or self.beta_fair < 0 or self.f_beta_weight < 0:
             raise TrainError("loss and score weights must be non-negative")
-        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
-            raise TrainError("adam momentum decays must lie in [0, 1)")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrainConfig":
@@ -143,7 +143,7 @@ class AdamState:
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, step: int,
-              lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+              lr: float, beta1: float = ADAM_BETA1, beta2: float = ADAM_BETA2, eps: float = ADAM_EPS):
     """One bias-corrected Adam update; returns (new params, new state)."""
     if step < 1:
         raise TrainError("step counts from 1")
@@ -249,10 +249,7 @@ def fit(config: TrainConfig, dataset: Dataset, hooks: TrainerHooks | None = None
             }
             full_grads = {k: v for k, v in full_grads.items() if k in param_names}
             step += 1
-            params, state = adam_step(
-                params, full_grads, state, step, config.learning_rate,
-                config.adam_beta1, config.adam_beta2, config.adam_eps,
-            )
+            params, state = adam_step(params, full_grads, state, step, config.learning_rate)
             for name in sums:
                 sums[name] += values.get(name, 0.0)
             if hooks.on_batch:

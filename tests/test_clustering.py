@@ -4,8 +4,6 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fairmi import autodiff as ad
 from fairmi import clustering
@@ -90,29 +88,6 @@ class TestKMeans:
         centers, labels, _ = clustering._lloyd(x, bad, max_iter=30, tol=1e-9)
         assert np.unique(labels).size == 3  # nothing stays empty
         assert np.all(np.abs(centers) < 1e3)  # the runaway center was replaced
-
-
-class TestCosine:
-    def test_reference_values(self):
-        assert clustering.cosine_sim([1, 0], [1, 0]) == pytest.approx(1.0)
-        assert clustering.cosine_sim([1, 0], [0, 1]) == pytest.approx(0.0)
-        np.testing.assert_allclose(
-            clustering.cosine_sim([1, 2, 3], [4, 5, 6]), 0.9746318461970762, atol=1e-12
-        )
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(clustering.ClusteringError):
-            clustering.cosine_sim([0.0, 0.0], [1.0, 0.0])
-
-    @given(st.integers(0, 2 ** 32 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_symmetric_and_bounded(self, seed):
-        rng = np.random.default_rng(seed)
-        a, b = rng.normal(size=4) + 0.01, rng.normal(size=4) + 0.01
-        s1 = clustering.cosine_sim(a, b)
-        s2 = clustering.cosine_sim(b, a)
-        assert s1 == pytest.approx(s2, abs=1e-12)
-        assert -1.0 - 1e-12 <= s1 <= 1.0 + 1e-12
 
 
 class TestSoftAssign:

@@ -1,4 +1,4 @@
-"""Dataset containers, CSV/binary IO, and the synthetic mixture generator."""
+"""Dataset containers, CSV IO, and the synthetic mixture generator."""
 
 import numpy as np
 import pytest
@@ -112,6 +112,13 @@ class TestCSV:
         msg = str(err.value)
         assert "row 3" in msg and "'b'" in msg and "'huh'" in msg
 
+    def test_empty_label_cell_names_row_and_column(self, tmp_path):
+        path = self.write(tmp_path, "x,g,y\n1.0,a,p\n2.0,b,\n")
+        with pytest.raises(data.DataError) as err:
+            data.load_csv(path, group_column="g", label_column="y")
+        msg = str(err.value)
+        assert "row 3" in msg and "'y'" in msg
+
     def test_round_trip(self, tmp_path):
         ds = tiny_dataset()
         path = tmp_path / "out.csv"
@@ -121,59 +128,6 @@ class TestCSV:
         np.testing.assert_array_equal(back.features, ds.features)
         np.testing.assert_array_equal(back.groups, ds.groups)
         np.testing.assert_array_equal(back.labels, ds.labels)
-
-
-class TestBinary:
-    def test_round_trip_bitwise(self, tmp_path):
-        rng = np.random.default_rng(1)
-        ds = data.Dataset(
-            features=rng.normal(size=(7, 3)),
-            groups=rng.integers(0, 2, size=7),
-            labels=rng.integers(0, 3, size=7),
-        )
-        ds = data.Dataset(  # make ids dense regardless of the draw
-            features=ds.features,
-            groups=data._dense_ids(list(ds.groups))[0],
-            labels=data._dense_ids(list(ds.labels))[0],
-        )
-        path = tmp_path / "ds.bin"
-        data.save_binary(ds, path)
-        back = data.load_binary(path)
-        np.testing.assert_array_equal(back.features, ds.features)
-        np.testing.assert_array_equal(back.groups, ds.groups)
-        np.testing.assert_array_equal(back.labels, ds.labels)
-
-    def test_label_free_round_trip(self, tmp_path):
-        ds = tiny_dataset(with_labels=False)
-        path = tmp_path / "ds.bin"
-        data.save_binary(ds, path)
-        assert data.load_binary(path).labels is None
-
-    def test_header_layout(self, tmp_path):
-        ds = tiny_dataset()
-        path = tmp_path / "ds.bin"
-        data.save_binary(ds, path)
-        blob = path.read_bytes()
-        assert blob[:4] == b"FCMD"
-        assert int.from_bytes(blob[4:8], "little") == 1
-        assert int.from_bytes(blob[8:12], "little") == 4  # n
-
-    @pytest.mark.parametrize("mutate", ["magic", "version", "truncate", "pad"])
-    def test_corruption_rejected(self, tmp_path, mutate):
-        path = tmp_path / "ds.bin"
-        data.save_binary(tiny_dataset(), path)
-        blob = bytearray(path.read_bytes())
-        if mutate == "magic":
-            blob[:4] = b"XXXX"
-        elif mutate == "version":
-            blob[4:8] = (99).to_bytes(4, "little")
-        elif mutate == "truncate":
-            blob = blob[:-5]
-        else:
-            blob += b"\x00" * 8
-        path.write_bytes(bytes(blob))
-        with pytest.raises(data.DataError):
-            data.load_binary(path)
 
 
 class TestSynthetic:

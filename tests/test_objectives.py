@@ -168,15 +168,20 @@ class TestGroupClusterMI:
             groups[:2] = [0, 1]
             assert obj.group_cluster_mi(assign, groups, 2) >= -1e-15
 
-    def test_joint_marginals_consistent(self):
+    def test_mi_of_joint_table_matches_log_ratio(self):
+        """The shared helper equals sum p log(p / (p_a p_b)) over non-zero cells."""
         rng = np.random.default_rng(10)
-        assign = random_assignment(rng, 18, 3)
-        groups = rng.integers(0, 3, size=18)
-        groups[:3] = [0, 1, 2]
-        joint = obj.joint_group_cluster(assign, groups, 3)
-        np.testing.assert_allclose(joint.p_gc.sum(), 1.0, atol=1e-12)
-        np.testing.assert_allclose(joint.p_gc.sum(axis=1), joint.p_g, atol=1e-12)
-        np.testing.assert_allclose(joint.p_gc.sum(axis=0), joint.p_c, atol=1e-12)
+        for _ in range(20):
+            joint = rng.random((int(rng.integers(1, 5)), int(rng.integers(1, 6))))
+            joint[rng.random(joint.shape) < 0.3] = 0.0
+            joint[0, 0] += 0.1  # never all zero
+            joint /= joint.sum()
+            p_a, p_b = joint.sum(axis=1), joint.sum(axis=0)
+            expected = sum(
+                joint[i, j] * np.log(joint[i, j] / (p_a[i] * p_b[j]))
+                for i in range(joint.shape[0]) for j in range(joint.shape[1]) if joint[i, j] > 0
+            )
+            np.testing.assert_allclose(obj._mutual_information(joint), expected, atol=1e-12)
 
 
 class TestTotalLoss:

@@ -96,7 +96,6 @@ class TestConfig:
             {"k": 2, "warmup_epochs": 10, "max_epochs": 5},
             {"k": 2, "batch_size": 0},
             {"k": 2, "layer_dims": (4, 8, 99), "latent_dim": 3},
-            {"k": 2, "adam_beta1": 1.0},
         ],
     )
     def test_invalid_settings_rejected(self, kw):
