@@ -53,8 +53,7 @@ class SoftAssignment:
     """Row-stochastic N x K assignment matrix plus the temperature that made it.
 
     Softmax output keeps every entry strictly inside (0, 1); the container
-    also accepts one-hot matrices so hard partitions can reuse the
-    information estimators.
+    also accepts one-hot matrices.
     """
 
     probs: np.ndarray

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .clustering import SoftAssignment
-from .objectives import _mutual_information, _xlogx, conditional_mi, group_cluster_mi
+from .objectives import _mutual_information, _xlogx
 
 logger = logging.getLogger(__name__)
 
@@ -60,7 +59,8 @@ def contingency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _entropy_from_counts(counts):
-    return float(-_xlogx(counts / counts.sum()).sum())
+    # 0.0 - s, not -s: a point mass gives +0.0, never -0.0
+    return float(0.0 - _xlogx(counts / counts.sum()).sum())
 
 
 def accuracy(pred: np.ndarray, truth: np.ndarray) -> float:
@@ -149,14 +149,6 @@ class MetricsReport:
     t: int
 
 
-def _one_hot_assignment(pred):
-    n = pred.size
-    k = int(pred.max()) + 1
-    probs = np.zeros((n, k))
-    probs[np.arange(n), pred] = 1.0
-    return SoftAssignment(probs=probs, tau=1.0)
-
-
 def full_report(pred, groups, truth=None, beta: float = 1.0) -> MetricsReport:
     """Assemble every metric for one predicted partition.
 
@@ -165,8 +157,6 @@ def full_report(pred, groups, truth=None, beta: float = 1.0) -> MetricsReport:
     """
     pred = _labels(pred, "pred")
     groups = _labels(groups, "groups")
-    n_groups = int(groups.max()) + 1
-    assign = _one_hot_assignment(pred)
     bal = balance(pred, groups)
     fair = mnce(pred, groups)
     report_acc = report_nmi = combined = None
@@ -175,17 +165,23 @@ def full_report(pred, groups, truth=None, beta: float = 1.0) -> MetricsReport:
         report_acc = accuracy(pred, truth)
         report_nmi = nmi(pred, truth)
         combined = f_beta(report_nmi, fair, beta)
+    table = contingency(groups, pred)
+    missing = np.flatnonzero(table.sum(axis=1) == 0)
+    if missing.size:
+        raise MetricError(f"groups: ids {missing.tolist()} have no members")
+    # a hard partition has zero assignment entropy, so I(X;C|G) = H(C) - I(G;C)
+    mi_gc = _mutual_information(table / pred.size)
     return MetricsReport(
         acc=report_acc,
         nmi=report_nmi,
         bal=bal,
         mnce=fair,
         f_beta=combined,
-        mi_gc=group_cluster_mi(assign, groups, n_groups),
-        cmi_xcg=conditional_mi(assign, groups, n_groups),
+        mi_gc=mi_gc,
+        cmi_xcg=_entropy_from_counts(table.sum(axis=0)) - mi_gc,
         n=int(pred.size),
         k=int(np.unique(pred).size),
-        t=n_groups,
+        t=table.shape[0],
     )
 
 

@@ -110,8 +110,7 @@ class EpochLog:
     f_beta: float | None = None
 
 
-LOG_COLUMNS = ("epoch", "l_rec", "l_clu", "l_fair", "l_total", "mi_gc", "cmi_xcg",
-               "acc", "nmi", "bal", "mnce", "f_beta")
+LOG_COLUMNS = tuple(f.name for f in fields(EpochLog))
 
 
 def write_log_csv(logs, path):
@@ -176,10 +175,8 @@ def _batch_graphs(x, groups, layer_dims, n_groups, warmup, centers, cfg):
     return {"l_rec": rec, "l_clu": clu, "l_fair": fair, "l_total": total}
 
 
-def _measure(params_flat, cfg, view, labels, layer_dims, epoch):
-    """End-of-epoch diagnostics on the full dataset; never feeds gradients."""
-    p = model.params_from_flat(params_flat, layer_dims, view.n_groups)
-    h = model.encode(p, view.features)
+def _measure(h, cfg, view, labels, epoch):
+    """End-of-epoch diagnostics on the full-dataset latents; never feeds gradients."""
     # measurement must not wobble between local minima, hence the restarts
     centers, _ = clustering.kmeans(h, cfg.k, seed=(cfg.seed, epoch, 0xD1A6), restarts=10)
     assign = clustering.soft_assign(h, centers, cfg.tau)
@@ -210,7 +207,6 @@ def fit(config: TrainConfig, dataset: Dataset, hooks: TrainerHooks | None = None
     hooks = hooks or TrainerHooks()
 
     params = model.flatten_params(model.init_params(layer_dims, view.n_groups, config.seed))
-    param_names = set(params)
     state = AdamState()
     step = 0
     logs: list[EpochLog] = []
@@ -220,12 +216,13 @@ def fit(config: TrainConfig, dataset: Dataset, hooks: TrainerHooks | None = None
         list(layer_dims), config.max_epochs, config.warmup_epochs,
     )
 
+    # latents of the current parameters; after each epoch the diagnostics'
+    # encode replaces them, and the next center refresh reuses it
+    h_all = model.encode(model.params_from_flat(params, layer_dims, view.n_groups), view.features)
     for epoch in range(config.max_epochs):
         warmup = epoch < config.warmup_epochs
         centers = None
         if not warmup:
-            p = model.params_from_flat(params, layer_dims, view.n_groups)
-            h_all = model.encode(p, view.features)
             try:
                 centers, _ = clustering.kmeans(h_all, config.k, seed=(config.seed, epoch, 0xC3))
             except clustering.ClusteringError as e:
@@ -247,7 +244,6 @@ def fit(config: TrainConfig, dataset: Dataset, hooks: TrainerHooks | None = None
             full_grads = {
                 name: grads.get(name, np.zeros_like(value)) for name, value in params.items()
             }
-            full_grads = {k: v for k, v in full_grads.items() if k in param_names}
             step += 1
             params, state = adam_step(params, full_grads, state, step, config.learning_rate)
             for name in sums:
@@ -256,7 +252,9 @@ def fit(config: TrainConfig, dataset: Dataset, hooks: TrainerHooks | None = None
                 hooks.on_batch(epoch, b, values)
 
         nb = len(batches)
-        mi, cmi, extras = _measure(params, config, view, labels, layer_dims, epoch)
+        p = model.params_from_flat(params, layer_dims, view.n_groups)
+        h_all = model.encode(p, view.features)
+        mi, cmi, extras = _measure(h_all, config, view, labels, epoch)
         log = EpochLog(
             epoch=epoch,
             l_rec=sums["l_rec"] / nb,
@@ -271,14 +269,13 @@ def fit(config: TrainConfig, dataset: Dataset, hooks: TrainerHooks | None = None
         if hooks.on_epoch:
             hooks.on_epoch(log)
         if hooks.on_params:
-            # params_from_flat shares storage, so this costs nothing extra
-            hooks.on_params(epoch, model.params_from_flat(params, layer_dims, view.n_groups))
+            hooks.on_params(epoch, p)
         if epoch % 20 == 0 or epoch == config.max_epochs - 1:
             logger.info(
                 "epoch %d: l_total=%.6f l_rec=%.6f mi_gc=%.6f", epoch, log.l_total, log.l_rec, log.mi_gc
             )
 
-    return model.params_from_flat(params, layer_dims, view.n_groups), logs
+    return p, logs
 
 
 def evaluate(params: model.ModelParams, dataset: Dataset, config: TrainConfig) -> metrics.MetricsReport:

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairmi import metrics
+from fairmi.clustering import SoftAssignment
+from fairmi.objectives import conditional_mi, group_cluster_mi
 
 LN2 = float(np.log(2.0))
 
@@ -142,7 +144,8 @@ class TestMNCE:
     def test_single_group_cluster_scores_zero(self):
         pred = np.array([0, 0, 1, 1])
         groups = np.array([0, 0, 0, 1])
-        assert metrics.mnce(pred, groups) == 0.0
+        value = metrics.mnce(pred, groups)
+        assert value == 0.0 and np.copysign(1.0, value) == 1.0  # +0.0, not -0.0
 
     def test_reference_two_cluster_case(self):
         """Clusters with group counts (1,1) and (3,1) against a (4,2) global mix."""
@@ -250,14 +253,25 @@ class TestFullReport:
 
     def test_leakage_fields_match_estimators(self):
         rng = np.random.default_rng(3)
-        pred = rng.integers(0, 3, size=30)
-        groups = rng.integers(0, 2, size=30)
-        groups[:2] = [0, 1]
-        report = metrics.full_report(pred, groups)
-        # mi + cmi must recompose the cluster entropy of the hard partition
-        h_c = counting_entropy(pred)
-        np.testing.assert_allclose(report.mi_gc + report.cmi_xcg, h_c, atol=1e-9)
-        np.testing.assert_allclose(report.mi_gc, counting_mi(groups, pred), atol=1e-10)
+        for k, t in [(3, 2), (1, 2), (5, 3), (2, 4)]:
+            pred = rng.integers(0, k, size=30)
+            groups = rng.integers(0, t, size=30)
+            groups[:t] = np.arange(t)
+            report = metrics.full_report(pred, groups)
+            # mi + cmi must recompose the cluster entropy of the hard partition
+            h_c = counting_entropy(pred)
+            np.testing.assert_allclose(report.mi_gc + report.cmi_xcg, h_c, atol=1e-9)
+            np.testing.assert_allclose(report.mi_gc, counting_mi(groups, pred), atol=1e-10)
+            # the soft estimators on the one-hot assignment are the reference
+            probs = np.zeros((pred.size, pred.max() + 1))
+            probs[np.arange(pred.size), pred] = 1.0
+            onehot = SoftAssignment(probs=probs, tau=1.0)
+            assert report.mi_gc == group_cluster_mi(onehot, groups, t)
+            assert report.cmi_xcg == conditional_mi(onehot, groups, t)
+
+    def test_group_id_gap_rejected(self):
+        with pytest.raises(ValueError, match=r"ids \[1\] have no members"):
+            metrics.full_report(np.array([0, 1, 0, 1]), np.array([0, 0, 2, 2]))
 
     def test_json_round_trip_format(self, tmp_path):
         truth = np.array([0, 0, 1, 1])
@@ -270,6 +284,12 @@ class TestFullReport:
         assert loaded["n"] == 4 and loaded["k"] == 2 and loaded["t"] == 2
         for key in ("mi_gc", "cmi_xcg"):
             assert round(loaded[key], 6) == loaded[key]
+
+    def test_json_point_mass_mnce_is_positive_zero(self, tmp_path):
+        report = metrics.full_report(np.array([0, 0, 1, 1]), np.array([0, 0, 0, 1]))
+        path = tmp_path / "report.json"
+        metrics.write_report(report, path)
+        assert '"mnce": 0.0,' in path.read_text()
 
     def test_json_null_for_missing_truth(self, tmp_path):
         report = metrics.full_report(np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1]))
