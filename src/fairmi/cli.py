@@ -3,13 +3,14 @@
 Machine-readable output goes only to the files named by flags; diagnostics
 go to stderr. Exit codes: 0 success, 2 usage errors, 1 runtime failures.
 The metrics subcommand works on plain label CSVs and never touches model
-code, so external partitions can be scored without a trained model.
+code, so external partitions can be scored without a trained model. Every
+subcommand reads its CSV input through ``data``, which owns the format and
+its checks.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import logging
@@ -18,13 +19,17 @@ from dataclasses import asdict
 
 
 def _read_json(path, what):
+    """The JSON object in a spec or config file."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            raw = json.load(fh)
     except OSError as e:
         raise RuntimeError(f"cannot read {what} file {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise ValueError(f"{what} file {path} is not valid JSON: {e}") from e
+    if not isinstance(raw, dict):
+        raise ValueError(f"{what} file {path} must hold a JSON object of named fields")
+    return raw
 
 
 def _sha256(path):
@@ -118,42 +123,16 @@ def _cmd_eval(args):
     return 0
 
 
-def _read_label_columns(path, columns):
-    """Pull label-ish columns out of a CSV; values become dense ids by first appearance."""
-    from .data import _dense_ids
-
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r]
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-    header = rows[0]
-    if len(set(header)) != len(header):
-        raise ValueError(f"{path}: duplicate column names in header")
-    out = []
-    for col in columns:
-        if col is None:
-            out.append(None)
-            continue
-        if col not in header:
-            raise ValueError(f"{path}: no column named {col!r}")
-        i = header.index(col)
-        values = []
-        for r, row in enumerate(rows[1:], start=2):
-            if len(row) != len(header):
-                raise ValueError(f"{path}: row {r} has {len(row)} cells, header has {len(header)}")
-            if row[i].strip() == "":
-                raise ValueError(f"{path}: row {r} is missing its {col!r} value")
-            values.append(row[i])
-        out.append(_dense_ids(values)[0])
-    return out
-
-
 def _cmd_metrics(args):
+    from .data import label_ids, read_csv
     from .metrics import full_report, write_report
 
-    pred, groups, truth = _read_label_columns(
-        args.pred, [args.pred_col, args.groups_col, args.truth_col]
-    )
+    header, rows = read_csv(args.pred)
+    pred = label_ids(args.pred, header, rows, args.pred_col, "pred")[0]
+    groups = label_ids(args.pred, header, rows, args.groups_col, "group")[0]
+    truth = None
+    if args.truth_col is not None:
+        truth = label_ids(args.pred, header, rows, args.truth_col, "truth")[0]
     report = full_report(pred, groups, truth, beta=args.beta)
     write_report(report, args.report)
     logging.info("wrote report to %s", args.report)

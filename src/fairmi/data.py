@@ -6,6 +6,9 @@ and label values may be arbitrary strings; they are mapped to dense ids in
 order of first appearance, which keeps repeated loads of the same file
 byte-stable. Features are standardized per column by default.
 
+This module owns CSV parsing and its checks: ``load_csv`` and the CLI's
+label-only ``metrics`` input both go through ``read_csv`` and ``label_ids``.
+
 Ground-truth labels ride along for evaluation only: the trainer receives a
 view without them.
 """
@@ -85,16 +88,6 @@ class TrainView:
         return int(self.groups.max()) + 1
 
 
-def _dense_ids(values):
-    """Dense int64 ids in order of first appearance, and the distinct values in that order."""
-    ids, out = {}, []
-    for v in values:
-        if v not in ids:
-            ids[v] = len(ids)
-        out.append(ids[v])
-    return np.asarray(out, dtype=np.int64), tuple(ids)
-
-
 def standardize(features: np.ndarray) -> np.ndarray:
     """Per-column zero mean, unit variance; constant columns become zero."""
     mean = features.mean(axis=0)
@@ -103,47 +96,66 @@ def standardize(features: np.ndarray) -> np.ndarray:
     return (features - mean) / std
 
 
+def read_csv(path):
+    """Header and data rows of a CSV file; blank lines are skipped.
+
+    Rejects an empty file, repeated column names, a header with no data
+    rows, and a row whose cell count differs from the header's (naming the
+    row, counted in the file without its blank lines).
+    """
+    with open(path, newline="") as fh:
+        rows = [r for r in csv.reader(fh) if r]
+    if not rows:
+        raise DataError(f"{path}: empty file")
+    header, rows = rows[0], rows[1:]
+    if len(set(header)) != len(header):
+        raise DataError(f"{path}: duplicate column names in header")
+    if not rows:
+        raise DataError(f"{path}: header only, no data rows")
+    if set(map(len, rows)) != {len(header)}:
+        r, row = next((r, row) for r, row in enumerate(rows, start=2) if len(row) != len(header))
+        raise DataError(f"{path}: row {r} has {len(row)} cells, header has {len(header)}")
+    return header, rows
+
+
+def label_ids(path, header, rows, name: str, role: str):
+    """Dense int64 ids of column ``name`` by first appearance, and its distinct values in that order.
+
+    ``header`` and ``rows`` come from ``read_csv(path)``. Rejects a missing
+    column and a blank or whitespace-only cell, naming the row and the
+    column; ``role`` says what the column holds ("group", "label", ...).
+    """
+    if name not in header:
+        raise DataError(f"{path}: no column named {name!r}")
+    i = header.index(name)
+    ids = {}
+    out = [ids.setdefault(row[i], len(ids)) for row in rows]
+    if any(not value.strip() for value in ids):
+        r = next(r for r, row in enumerate(rows, start=2) if not row[i].strip())
+        raise DataError(f"{path}: row {r} is missing its {role} value in column {name!r}")
+    return np.asarray(out, dtype=np.int64), tuple(ids)
+
+
 def load_csv(path, group_column: str, label_column: str | None = None,
              standardize_features: bool = True) -> Dataset:
     """Load a dataset from CSV.
 
     All columns except the group and label columns must be numeric features.
-    Rejects empty files, duplicate header names, missing group or label
-    cells, and non-numeric feature cells (naming the row and column).
+    Besides ``read_csv``'s and ``label_ids``' rules, rejects a file with no
+    feature columns and non-numeric or non-finite feature cells (naming the
+    row and column of a non-numeric one).
     """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    rows = [r for r in rows if r]
-    if not rows:
-        raise DataError(f"{path}: empty file")
-    header = rows[0]
-    if len(set(header)) != len(header):
-        raise DataError(f"{path}: duplicate column names in header")
-    if group_column not in header:
-        raise DataError(f"{path}: no column named {group_column!r}")
-    if label_column is not None and label_column not in header:
-        raise DataError(f"{path}: no column named {label_column!r}")
-    g_idx = header.index(group_column)
-    l_idx = header.index(label_column) if label_column is not None else None
-    f_idx = [i for i in range(len(header)) if i != g_idx and i != l_idx]
+    header, rows = read_csv(path)
+    f_idx = [i for i, name in enumerate(header) if name not in (group_column, label_column)]
     if not f_idx:
         raise DataError(f"{path}: no feature columns left")
-    if len(rows) == 1:
-        raise DataError(f"{path}: header only, no data rows")
+    groups, group_names = label_ids(path, header, rows, group_column, "group")
+    labels, label_names = (None, None)
+    if label_column is not None:
+        labels, label_names = label_ids(path, header, rows, label_column, "label")
 
-    n = len(rows) - 1
-    features = np.empty((n, len(f_idx)))
-    group_vals, label_vals = [], []
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise DataError(f"{path}: row {r} has {len(row)} cells, header has {len(header)}")
-        if row[g_idx].strip() == "":
-            raise DataError(f"{path}: row {r} is missing its group value")
-        group_vals.append(row[g_idx])
-        if l_idx is not None:
-            if row[l_idx].strip() == "":
-                raise DataError(f"{path}: row {r} is missing its {label_column!r} value")
-            label_vals.append(row[l_idx])
+    features = np.empty((len(rows), len(f_idx)))
+    for r, row in enumerate(rows, start=2):
         for j, i in enumerate(f_idx):
             try:
                 features[r - 2, j] = float(row[i])
@@ -154,10 +166,6 @@ def load_csv(path, group_column: str, label_column: str | None = None,
     if not np.all(np.isfinite(features)):
         raise DataError(f"{path}: non-finite feature values")
 
-    groups, group_names = _dense_ids(group_vals)
-    labels, label_names = (None, None)
-    if l_idx is not None:
-        labels, label_names = _dense_ids(label_vals)
     if standardize_features:
         features = standardize(features)
     return Dataset(

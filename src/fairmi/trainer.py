@@ -204,6 +204,8 @@ def fit(config: TrainConfig, dataset: Dataset, hooks: TrainerHooks | None = None
     layer_dims = config.resolve_layer_dims(view.features.shape[1])
     if view.n < config.k:
         raise TrainError(f"need at least k={config.k} samples, got {view.n}")
+    if labels is not None and view.n_groups < 2:
+        raise TrainError("labeled data needs >= 2 groups: the epoch log's mnce is undefined for one")
     hooks = hooks or TrainerHooks()
 
     params = model.flatten_params(model.init_params(layer_dims, view.n_groups, config.seed))

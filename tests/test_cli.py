@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from fairmi import cli
+from fairmi import cli, data
 
 SPEC = {
     "classes": 2, "groups": 2, "per_cell_count": 15, "class_sep": 6.0,
@@ -52,6 +52,16 @@ class TestSynth:
         bad.write_text("{nope")
         assert cli.run(["synth", "--spec", str(bad), "--out", str(tmp_path / "x.csv")]) == 1
         assert "JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,what", [("synth", "synthetic spec"), ("train", "config")])
+    def test_non_object_json_names_file(self, synth_csv, tmp_path, capsys, command, what):
+        bad = write_json(tmp_path / "bad.json", [1, 2])
+        argv = {"synth": ["synth", "--spec", bad, "--out", str(tmp_path / "x.csv")],
+                "train": ["train", "--data", str(synth_csv), "--config", bad,
+                          "--out-dir", str(tmp_path / "run")]}[command]
+        assert cli.run(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{what} file {bad}" in err and "JSON object" in err
 
 
 class TestTrainEval:
@@ -185,6 +195,47 @@ class TestMetrics:
                       "--report", str(tmp_path / "r.json")])
         assert rc == 1
         assert "sex" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,fragments", [
+        pytest.param("", ["empty file"], id="empty"),
+        pytest.param("pred,g,g\n0,a,b\n", ["duplicate column names"], id="duplicate-header"),
+        pytest.param("pred,g,y\n", ["no data rows"], id="header-only"),
+        pytest.param("pred,g,y\n0,a,p\n1,b\n", ["row 3", "2 cells", "header has 3"], id="ragged"),
+        pytest.param("pred,g,y\n0,a,p\n,b,q\n", ["row 3", "pred value", "column 'pred'"],
+                     id="blank-pred"),
+        pytest.param("pred,g,y\n0,a,p\n1,,q\n", ["row 3", "group value", "column 'g'"],
+                     id="blank-group"),
+        pytest.param("pred,g,y\n0,a,p\n1,b,\n", ["row 3", "truth value", "column 'y'"],
+                     id="blank-truth"),
+        pytest.param("pred,g,y\n0,a,p\n1, ,q\n", ["row 3", "group value", "column 'g'"],
+                     id="space-group"),
+        # blanks of two spellings in rows 3 and 4: the first one is named
+        pytest.param("pred,g,y\n0,a,p\n1, ,q\n0,,p\n", ["row 3", "column 'g'"],
+                     id="space-then-empty"),
+        pytest.param("pred,g,y\n0,a,p\n1,,q\n0,\t,p\n", ["row 3", "column 'g'"],
+                     id="empty-then-tab"),
+    ])
+    def test_malformed_label_csv_is_named(self, tmp_path, capsys, text, fragments):
+        path = tmp_path / "labels.csv"
+        path.write_text(text)
+        rc = cli.run(["metrics", "--pred", str(path), "--groups-col", "g",
+                      "--truth-col", "y", "--report", str(tmp_path / "r.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        for fragment in fragments:
+            assert fragment in err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_blank_group_cell_message_matches_load_csv(self, tmp_path, capsys):
+        path = tmp_path / "labels.csv"
+        path.write_text("x,pred,g\n1.0,0,a\n2.0,1,b\n3.0,0,\n")
+        with pytest.raises(data.DataError) as err:
+            data.load_csv(path, group_column="g")
+        rc = cli.run(["metrics", "--pred", str(path), "--groups-col", "g",
+                      "--report", str(tmp_path / "r.json")])
+        assert rc == 1
+        assert f"error: {err.value}\n" in capsys.readouterr().err
+        assert "row 4 is missing its group value in column 'g'" in str(err.value)
 
     def test_groups_col_is_required(self, tmp_path, capsys):
         labels = self.write_labels(tmp_path)

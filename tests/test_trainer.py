@@ -207,6 +207,20 @@ class TestFit:
         with pytest.raises(trainer.TrainError):
             trainer.fit(small_config(k=4, layer_dims=None, latent_dim=3), tiny)
 
+    def test_labeled_single_group_rejected_before_training(self):
+        ds = data.generate_synthetic(data.SyntheticSpec(
+            classes=2, groups=1, per_cell_count=20, class_sep=6.0,
+            group_shift=0.0, dim=5, noise_sd=0.8, seed=0))
+        batches = []
+        hooks = trainer.TrainerHooks(on_batch=lambda *a: batches.append(a))
+        with pytest.raises(trainer.TrainError, match="2 groups"):
+            trainer.fit(small_config(), ds, hooks)
+        assert batches == []
+        # without labels there is no mnce to log, so one group still trains
+        unlabeled = data.Dataset(features=ds.features, groups=ds.groups)
+        _, logs = trainer.fit(small_config(max_epochs=3), unlabeled, hooks)
+        assert len(logs) == 3 and batches
+
     def test_params_hook_sees_every_epoch(self):
         seen = []
         hooks = trainer.TrainerHooks(on_params=lambda epoch, p: seen.append((epoch, p)))
