@@ -1,10 +1,13 @@
 """Center computation and cluster assignment.
 
 Centers come from plain Euclidean k-means (k-means++ seeding, Lloyd updates,
-deterministic per seed). Assignments are soft: cosine similarity of each
-latent row to each center, sharpened by a temperature softmax. Centers are
-treated as constants by the training graph; gradients flow only through the
-latent rows.
+deterministic per seed). All restarts of one call run as one batched Lloyd
+pass, and a restart ends exactly as it would alone. Squared distances use
+the expanded form ||x||^2 - 2 x.c + ||c||^2 through BLAS, clamped at 0, and
+the per-cluster sums come from a BLAS product with the one-hot labels.
+Assignments are soft: cosine similarity of each latent row to each center,
+sharpened by a temperature softmax. Centers are treated as constants by the
+training graph; gradients flow only through the latent rows.
 """
 
 from __future__ import annotations
@@ -84,12 +87,6 @@ class SoftAssignment:
         return self.probs.argmax(axis=1)
 
 
-def _pairwise_sq(x, centers):
-    # exact per-pair squared distances; sizes here are small enough
-    diff = x[:, None, :] - centers[None, :, :]
-    return (diff * diff).sum(axis=2)
-
-
 def _plus_plus_seed(x, k, rng):
     n = x.shape[0]
     centers = np.empty((k, x.shape[1]))
@@ -107,31 +104,64 @@ def _plus_plus_seed(x, k, rng):
     return centers
 
 
-def _lloyd(x, centers, max_iter, tol):
-    """Run Lloyd updates; returns (centers, labels, inertia history).
+def _reseed_empty(x, restart, centers, labels, point_d2):
+    """Move each empty cluster of one restart onto its farthest point, in place."""
+    for k in range(centers.shape[0]):
+        if not np.any(labels == k):
+            far = int(point_d2.argmax())
+            centers[k] = x[far]
+            labels[far] = k
+            point_d2[far] = -1.0
+            logger.debug("kmeans: restart %d re-seeded empty cluster %d to point %d", restart, k, far)
+    np.maximum(point_d2, 0.0, out=point_d2)
 
-    Inertia is recorded after each assignment step. An empty cluster is
+
+def _lloyd(x, centers, max_iter, tol):
+    """Lloyd updates of R restarts at once; returns (centers, labels, inertia histories).
+
+    ``centers`` holds the (R, k, d) initial centers; the result is the
+    (R, k, d) final centers, the (R, n) labels and one inertia list per
+    restart, recorded after each assignment step. A restart is frozen once
+    its centers move less than ``tol``, and ends exactly as it would alone:
+    its products keep their single-restart shapes. An empty cluster is
     re-seeded to the point currently farthest from its assigned center.
     """
     centers = centers.copy()
-    history = []
-    labels = None
+    n_restarts, k, _ = centers.shape
+    x_t = np.ascontiguousarray(x.T)
+    x_sq = (x * x).sum(axis=1)
+    clusters = np.arange(k)[:, None]
+    labels = np.empty((n_restarts, x.shape[0]), dtype=np.intp)
+    history = [[] for _ in range(n_restarts)]
+    active = np.arange(n_restarts)
     for _ in range(max_iter):
-        d2 = _pairwise_sq(x, centers)
-        labels = d2.argmin(axis=1)
-        point_d2 = d2[np.arange(x.shape[0]), labels]
-        for k in range(centers.shape[0]):
-            if not np.any(labels == k):
-                far = int(point_d2.argmax())
-                centers[k] = x[far]
-                labels[far] = k
-                point_d2[far] = -1.0
-                logger.debug("kmeans: re-seeded empty cluster %d to point %d", k, far)
-        history.append(float(np.maximum(point_d2, 0.0).sum()))
-        new_centers = np.stack([x[labels == k].mean(axis=0) for k in range(centers.shape[0])])
-        shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
-        centers = new_centers
-        if shift < tol:
+        c = centers[active]
+        # (A, k, n) squared distances ||c||^2 - 2 c.x + ||x||^2, one
+        # (k, d) x (d, n) product per active restart
+        d2 = np.matmul(c, x_t)
+        d2 *= -2.0
+        d2 += x_sq
+        d2 += (c * c).sum(axis=2)[:, :, None]
+        nearest = d2.min(axis=1)
+        lab = np.zeros(nearest.shape, dtype=np.intp)
+        for j in range(k - 1, 0, -1):  # the first nearest center wins a tie
+            np.putmask(lab, d2[:, j] == nearest, j)
+        point_d2 = np.maximum(nearest, 0.0)
+        members = (lab[:, None, :] == clusters).astype(np.float64)
+        counts = members.sum(axis=2)
+        for a in np.flatnonzero((counts == 0).any(axis=1)):
+            _reseed_empty(x, active[a], c[a], lab[a], point_d2[a])
+            members[a] = lab[a] == clusters
+            counts[a] = members[a].sum(axis=1)
+        for r, inertia in zip(active, point_d2.sum(axis=1)):
+            history[r].append(float(inertia))
+        # per-cluster sums: one (k, n) x (n, d) product per active restart
+        new_centers = np.matmul(members, x) / counts[:, :, None]
+        shift = np.sqrt(((new_centers - c) ** 2).sum(axis=2)).max(axis=1)
+        centers[active] = new_centers
+        labels[active] = lab
+        active = active[~(shift < tol)]
+        if active.size == 0:
             break
     return centers, labels, history
 
@@ -141,9 +171,11 @@ def kmeans(features: np.ndarray, k: int, seed, max_iter: int = 100, tol: float =
     """Euclidean k-means; returns (ClusterCenters, hard labels).
 
     Deterministic for a fixed seed (seed may be an int or a tuple of ints).
-    With restarts > 1 the whole procedure reruns from fresh seedings and the
-    lowest-inertia solution wins; use this where a stray local minimum would
-    corrupt a reported metric.
+    With restarts > 1, restart r is seeded from seed + (r,), all restarts run
+    as one batched Lloyd pass, and the lowest-inertia solution wins (the
+    first restart on a tie), bit for bit the result of the best
+    single-restart call; use this where a stray local minimum would corrupt
+    a reported metric.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
@@ -165,14 +197,11 @@ def kmeans(features: np.ndarray, k: int, seed, max_iter: int = 100, tol: float =
     else:
         base = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
         seeds = [base + (r,) for r in range(restarts)]
-    best = None
-    for s in seeds:
-        rng = np.random.default_rng(s)
-        centers0 = _plus_plus_seed(x, k, rng)
-        centers, labels, history = _lloyd(x, centers0, max_iter, tol)
-        if best is None or history[-1] < best[0]:
-            best = (history[-1], centers, labels)
-    return ClusterCenters(centers=best[1]), best[2]
+    centers0 = np.stack([_plus_plus_seed(x, k, np.random.default_rng(s)) for s in seeds])
+    centers, labels, history = _lloyd(x, centers0, max_iter, tol)
+    final = [h[-1] for h in history]
+    best = final.index(min(final))  # the first restart wins a tie
+    return ClusterCenters(centers=centers[best]), labels[best]
 
 
 def _unit_rows(x):

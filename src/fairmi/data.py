@@ -96,12 +96,29 @@ def standardize(features: np.ndarray) -> np.ndarray:
     return (features - mean) / std
 
 
+def _file_line(path, index):
+    """Line of ``path`` on which data row ``index`` of ``read_csv`` starts.
+
+    Error paths only: it reads the file again, counting blank lines and the
+    line breaks inside quoted cells, which ``read_csv`` does not keep.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        starts, start = [], 1
+        for row in reader:
+            if row:
+                starts.append(start)
+            start = reader.line_num + 1
+    return starts[index + 1]  # the header is the first non-blank record
+
+
 def read_csv(path):
     """Header and data rows of a CSV file; blank lines are skipped.
 
     Rejects an empty file, repeated column names, a header with no data
-    rows, and a row whose cell count differs from the header's (naming the
-    row, counted in the file without its blank lines).
+    rows, and a row whose cell count differs from the header's. Messages
+    name a row by the file line it starts on, blank lines included, so the
+    header on line 1 is followed by row 2 in a file without blank lines.
     """
     with open(path, newline="") as fh:
         rows = [r for r in csv.reader(fh) if r]
@@ -113,8 +130,8 @@ def read_csv(path):
     if not rows:
         raise DataError(f"{path}: header only, no data rows")
     if set(map(len, rows)) != {len(header)}:
-        r, row = next((r, row) for r, row in enumerate(rows, start=2) if len(row) != len(header))
-        raise DataError(f"{path}: row {r} has {len(row)} cells, header has {len(header)}")
+        r, row = next((r, row) for r, row in enumerate(rows) if len(row) != len(header))
+        raise DataError(f"{path}: row {_file_line(path, r)} has {len(row)} cells, header has {len(header)}")
     return header, rows
 
 
@@ -131,8 +148,8 @@ def label_ids(path, header, rows, name: str, role: str):
     ids = {}
     out = [ids.setdefault(row[i], len(ids)) for row in rows]
     if any(not value.strip() for value in ids):
-        r = next(r for r, row in enumerate(rows, start=2) if not row[i].strip())
-        raise DataError(f"{path}: row {r} is missing its {role} value in column {name!r}")
+        r = next(r for r, row in enumerate(rows) if not row[i].strip())
+        raise DataError(f"{path}: row {_file_line(path, r)} is missing its {role} value in column {name!r}")
     return np.asarray(out, dtype=np.int64), tuple(ids)
 
 
@@ -142,8 +159,8 @@ def load_csv(path, group_column: str, label_column: str | None = None,
 
     All columns except the group and label columns must be numeric features.
     Besides ``read_csv``'s and ``label_ids``' rules, rejects a file with no
-    feature columns and non-numeric or non-finite feature cells (naming the
-    row and column of a non-numeric one).
+    feature columns and non-numeric or non-finite feature cells, naming the
+    row and column of the first one.
     """
     header, rows = read_csv(path)
     f_idx = [i for i, name in enumerate(header) if name not in (group_column, label_column)]
@@ -155,16 +172,20 @@ def load_csv(path, group_column: str, label_column: str | None = None,
         labels, label_names = label_ids(path, header, rows, label_column, "label")
 
     features = np.empty((len(rows), len(f_idx)))
-    for r, row in enumerate(rows, start=2):
+    for r, row in enumerate(rows):
         for j, i in enumerate(f_idx):
             try:
-                features[r - 2, j] = float(row[i])
+                features[r, j] = float(row[i])
             except ValueError:
                 raise DataError(
-                    f"{path}: row {r}, column {header[i]!r}: non-numeric value {row[i]!r}"
+                    f"{path}: row {_file_line(path, r)}, column {header[i]!r}: non-numeric value {row[i]!r}"
                 ) from None
     if not np.all(np.isfinite(features)):
-        raise DataError(f"{path}: non-finite feature values")
+        r, j = np.argwhere(~np.isfinite(features))[0]
+        i = f_idx[j]
+        raise DataError(
+            f"{path}: row {_file_line(path, r)}, column {header[i]!r}: non-finite value {rows[r][i]!r}"
+        )
 
     if standardize_features:
         features = standardize(features)

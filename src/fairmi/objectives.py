@@ -126,17 +126,17 @@ def total_loss(l_rec: float, l_clu: float, l_fair: float, alpha: float, beta_fai
     return float(l_rec + alpha * l_clu + beta_fair * l_fair)
 
 
-def conditional_mi(assign: SoftAssignment, groups, n_groups: int) -> float:
+def conditional_mi(assign: SoftAssignment, mi_gc: float) -> float:
     """Cluster information not explained by the groups.
 
-    Computed as cluster entropy minus mean assignment entropy minus the
-    group-cluster mutual information; the decomposition is exact by
-    construction, so this equals cluster_entropy - assignment_entropy -
-    group_cluster_mi to float precision.
+    Computed as cluster entropy minus mean assignment entropy minus
+    ``mi_gc``, the group-cluster mutual information of the same assignment
+    (``group_cluster_mi``), which the caller has already computed; the
+    decomposition is exact by construction.
     """
     h_c = cluster_entropy(cluster_marginal(assign))
     h_cx = assignment_entropy(assign)
-    return float(h_c - h_cx - group_cluster_mi(assign, groups, n_groups))
+    return float(h_c - h_cx - mi_gc)
 
 
 # ---------------------------------------------------------------------------

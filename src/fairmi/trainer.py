@@ -181,7 +181,7 @@ def _measure(h, cfg, view, labels, epoch):
     centers, _ = clustering.kmeans(h, cfg.k, seed=(cfg.seed, epoch, 0xD1A6), restarts=10)
     assign = clustering.soft_assign(h, centers, cfg.tau)
     mi = objectives.group_cluster_mi(assign, view.groups, view.n_groups)
-    cmi = objectives.conditional_mi(assign, view.groups, view.n_groups)
+    cmi = objectives.conditional_mi(assign, mi)
     extras = {}
     if labels is not None:
         pred = assign.hard()

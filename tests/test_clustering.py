@@ -75,19 +75,57 @@ class TestKMeans:
         rng = np.random.default_rng(17)
         for trial in range(10):
             x = rng.normal(size=(60, 2))
-            seeds = clustering._plus_plus_seed(x, 4, np.random.default_rng(trial))
-            _, _, history = clustering._lloyd(x, seeds, max_iter=50, tol=0.0)
-            diffs = np.diff(history)
-            assert np.all(diffs <= 1e-9), history
+            seeds = np.stack([clustering._plus_plus_seed(x, 4, np.random.default_rng((trial, r)))
+                              for r in range(3)])
+            _, _, histories = clustering._lloyd(x, seeds, max_iter=50, tol=0.0)
+            for history in histories:
+                diffs = np.diff(history)
+                assert np.all(diffs <= 1e-9), history
 
     def test_empty_cluster_reseeds_to_farthest_point(self):
         # a center parked far away captures nothing on the first assignment
         rng = np.random.default_rng(4)
         x = rng.normal(size=(30, 2))
         bad = np.vstack([x[:2], [1e6, 1e6]])
-        centers, labels, _ = clustering._lloyd(x, bad, max_iter=30, tol=1e-9)
-        assert np.unique(labels).size == 3  # nothing stays empty
-        assert np.all(np.abs(centers) < 1e3)  # the runaway center was replaced
+        centers, labels, _ = clustering._lloyd(x, bad[None], max_iter=30, tol=1e-9)
+        assert np.unique(labels[0]).size == 3  # nothing stays empty
+        assert np.all(np.abs(centers[0]) < 1e3)  # the runaway center was replaced
+
+    def test_reseed_in_one_restart_leaves_the_others_alone(self, caplog):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(30, 2))
+        good = x[[0, 10, 20]]
+        bad = np.vstack([x[:2], [1e6, 1e6]])
+        with caplog.at_level(logging.DEBUG, logger="fairmi.clustering"):
+            batch = clustering._lloyd(x, np.stack([good, bad, good]), max_iter=30, tol=1e-9)
+        reseeds = [r.getMessage() for r in caplog.records if "re-seeded" in r.getMessage()]
+        assert reseeds and all(m.startswith("kmeans: restart 1 ") for m in reseeds)
+        for r, start in enumerate((good, bad, good)):
+            alone = clustering._lloyd(x, start[None], max_iter=30, tol=1e-9)
+            assert batch[0][r].tobytes() == alone[0][0].tobytes()
+            np.testing.assert_array_equal(batch[1][r], alone[1][0])
+            assert batch[2][r] == alone[2][0]
+        assert np.unique(batch[1][1]).size == 3
+
+    def test_k_above_distinct_rows(self):
+        # 12 rows on 3 distinct points, 5 clusters: duplicate seeds leave
+        # clusters empty, and each is re-seeded onto a row of its own
+        points = np.array([[1.0, 2.0], [3.0, -1.0], [-2.0, 4.0]])
+        x = points[np.arange(12) % 3]
+        for restarts in (1, 10):
+            centers, labels = clustering.kmeans(x, 5, seed=3, restarts=restarts)
+            assert np.unique(labels).size == 5
+            np.testing.assert_allclose(centers.centers[labels], x, rtol=0, atol=1e-12)
+
+    def test_centers_are_the_means_of_their_rows(self):
+        rng = np.random.default_rng(8)
+        for trial in range(20):
+            k = int(rng.integers(2, 7))
+            x, _ = blobs(rng, rng.normal(0, 4, size=(k, 3)), per=int(rng.integers(3, 40)), sd=1.0)
+            centers, labels = clustering.kmeans(x, k, seed=trial, restarts=int(rng.integers(1, 6)))
+            for j in range(k):
+                np.testing.assert_allclose(centers.centers[j], x[labels == j].mean(axis=0),
+                                           rtol=1e-12, atol=1e-300)
 
 
 class TestSoftAssign:
@@ -186,6 +224,30 @@ class TestRestarts:
         a = clustering.kmeans(x, 3, seed=(1, 2, 3))
         b = clustering.kmeans(x, 3, seed=(1, 2, 3), restarts=1)
         np.testing.assert_array_equal(a[0].centers, b[0].centers)
+
+    def test_equals_best_of_single_runs(self):
+        """restarts=R is bitwise the lowest-inertia run among kmeans(seed=base + (r,))."""
+        rng = np.random.default_rng(45)
+        lengths = set()
+        for trial in range(12):
+            # a coarse tol stops restarts short of a fixed point, so one that
+            # kept iterating after its stop would end elsewhere
+            tol = 1e-6 if trial % 2 else 0.5
+            k = int(rng.integers(2, 6))
+            x, _ = blobs(rng, rng.normal(0, 3, size=(k + 1, 2)), per=25, sd=1.5)
+            restarts = int(rng.integers(2, 9))
+            centers, labels = clustering.kmeans(x, k, seed=(trial, 5), tol=tol, restarts=restarts)
+            singles, finals = [], []
+            for r in range(restarts):
+                singles.append(clustering.kmeans(x, k, seed=(trial, 5, r), tol=tol))
+                seeded = clustering._plus_plus_seed(x, k, np.random.default_rng((trial, 5, r)))
+                history = clustering._lloyd(x, seeded[None], max_iter=100, tol=tol)[2][0]
+                finals.append(history[-1])
+                lengths.add(len(history))
+            best = finals.index(min(finals))
+            assert centers.centers.tobytes() == singles[best][0].centers.tobytes()
+            np.testing.assert_array_equal(labels, singles[best][1])
+        assert len(lengths) > 1  # restarts converged at different iterations
 
     def test_tuple_and_int_seeds_accepted(self):
         rng = np.random.default_rng(43)

@@ -119,6 +119,30 @@ class TestCSV:
         msg = str(err.value)
         assert "row 3" in msg and "'y'" in msg
 
+    @pytest.mark.parametrize(
+        "text,label_column,fragment",
+        [
+            ("x,g\n\n1.0,a\n\n2.0,\n", None, "row 5 is missing its group value in column 'g'"),
+            ("\nx,g\n1.0,a\n\n\n2.0\n", None, "row 6 has 1 cells, header has 2"),
+            ("x,g\n1.0,a\n\n\nzz,b\n", None, "row 5, column 'x': non-numeric value 'zz'"),
+            ("x,g\n\n1.0,a\n\ninf,b\n", None, "row 5, column 'x': non-finite value 'inf'"),
+            # a quoted line break makes one record span lines 2 and 3
+            ('x,g,y\n1.0,a,"p\nq"\n2.0,,r\n', "y", "row 4 is missing its group value"),
+        ],
+    )
+    def test_rows_are_named_by_file_line(self, tmp_path, text, label_column, fragment):
+        path = self.write(tmp_path, text)
+        with pytest.raises(data.DataError) as err:
+            data.load_csv(path, group_column="g", label_column=label_column)
+        assert fragment in str(err.value)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, cell):
+        path = self.write(tmp_path, f"a,b,g\n1,2,x\n3,4,y\n5,{cell},x\n")
+        with pytest.raises(data.DataError) as err:
+            data.load_csv(path, group_column="g")
+        assert f"row 4, column 'b': non-finite value {cell!r}" in str(err.value)
+
     def test_round_trip(self, tmp_path):
         ds = tiny_dataset()
         path = tmp_path / "out.csv"

@@ -267,7 +267,7 @@ class TestFullReport:
             probs[np.arange(pred.size), pred] = 1.0
             onehot = SoftAssignment(probs=probs, tau=1.0)
             assert report.mi_gc == group_cluster_mi(onehot, groups, t)
-            assert report.cmi_xcg == conditional_mi(onehot, groups, t)
+            assert report.cmi_xcg == conditional_mi(onehot, report.mi_gc)
 
     def test_group_id_gap_rejected(self):
         with pytest.raises(ValueError, match=r"ids \[1\] have no members"):

@@ -1,9 +1,14 @@
 """Optimizer, config, training loop mechanics, and the evaluate path."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from fairmi import data, model, trainer
+from fairmi import data, model, objectives, trainer
 
 
 def small_dataset(seed=0, per_cell=20):
@@ -230,6 +235,18 @@ class TestFit:
         last = seen[-1][1]
         np.testing.assert_array_equal(last.encoder[0][0], final.encoder[0][0])
 
+    def test_one_group_cluster_mi_per_epoch(self, monkeypatch):
+        calls = []
+        original = objectives.group_cluster_mi
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(objectives, "group_cluster_mi", counted)
+        _, logs = trainer.fit(small_config(max_epochs=4), small_dataset())
+        assert len(calls) == len(logs) == 4
+
     def test_fairness_term_suppresses_group_leakage_when_groups_dominate(self):
         """On data where the group offset dominates class structure, training
         without the fairness term leaves group information in the clusters;
@@ -277,6 +294,32 @@ class TestLogCSV:
             trainer.write_log_csv(logs, path)
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+    def test_byte_identical_across_blas_thread_counts(self, tmp_path):
+        """The log must not depend on how many threads BLAS splits a product over."""
+        # 6,000 rows and a 16-wide latent put the batch products and the
+        # k-means products of the refresh and the diagnostics above
+        # OpenBLAS's single-thread size cut
+        script = (
+            "import sys\n"
+            "from fairmi import data, trainer\n"
+            "spec = data.SyntheticSpec(classes=3, groups=2, per_cell_count=1000, class_sep=8.0,\n"
+            "                          group_shift=6.0, dim=16, noise_sd=1.0, seed=2)\n"
+            "cfg = trainer.TrainConfig(k=3, warmup_epochs=1, max_epochs=3, batch_size=2000, seed=2)\n"
+            "_, logs = trainer.fit(cfg, data.generate_synthetic(spec))\n"
+            "trainer.write_log_csv(logs, sys.argv[1])\n"
+        )
+        src = str(Path(trainer.__file__).resolve().parent.parent)
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        logs = []
+        for threads in ("1", "2"):
+            path = tmp_path / f"log_{threads}.csv"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
+            subprocess.run([sys.executable, "-c", script, str(path)], env=env, check=True)
+            logs.append(path.read_bytes())
+        assert logs[0].count(b"\n") == 4
+        assert logs[0] == logs[1]
 
 
 class TestEvaluate:
