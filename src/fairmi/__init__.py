@@ -22,16 +22,12 @@ _EXPORTS = {
     "mnce": "metrics",
     "nmi": "metrics",
     "ModelParams": "model",
-    "decode": "model",
     "encode": "model",
     "init_params": "model",
     "load_checkpoint": "model",
     "save_checkpoint": "model",
-    "clustering_loss": "objectives",
     "conditional_mi": "objectives",
     "group_cluster_mi": "objectives",
-    "reconstruction_loss": "objectives",
-    "total_loss": "objectives",
     "EpochLog": "trainer",
     "TrainConfig": "trainer",
     "evaluate": "trainer",

@@ -53,9 +53,8 @@ def contingency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = _labels(b, "b")
     if a.shape != b.shape:
         raise MetricError("label arrays must have the same length")
-    table = np.zeros((a.max() + 1, b.max() + 1), dtype=np.int64)
-    np.add.at(table, (a, b), 1)
-    return table
+    na, nb = int(a.max()) + 1, int(b.max()) + 1
+    return np.bincount(a * nb + b, minlength=na * nb).reshape(na, nb)
 
 
 def _entropy_from_counts(counts):
@@ -91,7 +90,10 @@ def nmi(pred: np.ndarray, truth: np.ndarray) -> float:
 def balance(pred: np.ndarray, groups: np.ndarray) -> float:
     """Worst within-cluster ratio of smallest to largest group count.
 
-    A cluster missing any group scores 0 and therefore zeroes the minimum.
+    The fairlet balance of Chierichetti et al. (NeurIPS 2017): raw counts,
+    not fractions scaled by the population mix, so on a 2:1 population a
+    cluster that mirrors the population scores 0.5. A cluster missing any
+    group scores 0 and therefore zeroes the minimum.
     """
     counts = _present_rows(contingency(pred, groups), "balance")
     return float((counts.min(axis=1) / counts.max(axis=1)).min())

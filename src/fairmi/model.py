@@ -12,6 +12,7 @@ a flat name->array dict used by the optimizer; both views share storage.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -43,31 +44,19 @@ class ModelParams:
             raise ModelError("encoder needs at least one layer")
         if len(self.branches) < 1:
             raise ModelError("need at least one decoder branch")
-        dims = self.layer_dims
-        mirror = dims[::-1]
         for t, branch in enumerate(self.branches):
             if len(branch) != len(self.encoder):
                 raise ModelError(f"branch {t} depth differs from encoder")
-            for i, (w, b) in enumerate(branch):
-                if w.shape != (mirror[i], mirror[i + 1]) or b.shape != (mirror[i + 1],):
-                    raise ModelError(f"branch {t} layer {i} has shape {w.shape}, wanted mirror of encoder")
-        for w, b in self.all_arrays():
-            if not (np.issubdtype(w.dtype, np.floating) and np.all(np.isfinite(w))):
-                raise ModelError("non-finite or non-float parameter array")
-            _ = b
+        arrays = (a for layer in self.all_arrays() for a in layer)
+        for (name, shape), a in zip(_layout(self.layer_dims, self.group_count), arrays):
+            if a.shape != shape:
+                raise ModelError(f"{name} has shape {a.shape}, wanted {shape}")
+            if not (np.issubdtype(a.dtype, np.floating) and np.all(np.isfinite(a))):
+                raise ModelError(f"{name} is non-finite or not a float array")
 
     @property
     def layer_dims(self) -> list[int]:
-        dims = [self.encoder[0][0].shape[0]]
-        for w, b in self.encoder:
-            if w.shape[0] != dims[-1] or b.shape != (w.shape[1],):
-                raise ModelError("encoder layer shapes do not chain")
-            dims.append(w.shape[1])
-        return dims
-
-    @property
-    def latent_dim(self) -> int:
-        return self.encoder[-1][0].shape[1]
+        return [self.input_dim] + [w.shape[1] for w, _ in self.encoder]
 
     @property
     def input_dim(self) -> int:
@@ -85,6 +74,19 @@ class ModelParams:
                 yield w, b
 
 
+def _layout(layer_dims, group_count: int):
+    """Yield the (name, shape) of every parameter array in checkpoint order.
+
+    Encoder layers first, then each group's branch, whose widths mirror the
+    encoder's; W (d_in x d_out) precedes b (d_out) in every layer.
+    """
+    dims = [int(d) for d in layer_dims]
+    for base, chain in [("enc", dims)] + [(f"dec.{t}", dims[::-1]) for t in range(group_count)]:
+        for i, (din, dout) in enumerate(zip(chain[:-1], chain[1:])):
+            yield f"{base}.{i}.W", (din, dout)
+            yield f"{base}.{i}.b", (dout,)
+
+
 def init_params(layer_dims, group_count: int, seed: int) -> ModelParams:
     """Glorot-uniform weights, zero biases; deterministic per seed.
 
@@ -99,18 +101,14 @@ def init_params(layer_dims, group_count: int, seed: int) -> ModelParams:
     if group_count < 1:
         raise ModelError("group_count must be >= 1")
     rng = np.random.default_rng(seed)
-
-    def stack(chain):
-        layers = []
-        for din, dout in zip(chain[:-1], chain[1:]):
-            limit = np.sqrt(6.0 / (din + dout))
-            w = rng.uniform(-limit, limit, size=(din, dout))
-            layers.append((w, np.zeros(dout)))
-        return layers
-
-    encoder = stack(dims)
-    branches = [stack(dims[::-1]) for _ in range(group_count)]
-    return ModelParams(encoder=encoder, branches=branches)
+    flat = {}
+    for name, shape in _layout(dims, group_count):
+        if len(shape) == 2:
+            limit = np.sqrt(6.0 / sum(shape))
+            flat[name] = rng.uniform(-limit, limit, size=shape)
+        else:
+            flat[name] = np.zeros(shape)
+    return params_from_flat(flat, dims, group_count)
 
 
 def _run_stack(layers, x):
@@ -130,46 +128,22 @@ def encode(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return _run_stack(params.encoder, x)
 
 
-def decode(params: ModelParams, h: np.ndarray, groups: np.ndarray) -> np.ndarray:
-    """Route each latent row through its group's branch; output keeps row order."""
-    h = np.asarray(h, dtype=np.float64)
-    groups = np.asarray(groups)
-    if h.ndim != 2 or h.shape[1] != params.latent_dim:
-        raise ModelError(f"expected (n, {params.latent_dim}) latents, got {h.shape}")
-    if groups.shape != (h.shape[0],):
-        raise ModelError("groups must be one id per latent row")
-    if groups.size and (groups.min() < 0 or groups.max() >= params.group_count):
-        raise ModelError(f"group ids must lie in [0, {params.group_count})")
-    out = np.empty((h.shape[0], params.input_dim))
-    for t in np.unique(groups):
-        mask = groups == t
-        out[mask] = _run_stack(params.branches[int(t)], h[mask])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # flat parameter dict <-> ModelParams (shared storage, no copies)
 
 def flatten_params(params: ModelParams) -> dict[str, np.ndarray]:
-    flat = {}
-    for i, (w, b) in enumerate(params.encoder):
-        flat[f"enc.{i}.W"] = w
-        flat[f"enc.{i}.b"] = b
-    for t, branch in enumerate(params.branches):
-        for i, (w, b) in enumerate(branch):
-            flat[f"dec.{t}.{i}.W"] = w
-            flat[f"dec.{t}.{i}.b"] = b
-    return flat
+    arrays = (a for layer in params.all_arrays() for a in layer)
+    return {name: a for (name, _), a in zip(_layout(params.layer_dims, params.group_count), arrays)}
 
 
 def params_from_flat(flat: dict[str, np.ndarray], layer_dims, group_count: int) -> ModelParams:
+    arrays = iter([flat[name] for name, _ in _layout(layer_dims, group_count)])
+    layers = list(zip(arrays, arrays))  # (W, b) pairs in layout order
     depth = len(layer_dims) - 1
-    encoder = [(flat[f"enc.{i}.W"], flat[f"enc.{i}.b"]) for i in range(depth)]
-    branches = [
-        [(flat[f"dec.{t}.{i}.W"], flat[f"dec.{t}.{i}.b"]) for i in range(depth)]
-        for t in range(group_count)
-    ]
-    return ModelParams(encoder=encoder, branches=branches)
+    return ModelParams(
+        encoder=layers[:depth],
+        branches=[layers[i: i + depth] for i in range(depth, len(layers), depth)],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -177,17 +151,7 @@ def params_from_flat(flat: dict[str, np.ndarray], layer_dims, group_count: int) 
 
 def param_input_nodes(layer_dims, group_count: int) -> dict[str, ad.Node]:
     """One named autodiff input per parameter array."""
-    dims = list(layer_dims)
-    mirror = dims[::-1]
-    nodes = {}
-    for i in range(len(dims) - 1):
-        nodes[f"enc.{i}.W"] = ad.input_node(f"enc.{i}.W", (dims[i], dims[i + 1]))
-        nodes[f"enc.{i}.b"] = ad.input_node(f"enc.{i}.b", (dims[i + 1],))
-    for t in range(group_count):
-        for i in range(len(mirror) - 1):
-            nodes[f"dec.{t}.{i}.W"] = ad.input_node(f"dec.{t}.{i}.W", (mirror[i], mirror[i + 1]))
-            nodes[f"dec.{t}.{i}.b"] = ad.input_node(f"dec.{t}.{i}.b", (mirror[i + 1],))
-    return nodes
+    return {name: ad.input_node(name, shape) for name, shape in _layout(layer_dims, group_count)}
 
 
 def _stack_graph(z, names, nodes):
@@ -234,7 +198,7 @@ def reconstruction_graph(x_node: ad.Node, h_node: ad.Node, nodes: dict, layer_di
 #   u32          number of encoder layer dims L
 #   L x u32      layer dims, input width first, latent width last
 #   u32          group count T
-#   then, in declaration order, each parameter array as raw f64:
+#   then each parameter array as raw f64, in `_layout` order:
 #   encoder layer 0 W, encoder layer 0 b, ..., encoder layer L-2 W/b,
 #   branch 0 layer 0 W/b ... branch T-1 last layer W/b (branches mirror dims).
 
@@ -272,21 +236,14 @@ def load_checkpoint(path) -> ModelParams:
     if ndims < 2 or group_count < 1:
         raise ModelError("checkpoint header describes no usable model")
 
-    def take(shape):
-        nonlocal off
-        count = int(np.prod(shape))
-        nbytes = 8 * count
-        if off + nbytes > len(blob):
+    flat = {}
+    for name, shape in _layout(dims, group_count):
+        count = math.prod(shape)
+        if off + 8 * count > len(blob):
             raise ModelError("checkpoint truncated in weight data")
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(shape)
-        off += nbytes
-        return arr.astype(np.float64)
-
-    def read_stack(chain):
-        return [(take((din, dout)), take((dout,))) for din, dout in zip(chain[:-1], chain[1:])]
-
-    encoder = read_stack(dims)
-    branches = [read_stack(dims[::-1]) for _ in range(group_count)]
+        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
+        flat[name] = arr.reshape(shape).astype(np.float64)
+        off += 8 * count
     if off != len(blob):
         raise ModelError("checkpoint has trailing bytes")
-    return ModelParams(encoder=encoder, branches=branches)
+    return params_from_flat(flat, dims, group_count)

@@ -1,18 +1,24 @@
 """Training objectives and information estimators over soft assignments.
 
-Three loss terms drive training:
+Three loss terms drive training, each defined once by the graph builder that
+training differentiates:
 
-- reconstruction_loss: mean squared reconstruction error per sample.
-- clustering_loss: pushes the cluster marginal toward uniform while making
-  individual assignments confident (negative cluster entropy plus the mean
-  per-sample assignment entropy).
-- group_cluster_mi: mutual information between the sensitive group and the
-  cluster variable; used directly as the fairness penalty, and reported as
-  the leakage diagnostic mi_gc.
+- reconstruction: mean squared reconstruction error per sample, through the
+  sample's group decoder (``model.reconstruction_graph``).
+- clustering_loss_graph: pushes the cluster marginal toward uniform while
+  making individual assignments confident (negative cluster entropy plus the
+  mean per-sample assignment entropy).
+- group_cluster_mi_graph: mutual information between the sensitive group and
+  the cluster variable over one batch; the fairness penalty.
 
-conditional_mi estimates how much information the assignments carry about
-the samples beyond what the groups already explain; it is a diagnostic, not
-a training signal, and decomposes exactly into the terms above.
+total_loss_graph weighs the three into the training objective.
+
+The numpy estimators score an assignment without the graph engine:
+group_cluster_mi is the leakage diagnostic mi_gc, and conditional_mi
+estimates how much information the assignments carry about the samples
+beyond what the groups already explain; it is a diagnostic, not a training
+signal, and decomposes exactly into cluster entropy, assignment entropy and
+mi_gc.
 
 All logarithms are natural. Probabilities inside entropy sums go through a
 log clamped at 1e-12 so that zero cells contribute exactly zero.
@@ -42,16 +48,6 @@ def _xlogx(p):
     return p * np.log(np.maximum(p, _EPS))
 
 
-def reconstruction_loss(x: np.ndarray, x_rec: np.ndarray) -> float:
-    """Mean over samples of the squared Euclidean reconstruction distance."""
-    x = np.asarray(x, dtype=np.float64)
-    x_rec = np.asarray(x_rec, dtype=np.float64)
-    if x.shape != x_rec.shape or x.ndim != 2:
-        raise ObjectiveError(f"inputs must be matching 2-d arrays, got {x.shape} vs {x_rec.shape}")
-    diff = x - x_rec
-    return float((diff * diff).sum() / x.shape[0])
-
-
 def cluster_marginal(assign: SoftAssignment) -> np.ndarray:
     """Mean soft assignment per cluster: a length-K probability vector."""
     return assign.probs.mean(axis=0)
@@ -68,17 +64,6 @@ def cluster_entropy(marginal: np.ndarray) -> float:
 def assignment_entropy(assign: SoftAssignment) -> float:
     """Mean entropy of the per-sample assignment rows (nats)."""
     return float(-_xlogx(assign.probs).sum() / assign.n)
-
-
-def clustering_loss(assign: SoftAssignment) -> float:
-    """Negative cluster entropy plus mean assignment entropy.
-
-    Minimizing this spreads mass evenly across clusters while making each
-    row's assignment confident. Zero when rows are one-hot and balanced;
-    also zero when every row is uniform (both entropies then cancel).
-    """
-    p = cluster_marginal(assign)
-    return float(_xlogx(p).sum() - _xlogx(assign.probs).sum() / assign.n)
 
 
 def _group_counts(groups, n_groups):
@@ -119,13 +104,6 @@ def group_cluster_mi(assign: SoftAssignment, groups, n_groups: int) -> float:
     return _mutual_information(_group_onehot(groups, n_groups) @ assign.probs / assign.n)
 
 
-def total_loss(l_rec: float, l_clu: float, l_fair: float, alpha: float, beta_fair: float) -> float:
-    """Weighted sum of the three terms."""
-    if alpha < 0.0 or beta_fair < 0.0:
-        raise ObjectiveError("loss weights must be non-negative")
-    return float(l_rec + alpha * l_clu + beta_fair * l_fair)
-
-
 def conditional_mi(assign: SoftAssignment, mi_gc: float) -> float:
     """Cluster information not explained by the groups.
 
@@ -144,6 +122,12 @@ def conditional_mi(assign: SoftAssignment, mi_gc: float) -> float:
 # clustering.soft_assign_graph plus batch constants, and returns a scalar node.
 
 def clustering_loss_graph(c_node: ad.Node, n: int) -> ad.Node:
+    """Negative cluster entropy plus mean assignment entropy over one batch.
+
+    Minimizing it spreads mass evenly across clusters while making each row's
+    assignment confident: balanced one-hot rows over K clusters reach -ln K,
+    while uniform rows, or rows all on one cluster, score 0.
+    """
     from . import autodiff as ad  # deferred: estimator-only callers skip the graph engine
 
     ones_row = ad.constant(np.ones((1, n)))
@@ -181,6 +165,7 @@ def group_cluster_mi_graph(c_node: ad.Node, groups, n_groups: int) -> ad.Node:
 
 def total_loss_graph(rec_node: ad.Node, clu_node: ad.Node, fair_node: ad.Node,
                      alpha: float, beta_fair: float) -> ad.Node:
+    """rec + alpha * clu + beta_fair * fair; the weights must be non-negative."""
     from . import autodiff as ad
 
     if alpha < 0.0 or beta_fair < 0.0:

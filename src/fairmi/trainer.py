@@ -178,18 +178,17 @@ def _batch_graphs(x, groups, layer_dims, n_groups, warmup, centers, cfg):
 def _measure(h, cfg, view, labels, epoch):
     """End-of-epoch diagnostics on the full-dataset latents; never feeds gradients."""
     # measurement must not wobble between local minima, hence the restarts
-    centers, _ = clustering.kmeans(h, cfg.k, seed=(cfg.seed, epoch, 0xD1A6), restarts=10)
+    try:
+        centers, _ = clustering.kmeans(h, cfg.k, seed=(cfg.seed, epoch, 0xD1A6), restarts=10)
+    except clustering.ClusteringError as e:
+        raise TrainError(f"epoch {epoch}: diagnostics clustering failed: {e}") from e
     assign = clustering.soft_assign(h, centers, cfg.tau)
     mi = objectives.group_cluster_mi(assign, view.groups, view.n_groups)
     cmi = objectives.conditional_mi(assign, mi)
     extras = {}
     if labels is not None:
-        pred = assign.hard()
-        extras["acc"] = metrics.accuracy(pred, labels)
-        extras["nmi"] = metrics.nmi(pred, labels)
-        extras["bal"] = metrics.balance(pred, view.groups)
-        extras["mnce"] = metrics.mnce(pred, view.groups)
-        extras["f_beta"] = metrics.f_beta(extras["nmi"], extras["mnce"], cfg.f_beta_weight)
+        report = metrics.full_report(assign.hard(), view.groups, labels, cfg.f_beta_weight)
+        extras = {name: getattr(report, name) for name in ("acc", "nmi", "bal", "mnce", "f_beta")}
     return mi, cmi, extras
 
 

@@ -1,8 +1,10 @@
 """End-to-end command line behavior: pipelines, exit codes, artifact formats."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,12 @@ CONFIG = {
     "k": 2, "latent_dim": 3, "layer_dims": [4, 6, 3], "warmup_epochs": 1,
     "max_epochs": 3, "batch_size": 32, "learning_rate": 1e-3, "seed": 0,
 }
+
+
+def subprocess_env():
+    """The current environment with the package's source tree first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def write_json(path, payload):
@@ -260,7 +268,7 @@ class TestMetrics:
         )
         subprocess.run(
             [sys.executable, "-c", code, str(labels), str(report)],
-            check=True, capture_output=True,
+            check=True, capture_output=True, env=subprocess_env(),
         )
 
 
@@ -270,7 +278,7 @@ class TestEntryPoint:
         out = tmp_path / "data.csv"
         proc = subprocess.run(
             [sys.executable, "-m", "fairmi.cli", "synth", "--spec", spec, "--out", str(out)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=subprocess_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()

@@ -129,6 +129,12 @@ class TestBalance:
         groups = np.array([0, 1, 0, 0])  # cluster 1 has no group-1 member
         assert metrics.balance(pred, groups) == 0.0
 
+    def test_unequal_groups_compare_raw_counts(self):
+        """A 2:1 population mirrored in every cluster scores 0.5, not 1."""
+        pred = np.repeat([0, 1], 6)
+        groups = np.array([0, 0, 0, 0, 1, 1] * 2)
+        assert metrics.balance(pred, groups) == 0.5
+
     def test_minimum_over_clusters(self):
         pred = np.repeat([0, 1], [8, 4])
         groups = np.array([0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 1])  # cluster 1 is 3:1

@@ -1,5 +1,8 @@
 """Encoder/decoder behavior, initialization, gradients, and checkpoints."""
 
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -53,6 +56,33 @@ class TestInit:
             model.init_params((5, 3), 0, seed=0)
 
 
+class TestLayout:
+    def test_checkpoint_order_encoder_then_mirrored_branches(self):
+        assert list(model._layout((5, 4, 3), 2)) == [
+            ("enc.0.W", (5, 4)), ("enc.0.b", (4,)), ("enc.1.W", (4, 3)), ("enc.1.b", (3,)),
+            ("dec.0.0.W", (3, 4)), ("dec.0.0.b", (4,)), ("dec.0.1.W", (4, 5)), ("dec.0.1.b", (5,)),
+            ("dec.1.0.W", (3, 4)), ("dec.1.0.b", (4,)), ("dec.1.1.W", (4, 5)), ("dec.1.1.b", (5,)),
+        ]
+
+    def test_flat_dict_and_graph_inputs_follow_the_layout(self):
+        p = tiny_params((6, 4, 2), groups=3)
+        layout = list(model._layout((6, 4, 2), 3))
+        flat = model.flatten_params(p)
+        assert [(name, a.shape) for name, a in flat.items()] == layout
+        nodes = model.param_input_nodes((6, 4, 2), 3)
+        assert [(name, node.shape) for name, node in nodes.items()] == layout
+
+    @pytest.mark.parametrize("name", ["enc.0.b", "dec.1.1.W"])
+    def test_params_reject_a_bad_array_by_name(self, name):
+        flat = model.flatten_params(tiny_params())
+        bad = dict(flat, **{name: np.full_like(flat[name], np.nan)})
+        with pytest.raises(model.ModelError, match=re.escape(name)):
+            model.params_from_flat(bad, (5, 4, 3), 2)
+        bad[name] = np.zeros(flat[name].shape + (1,))
+        with pytest.raises(model.ModelError, match=re.escape(name)):
+            model.params_from_flat(bad, (5, 4, 3), 2)
+
+
 class TestEncodeDecode:
     def test_zero_weights_give_zero_latents(self):
         p = tiny_params()
@@ -80,16 +110,6 @@ class TestEncodeDecode:
                 z = np.tanh(z)
         np.testing.assert_allclose(model.encode(p, x), z, atol=1e-12)
 
-    def test_decode_routes_rows_by_group(self):
-        p = tiny_params((5, 4, 3), groups=2, seed=3)
-        rng = np.random.default_rng(3)
-        h = rng.normal(size=(10, 3))
-        groups = np.array([0, 1, 1, 0, 1, 0, 0, 1, 1, 0])
-        out = model.decode(p, h, groups)
-        for i in range(10):
-            single = model.decode(p, h[i: i + 1], groups[i: i + 1])
-            np.testing.assert_allclose(out[i], single[0], atol=1e-12)
-
     def test_batch_order_equivariance(self):
         p = tiny_params(seed=8)
         rng = np.random.default_rng(8)
@@ -97,12 +117,10 @@ class TestEncodeDecode:
         perm = rng.permutation(12)
         np.testing.assert_allclose(model.encode(p, x)[perm], model.encode(p, x[perm]), atol=1e-12)
 
-    def test_rejects_wrong_width_and_bad_groups(self):
+    def test_rejects_wrong_width(self):
         p = tiny_params()
         with pytest.raises(model.ModelError):
             model.encode(p, np.zeros((3, 4)))
-        with pytest.raises(model.ModelError):
-            model.decode(p, np.zeros((3, 3)), np.array([0, 1, 2]))  # group 2 of 2
 
 
 class TestGraph:
@@ -122,7 +140,11 @@ class TestGraph:
         params, _, root, x = self._grads([0, 1, 0, 1, 1])
         p = model.params_from_flat(params, (4, 3, 2), 2)
         h = model.encode(p, x)
-        rec = model.decode(p, h, np.array([0, 1, 0, 1, 1]))
+        groups = np.array([0, 1, 0, 1, 1])
+        rec = np.empty_like(x)
+        for i, t in enumerate(groups):  # each row through its own group's branch
+            (w0, b0), (w1, b1) = p.branches[t]
+            rec[i] = np.tanh(h[i] @ w0 + b0) @ w1 + b1
         expected = ((x - rec) ** 2).sum() / x.shape[0]
         np.testing.assert_allclose(float(root.value), expected, atol=1e-12)
 
@@ -202,6 +224,18 @@ class TestCheckpoint:
             blob += b"\x00" * 8
         path.write_bytes(bytes(blob))
         with pytest.raises(model.ModelError):
+            model.load_checkpoint(path)
+
+    def test_rejects_non_finite_bias(self, tmp_path):
+        p = tiny_params((5, 4, 3), groups=2)
+        path = tmp_path / "model.bin"
+        model.save_checkpoint(p, path)
+        blob = bytearray(path.read_bytes())
+        header = 4 + 4 + 4 + 3 * 4 + 4
+        offset = header + 8 * 5 * 4  # enc.0.b follows the 5x4 enc.0.W
+        blob[offset: offset + 8] = struct.pack("<d", np.nan)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(model.ModelError, match=r"enc\.0\.b"):
             model.load_checkpoint(path)
 
     def test_flatten_round_trip_shares_storage(self):

@@ -1,4 +1,4 @@
-"""Loss terms and information estimators against brute-force counting oracles."""
+"""Loss graph builders and information estimators against numpy and counting oracles."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairmi import autodiff as ad
+from fairmi import model
 from fairmi import objectives as obj
 from fairmi.clustering import SoftAssignment
 
@@ -40,27 +41,47 @@ def oracle_mi(probs, groups, n_groups):
     return total
 
 
+def reconstruction_value(flat, x, groups, dims, n_groups):
+    """Forward value of the training reconstruction term for given parameters."""
+    nodes = model.param_input_nodes(dims, n_groups)
+    x_node = ad.input_node("x", x.shape)
+    h = model.encoder_graph(x_node, nodes, dims)
+    root = model.reconstruction_graph(x_node, h, nodes, dims, np.asarray(groups))
+    return float(ad.forward(root, {**flat, "x": x}))
+
+
+def identity_autoencoder(width, dec_bias=0.0):
+    """One linear layer each way, both the identity; the decoder adds `dec_bias`."""
+    return {"enc.0.W": np.eye(width), "enc.0.b": np.zeros(width),
+            "dec.0.0.W": np.eye(width), "dec.0.0.b": np.zeros(width) + dec_bias}
+
+
 class TestReconstruction:
     def test_identical_inputs_cost_zero(self):
         x = np.random.default_rng(0).normal(size=(5, 3))
-        assert obj.reconstruction_loss(x, x) == 0.0
+        assert reconstruction_value(identity_autoencoder(3), x, np.zeros(5, int), (3, 3), 1) == 0.0
 
     def test_unit_displacement_costs_one(self):
         """Each row off by a unit vector: mean squared distance is 1."""
-        x = np.zeros((4, 3))
-        x_rec = np.zeros((4, 3))
-        x_rec[:, 1] = 1.0
-        np.testing.assert_allclose(obj.reconstruction_loss(x, x_rec), 1.0, atol=0)
+        flat = identity_autoencoder(3, dec_bias=[0.0, 1.0, 0.0])
+        value = reconstruction_value(flat, np.zeros((4, 3)), np.zeros(4, int), (3, 3), 1)
+        np.testing.assert_allclose(value, 1.0, atol=0)
 
     def test_matches_row_loop_oracle(self):
         rng = np.random.default_rng(1)
-        x, x_rec = rng.normal(size=(7, 4)), rng.normal(size=(7, 4))
-        expected = sum(((x[i] - x_rec[i]) ** 2).sum() for i in range(7)) / 7
-        np.testing.assert_allclose(obj.reconstruction_loss(x, x_rec), expected, atol=1e-12)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(obj.ObjectiveError):
-            obj.reconstruction_loss(np.zeros((3, 2)), np.zeros((2, 3)))
+        dims = (4, 3, 2)
+        params = model.init_params(dims, 2, seed=1)
+        x = rng.normal(size=(7, 4))
+        groups = np.array([0, 1, 1, 0, 1, 0, 0])
+        (w0, b0), (w1, b1) = params.encoder
+        expected = 0.0
+        for i in range(7):
+            h = np.tanh(x[i] @ w0 + b0) @ w1 + b1
+            (v0, c0), (v1, c1) = params.branches[groups[i]]
+            rec = np.tanh(h @ v0 + c0) @ v1 + c1
+            expected += ((x[i] - rec) ** 2).sum() / 7
+        value = reconstruction_value(model.flatten_params(params), x, groups, dims, 2)
+        np.testing.assert_allclose(value, expected, atol=1e-12)
 
 
 class TestEntropies:
@@ -97,24 +118,29 @@ class TestEntropies:
             obj.cluster_entropy(np.array([0.7, 0.7]))
 
 
+def clustering_loss_value(assign):
+    c = ad.input_node("c", assign.probs.shape)
+    return float(ad.forward(obj.clustering_loss_graph(c, assign.n), {"c": assign.probs}))
+
+
 class TestClusteringLoss:
     def test_balanced_one_hot_reaches_minus_ln2(self):
         assign = one_hot([0, 1, 0, 1], 2)
-        np.testing.assert_allclose(obj.clustering_loss(assign), -LN2, atol=1e-12)
+        np.testing.assert_allclose(clustering_loss_value(assign), -LN2, atol=1e-12)
 
     def test_uniform_rows_score_zero(self):
         assign = SoftAssignment(probs=np.full((6, 3), 1 / 3), tau=1.0)
-        np.testing.assert_allclose(obj.clustering_loss(assign), 0.0, atol=1e-12)
+        np.testing.assert_allclose(clustering_loss_value(assign), 0.0, atol=1e-12)
 
     def test_collapsed_one_hot_scores_zero(self):
         assign = one_hot([0, 0, 0, 0], 2)
-        np.testing.assert_allclose(obj.clustering_loss(assign), 0.0, atol=1e-12)
+        np.testing.assert_allclose(clustering_loss_value(assign), 0.0, atol=1e-12)
 
     def test_decomposes_into_entropies(self):
         rng = np.random.default_rng(6)
         assign = random_assignment(rng, 15, 4)
         expected = -obj.cluster_entropy(obj.cluster_marginal(assign)) + obj.assignment_entropy(assign)
-        np.testing.assert_allclose(obj.clustering_loss(assign), expected, atol=1e-12)
+        np.testing.assert_allclose(clustering_loss_value(assign), expected, atol=1e-12)
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -124,7 +150,7 @@ class TestClusteringLoss:
         perm = rng.permutation(12)
         shuffled = SoftAssignment(probs=assign.probs[perm], tau=1.0)
         np.testing.assert_allclose(
-            obj.clustering_loss(assign), obj.clustering_loss(shuffled), atol=1e-12
+            clustering_loss_value(assign), clustering_loss_value(shuffled), atol=1e-12
         )
 
 
@@ -184,18 +210,25 @@ class TestGroupClusterMI:
             np.testing.assert_allclose(obj._mutual_information(joint), expected, atol=1e-12)
 
 
+def total_loss_value(l_rec, l_clu, l_fair, alpha, beta_fair):
+    rec, clu, fair = (ad.constant(np.asarray(v, dtype=np.float64)) for v in (l_rec, l_clu, l_fair))
+    return float(ad.forward(obj.total_loss_graph(rec, clu, fair, alpha, beta_fair), {}))
+
+
 class TestTotalLoss:
     def test_reference_combination(self):
         np.testing.assert_allclose(
-            obj.total_loss(1.0, -0.5, 0.1, alpha=0.04, beta_fair=0.20), 1.0, atol=1e-15
+            total_loss_value(1.0, -0.5, 0.1, alpha=0.04, beta_fair=0.20), 1.0, atol=1e-15
         )
 
     def test_zero_weights_pass_reconstruction_through(self):
-        assert obj.total_loss(2.5, 100.0, 100.0, alpha=0.0, beta_fair=0.0) == 2.5
+        assert total_loss_value(2.5, 100.0, 100.0, alpha=0.0, beta_fair=0.0) == 2.5
 
     def test_negative_weights_rejected(self):
         with pytest.raises(obj.ObjectiveError):
-            obj.total_loss(1.0, 0.0, 0.0, alpha=-0.1, beta_fair=0.0)
+            total_loss_value(1.0, 0.0, 0.0, alpha=-0.1, beta_fair=0.0)
+        with pytest.raises(obj.ObjectiveError):
+            total_loss_value(1.0, 0.0, 0.0, alpha=0.0, beta_fair=-0.1)
 
 
 class TestConditionalMI:
@@ -222,7 +255,7 @@ class TestConditionalMI:
 
 
 class TestGraphBuilders:
-    """The differentiable paths must agree with the plain estimators."""
+    """The differentiable paths must agree with numpy references."""
 
     def _random_case(self, seed):
         rng = np.random.default_rng(seed)
@@ -237,7 +270,9 @@ class TestGraphBuilders:
         c = ad.input_node("c", assign.probs.shape)
         root = obj.clustering_loss_graph(c, assign.n)
         got = ad.forward(root, {"c": assign.probs})
-        np.testing.assert_allclose(float(got), obj.clustering_loss(assign), atol=1e-12)
+        p, probs = assign.probs.mean(axis=0), assign.probs
+        expected = (p * np.log(p)).sum() - (probs * np.log(probs)).sum() / assign.n
+        np.testing.assert_allclose(float(got), expected, atol=1e-12)
 
     def test_group_mi_graph_matches(self):
         assign, groups, t = self._random_case(13)
@@ -269,11 +304,8 @@ class TestGraphBuilders:
         fair = obj.group_cluster_mi_graph(c, groups, t)
         root = obj.total_loss_graph(rec, clu, fair, alpha=0.04, beta_fair=0.2)
         got = float(ad.forward(root, {"c": assign.probs, "a": x, "b": x_rec}))
-        expected = obj.total_loss(
-            obj.reconstruction_loss(x, x_rec),
-            obj.clustering_loss(assign),
-            obj.group_cluster_mi(assign, groups, t),
-            alpha=0.04,
-            beta_fair=0.2,
-        )
+        p, probs = assign.probs.mean(axis=0), assign.probs
+        l_rec = ((x - x_rec) ** 2).sum() / assign.n
+        l_clu = (p * np.log(p)).sum() - (probs * np.log(probs)).sum() / assign.n
+        expected = l_rec + 0.04 * l_clu + 0.2 * obj.group_cluster_mi(assign, groups, t)
         np.testing.assert_allclose(got, expected, atol=1e-12)

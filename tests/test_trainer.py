@@ -226,6 +226,13 @@ class TestFit:
         _, logs = trainer.fit(small_config(max_epochs=3), unlabeled, hooks)
         assert len(logs) == 3 and batches
 
+    def test_degenerate_latents_raise_train_error_naming_epoch(self):
+        """All-zero features give identical latents; the epoch's diagnostics cannot cluster them."""
+        ds = small_dataset()
+        flat = data.Dataset(features=np.zeros_like(ds.features), groups=ds.groups, labels=ds.labels)
+        with pytest.raises(trainer.TrainError, match="epoch 0: .*all points identical"):
+            trainer.fit(small_config(), flat)
+
     def test_params_hook_sees_every_epoch(self):
         seen = []
         hooks = trainer.TrainerHooks(on_params=lambda epoch, p: seen.append((epoch, p)))
