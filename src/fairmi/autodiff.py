@@ -9,7 +9,14 @@ L2 normalization, full reductions, row selection). Shapes are inferred and
 checked at build time so a malformed graph fails before any numerics run.
 
 All arrays are float64. Gradients are accumulated in a fixed reverse
-topological order, so repeated runs are bitwise reproducible.
+topological order, so repeated runs are bitwise reproducible. The first
+contribution a node receives becomes its gradient buffer, and later ones are
+added into it in place; only a ``select_rows`` scatter starts from zeros. A
+gradient that only passes through an op (``add``, the matrix side of
+``add_bias``, the left side of ``subtract``) is shared with the parent until
+the parent's buffer is first written, when it is copied. Every node still
+gets a gradient of its own shape, and the arrays :func:`backward` returns are
+never shared.
 """
 
 from __future__ import annotations
@@ -239,54 +246,61 @@ def forward(root: Node, inputs: dict[str, np.ndarray] | None = None) -> np.ndarr
     return root.value
 
 
-def _accumulate(node: Node):
+def _accumulate(node: Node, send):
+    """Pass the gradient of `node` to its parents through ``send(parent, g, ...)``.
+
+    A contribution computed here is new storage; a borrowed one is the
+    node's own gradient passed through unchanged. ``rows`` scatters ``g``
+    into those rows of the parent's gradient.
+    """
     g = node.grad
     ps = node.parents
     op = node.op
     if op == "matmul":
-        ps[0].grad += g @ ps[1].value.T
-        ps[1].grad += ps[0].value.T @ g
+        send(ps[0], g @ ps[1].value.T)
+        send(ps[1], ps[0].value.T @ g)
     elif op == "add":
-        ps[0].grad += g
-        ps[1].grad += g
+        send(ps[0], g, borrow=True)
+        send(ps[1], g, borrow=True)
     elif op == "add_bias":
-        ps[0].grad += g
-        ps[1].grad += g.sum(axis=0)
+        send(ps[0], g, borrow=True)
+        send(ps[1], g.sum(axis=0))
     elif op == "subtract":
-        ps[0].grad += g
-        ps[1].grad -= g
+        send(ps[0], g, borrow=True)
+        send(ps[1], -g)
     elif op == "multiply":
-        ps[0].grad += g * ps[1].value
-        ps[1].grad += g * ps[0].value
+        send(ps[0], g * ps[1].value)
+        send(ps[1], g * ps[0].value)
     elif op == "tanh":
-        ps[0].grad += g * (1.0 - node.value * node.value)
+        send(ps[0], g * (1.0 - node.value * node.value))
     elif op == "log_guarded":
         x = ps[0].value
-        ps[0].grad += g * np.where(x > GUARD_EPS, 1.0 / np.maximum(x, GUARD_EPS), 0.0)
+        send(ps[0], g * np.where(x > GUARD_EPS, 1.0 / np.maximum(x, GUARD_EPS), 0.0))
     elif op == "softmax_rows":
         y = node.value
         inner = (g * y).sum(axis=1, keepdims=True)
-        ps[0].grad += y * (g - inner)
+        send(ps[0], y * (g - inner))
     elif op == "normalize_rows":
         y = node.value
         norms = node.cache
         inner = (g * y).sum(axis=1, keepdims=True)
-        ps[0].grad += (g - y * inner) / norms[:, None]
+        send(ps[0], (g - y * inner) / norms[:, None])
     elif op == "sum":
-        ps[0].grad += g  # scalar broadcast over the operand
+        send(ps[0], np.full(ps[0].value.shape, g))  # scalar broadcast over the operand
     elif op == "scale":
-        ps[0].grad += g * node.factor
+        send(ps[0], g * node.factor)
     elif op == "square":
-        ps[0].grad += 2.0 * ps[0].value * g
+        send(ps[0], 2.0 * ps[0].value * g)
     elif op == "select_rows":
-        np.add.at(ps[0].grad, node.indices, g)
+        send(ps[0], g, rows=node.indices)
 
 
 def backward(root: Node) -> dict[str, np.ndarray]:
     """Backpropagate from a scalar root; returns gradients for every input node.
 
     forward() must have run on this graph first. Gradients are also stored on
-    each node's ``grad`` field.
+    each node's ``grad`` field; see the module docstring for how the
+    buffers are owned. The returned input gradients never share storage.
     """
     if root.value is None:
         raise GraphError("backward before forward: root has no value")
@@ -294,12 +308,38 @@ def backward(root: Node) -> dict[str, np.ndarray]:
         raise GraphError(f"backward needs a scalar root, got shape {root.value.shape}")
     order = topo_order(root)
     for node in order:
-        node.grad = np.zeros(node.value.shape)
+        node.grad = None
     root.grad = np.ones(())
+    borrowed = set()
+
+    def send(parent, g, borrow=False, rows=None):
+        if rows is not None:
+            if parent.grad is None:
+                parent.grad = np.zeros(parent.value.shape)
+            elif parent in borrowed:
+                parent.grad = np.array(parent.grad)
+                borrowed.discard(parent)
+            np.add.at(parent.grad, rows, g)
+        elif parent.grad is None:
+            parent.grad = g
+            if borrow:
+                borrowed.add(parent)
+        elif parent in borrowed:
+            parent.grad = parent.grad + g
+            borrowed.discard(parent)
+        else:
+            parent.grad += g
+
     for node in reversed(order):
         if node.parents:
-            _accumulate(node)
-    return {node.name: node.grad for node in order if node.op == "input"}
+            _accumulate(node, send)
+    grads = {}
+    for node in order:
+        if node.op == "input":
+            if node in borrowed:
+                node.grad = np.array(node.grad)
+            grads[node.name] = node.grad
+    return grads
 
 
 def grad_check(scalar_fn, point: np.ndarray, step: float) -> float:

@@ -54,6 +54,14 @@ def _cmd_synth(args):
     return 0
 
 
+def _epoch_count(text):
+    """argparse type of --checkpoint-every: a whole number >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0 (0 disables), got {value}")
+    return value
+
+
 def _load_dataset(args):
     from .data import load_csv
 
@@ -160,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-standardize", action="store_true", help="skip per-column standardization")
         if name == "train":
             p.add_argument("--out-dir", required=True, help="directory for checkpoint, log, manifest")
-            p.add_argument("--checkpoint-every", type=int, default=0, metavar="N",
+            p.add_argument("--checkpoint-every", type=_epoch_count, default=0, metavar="N",
                            help="also write a checkpoint every N epochs (0 disables)")
             p.set_defaults(func=_cmd_train)
         else:

@@ -98,9 +98,13 @@ def _plus_plus_seed(x, k, rng):
             # all remaining mass sits on chosen centers; fall back to uniform
             idx = rng.integers(n)
         else:
-            idx = rng.choice(n, p=d2 / total)
+            # the draw of rng.choice(n, p=d2 / total), without its per-call checks
+            cdf = np.cumsum(d2 / total)
+            cdf /= cdf[-1]
+            idx = cdf.searchsorted(rng.random(), side="right")
         centers[j] = x[idx]
-        d2 = np.minimum(d2, ((x - centers[j]) ** 2).sum(axis=1))
+        if j < k - 1:  # the last center's distances would never be read
+            d2 = np.minimum(d2, ((x - centers[j]) ** 2).sum(axis=1))
     return centers
 
 

@@ -7,7 +7,9 @@ group, so group-specific appearance can be absorbed by the branch instead of
 the shared code.
 
 Parameters live either as a :class:`ModelParams` record (numpy arrays) or as
-a flat name->array dict used by the optimizer; both views share storage.
+a flat name->array dict; converting between the two copies no array. The
+trainer's optimizer updates its flat dict in place, so every record the
+trainer hands out is built from copies of those arrays.
 """
 
 from __future__ import annotations

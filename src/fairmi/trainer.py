@@ -14,7 +14,7 @@ gradient path) look at labels when they exist.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -132,32 +132,59 @@ class TrainerHooks:
     on_centers_refresh: object | None = None  # (epoch, ClusterCenters)
     on_batch: object | None = None            # (epoch, batch_index, {term: value})
     on_epoch: object | None = None            # (EpochLog)
-    on_params: object | None = None           # (epoch, ModelParams), after updates
+    on_params: object | None = None           # (epoch, ModelParams): a copy taken after the epoch's updates
 
 
-@dataclass
 class AdamState:
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    """Adam's moments for a fixed set of parameter arrays, updated in place.
+
+    Per parameter: zeroed first and second moments ``m`` and ``v`` plus two
+    scratch arrays of the same shape, all allocated here once.
+    """
+
+    def __init__(self, params: dict):
+        self.m = {name: np.zeros_like(value) for name, value in params.items()}
+        self.v = {name: np.zeros_like(value) for name, value in params.items()}
+        self.scratch = {name: (np.empty_like(value), np.empty_like(value))
+                        for name, value in params.items()}
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, step: int,
               lr: float, beta1: float = ADAM_BETA1, beta2: float = ADAM_BETA2, eps: float = ADAM_EPS):
-    """One bias-corrected Adam update; returns (new params, new state)."""
+    """One bias-corrected Adam update, written in place into params and state.
+
+    A parameter missing from ``grads`` takes a zero gradient, so its moments
+    still decay. Every gradient is checked before anything is written: a
+    non-finite one raises and leaves params and state untouched.
+    """
     if step < 1:
         raise TrainError("step counts from 1")
-    new_params, new_m, new_v = {}, {}, {}
+    for name, g in grads.items():
+        if not np.all(np.isfinite(g)):
+            raise TrainError(f"non-finite gradient for {name}")
     bc1 = 1.0 - beta1 ** step
     bc2 = 1.0 - beta2 ** step
     for name, value in params.items():
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise TrainError(f"non-finite gradient for {name}")
-        m = beta1 * state.m.get(name, 0.0) + (1.0 - beta1) * g
-        v = beta2 * state.v.get(name, 0.0) + (1.0 - beta2) * (g * g)
-        new_m[name], new_v[name] = m, v
-        new_params[name] = value - lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
-    return new_params, AdamState(m=new_m, v=new_v)
+        g = grads.get(name, 0.0)
+        m, v = state.m[name], state.v[name]
+        s, t = state.scratch[name]
+        # m = beta1 * m + (1 - beta1) * g
+        m *= beta1
+        np.multiply(g, 1.0 - beta1, out=s)
+        m += s
+        # v = beta2 * v + (1 - beta2) * (g * g)
+        v *= beta2
+        np.multiply(g, g, out=s)
+        s *= 1.0 - beta2
+        v += s
+        # value -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        np.divide(m, bc1, out=s)
+        s *= lr
+        np.divide(v, bc2, out=t)
+        np.sqrt(t, out=t)
+        t += eps
+        s /= t
+        value -= s
 
 
 def _batch_graphs(x, groups, layer_dims, n_groups, warmup, centers, cfg):
@@ -207,8 +234,9 @@ def fit(config: TrainConfig, dataset: Dataset, hooks: TrainerHooks | None = None
         raise TrainError("labeled data needs >= 2 groups: the epoch log's mnce is undefined for one")
     hooks = hooks or TrainerHooks()
 
+    # fit's own arrays, which adam_step updates in place
     params = model.flatten_params(model.init_params(layer_dims, view.n_groups, config.seed))
-    state = AdamState()
+    state = AdamState(params)
     step = 0
     logs: list[EpochLog] = []
     logger.info(
@@ -242,18 +270,18 @@ def fit(config: TrainConfig, dataset: Dataset, hooks: TrainerHooks | None = None
             if not np.isfinite(values["l_total"]):
                 raise TrainError(f"epoch {epoch}, batch {b}: non-finite loss {values}")
             grads = ad.backward(roots["l_total"])
-            full_grads = {
-                name: grads.get(name, np.zeros_like(value)) for name, value in params.items()
-            }
+            del grads["x"]  # the data is not a parameter
             step += 1
-            params, state = adam_step(params, full_grads, state, step, config.learning_rate)
+            adam_step(params, grads, state, step, config.learning_rate)
             for name in sums:
                 sums[name] += values.get(name, 0.0)
             if hooks.on_batch:
                 hooks.on_batch(epoch, b, values)
 
         nb = len(batches)
-        p = model.params_from_flat(params, layer_dims, view.n_groups)
+        # a snapshot: the hooks and the caller keep it while training moves on
+        p = model.params_from_flat(
+            {name: value.copy() for name, value in params.items()}, layer_dims, view.n_groups)
         h_all = model.encode(p, view.features)
         mi, cmi, extras = _measure(h_all, config, view, labels, epoch)
         log = EpochLog(

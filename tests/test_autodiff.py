@@ -139,6 +139,50 @@ class TestBackward:
         g = ad.backward(root)["x"]
         np.testing.assert_allclose(g, np.array([[0, 0], [1, 1], [0, 0], [2, 2]], dtype=float))
 
+    def test_add_gradients_are_distinct_writable_arrays(self):
+        a = ad.input_node("a", (2, 3))
+        b = ad.input_node("b", (2, 3))
+        root = ad.sum_all(ad.square(ad.add(a, b)))
+        ad.forward(root, {"a": np.ones((2, 3)), "b": np.full((2, 3), 2.0)})
+        grads = ad.backward(root)
+        np.testing.assert_array_equal(grads["a"], 6.0)
+        np.testing.assert_array_equal(grads["b"], 6.0)
+        grads["a"][0, 0] = -1.0
+        np.testing.assert_array_equal(grads["b"], 6.0)
+
+    def test_shared_pass_through_gradient_is_not_written(self):
+        """add hands one gradient to both operands; a later contribution to one must not reach the other."""
+        for swap in (False, True):
+            x = ad.input_node("x", (4,))
+            p, q = ad.tanh(x), ad.square(x)
+            s = ad.add(p, q)
+            terms = [ad.sum_all(ad.multiply(s, s)), ad.sum_all(ad.multiply(p, q))]
+            root = ad.add(*(terms[::-1] if swap else terms))
+            err = ad.grad_check(graph_fn(root), np.array([0.3, -1.1, 0.7, 2.0]), 1e-6)
+            assert err < 1e-7, (swap, err)
+
+    def test_repeated_backward_returns_equal_gradients(self):
+        rng = np.random.default_rng(8)
+        x = ad.input_node("x", (5, 3))
+        w = ad.input_node("w", (3, 4))
+        h = ad.tanh(ad.matmul(x, w))
+        rows = ad.select_rows(h, [0, 2, 2, 4])
+        root = ad.sum_all(ad.square(ad.subtract(ad.add(rows, rows), ad.constant(np.ones((4, 4))))))
+        ad.forward(root, {"x": rng.normal(size=(5, 3)), "w": rng.normal(size=(3, 4))})
+        first = {name: g.copy() for name, g in ad.backward(root).items()}
+        second = ad.backward(root)
+        for name in ("x", "w"):
+            assert np.array_equal(first[name], second[name])
+
+    def test_node_without_gradient_mass_gets_zeros(self):
+        """Selecting no rows sends nothing back, yet the operand's grad keeps its shape."""
+        x = ad.input_node("x", (3, 2))
+        root = ad.sum_all(ad.select_rows(x, []))
+        ad.forward(root, {"x": np.ones((3, 2))})
+        g = ad.backward(root)["x"]
+        assert g is x.grad
+        np.testing.assert_array_equal(g, np.zeros((3, 2)))
+
     def test_grad_accumulates_through_shared_subgraph(self):
         # f(x) = sum(x * x_shared_via_two_paths): d/dx x^2 pattern via add
         x = ad.input_node("x", (3,))

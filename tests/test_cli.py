@@ -144,6 +144,27 @@ class TestTrainEval:
         final = load_checkpoint(out_dir / "checkpoint.bin")
         assert mid.layer_dims == final.layer_dims
 
+    def test_every_epoch_checkpoints_are_snapshots(self, synth_csv, tmp_path):
+        """Each periodic file holds its own epoch's weights, not the live ones."""
+        config = write_json(tmp_path / "config.json", CONFIG)
+        out_dir = tmp_path / "run"
+        assert cli.run([
+            "train", "--data", str(synth_csv), "--config", config,
+            "--truth-col", "label", "--out-dir", str(out_dir), "--checkpoint-every", "1",
+        ]) == 0
+        final = (out_dir / "checkpoint.bin").read_bytes()
+        assert (out_dir / "checkpoint_epoch0002.bin").read_bytes() == final
+        assert (out_dir / "checkpoint_epoch0000.bin").read_bytes() != final
+
+    def test_negative_checkpoint_every_is_usage_error(self, synth_csv, tmp_path, capsys):
+        config = write_json(tmp_path / "config.json", CONFIG)
+        out_dir = tmp_path / "run"
+        rc = cli.run(["train", "--data", str(synth_csv), "--config", config,
+                      "--out-dir", str(out_dir), "--checkpoint-every", "-3"])
+        assert rc == 2
+        assert "--checkpoint-every" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_unknown_config_key_fails_with_code_one(self, synth_csv, tmp_path, capsys):
         config = write_json(tmp_path / "config.json", {**CONFIG, "kk": 3})
         rc = cli.run(["train", "--data", str(synth_csv), "--config", config,

@@ -28,6 +28,48 @@ def naive_lloyd(x, k, rng, iters=60):
     return d2.min(axis=1).sum()
 
 
+def reference_plus_plus(x, k, rng):
+    """k-means++ seeding drawn with rng.choice, the form the seeding must match bit for bit."""
+    n = x.shape[0]
+    centers = np.empty((k, x.shape[1]))
+    centers[0] = x[rng.integers(n)]
+    d2 = ((x - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        idx = rng.integers(n) if total == 0.0 else rng.choice(n, p=d2 / total)
+        centers[j] = x[idx]
+        d2 = np.minimum(d2, ((x - centers[j]) ** 2).sum(axis=1))
+    return centers
+
+
+class TestPlusPlusSeed:
+    def check(self, x, k, seed):
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = clustering._plus_plus_seed(x, k, ours)
+        assert got.tobytes() == reference_plus_plus(x, k, ref).tobytes()
+        assert ours.random() == ref.random()  # both consumed the same draws
+
+    def test_matches_rng_choice_reference(self):
+        rng = np.random.default_rng(50)
+        for case in range(120):
+            n = int(rng.integers(2, 300))
+            d = int(rng.integers(1, 12))
+            k = int(rng.integers(2, min(n, 9) + 1))
+            x = rng.normal(size=(n, d)) * rng.uniform(0.01, 100.0)
+            if case % 3 == 0:
+                x = x[rng.integers(0, max(2, n // 4), size=n)]  # duplicate rows
+            for r in range(3):
+                self.check(x, k, (case, r))
+
+    def test_uniform_fallback_when_all_mass_is_on_chosen_centers(self):
+        """k above the number of distinct rows empties d2 and takes the total == 0 branch."""
+        x = np.repeat(np.array([[0.0, 1.0], [2.0, -1.0], [5.0, 5.0]]), 4, axis=0)
+        for seed in range(20):
+            self.check(x, 6, seed)
+            centers = clustering._plus_plus_seed(x, 6, np.random.default_rng(seed))
+            assert len(np.unique(centers[:3], axis=0)) == 3  # the distinct rows come first
+
+
 class TestKMeans:
     def test_recovers_separated_clouds(self):
         rng = np.random.default_rng(0)

@@ -28,53 +28,100 @@ def small_config(**kw):
     return trainer.TrainConfig(**base)
 
 
+def adam(params, grads, step=1, lr=0.1):
+    """One in-place step on params from fresh moments; returns the state it used."""
+    state = trainer.AdamState(params)
+    trainer.adam_step(params, grads, state, step, lr)
+    return state
+
+
 class TestAdam:
     def test_zero_gradients_leave_params_alone(self):
         params = {"w": np.array([1.0, -2.0])}
-        grads = {"w": np.zeros(2)}
-        out, state = trainer.adam_step(params, grads, trainer.AdamState(), 1, lr=0.1)
-        np.testing.assert_array_equal(out["w"], params["w"])
+        state = adam(params, {"w": np.zeros(2)})
+        np.testing.assert_array_equal(params["w"], [1.0, -2.0])
         np.testing.assert_array_equal(state.m["w"], 0.0)
 
     def test_first_step_moves_by_lr_against_gradient_sign(self):
         params = {"w": np.array([0.0, 0.0])}
-        grads = {"w": np.array([3.0, -0.5])}
-        out, _ = trainer.adam_step(params, grads, trainer.AdamState(), 1, lr=0.01)
+        adam(params, {"w": np.array([3.0, -0.5])}, lr=0.01)
         # bias correction makes m_hat = g and v_hat = g*g on step one
-        np.testing.assert_allclose(out["w"], [-0.01, 0.01], atol=1e-8)
+        np.testing.assert_allclose(params["w"], [-0.01, 0.01], atol=1e-8)
 
     def test_ten_step_recurrence_matches_reference(self):
-        """Independent elementwise recurrence with bias correction."""
+        """Textbook recurrence with bias correction, in the same order of operations."""
         lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
         rng = np.random.default_rng(0)
         w = rng.normal(size=4)
         ref_w, m, v = w.copy(), np.zeros(4), np.zeros(4)
-        params, state = {"w": w.copy()}, trainer.AdamState()
+        params = {"w": w}
+        state = trainer.AdamState(params)
         for step in range(1, 11):
             g = rng.normal(size=4)
             m = b1 * m + (1 - b1) * g
-            v = b2 * v + (1 - b2) * g * g
+            v = b2 * v + (1 - b2) * (g * g)
             ref_w = ref_w - lr * (m / (1 - b1 ** step)) / (np.sqrt(v / (1 - b2 ** step)) + eps)
-            params, state = trainer.adam_step(
-                params, {"w": g.copy()}, state, step, lr, b1, b2, eps)
-            np.testing.assert_allclose(params["w"], ref_w, atol=1e-12)
+            trainer.adam_step(params, {"w": g.copy()}, state, step, lr, b1, b2, eps)
+            assert np.array_equal(params["w"], ref_w)
+            assert np.array_equal(state.m["w"], m) and np.array_equal(state.v["w"], v)
+        assert params["w"] is w  # updated in place
 
     def test_non_finite_gradient_rejected(self):
         with pytest.raises(trainer.TrainError):
-            trainer.adam_step({"w": np.zeros(1)}, {"w": np.array([np.inf])},
-                              trainer.AdamState(), 1, lr=0.1)
+            adam({"w": np.zeros(1)}, {"w": np.array([np.inf])})
+
+    def test_non_finite_gradient_leaves_every_array_unchanged(self):
+        """The check runs over all gradients before the first write."""
+        rng = np.random.default_rng(1)
+        params = {name: rng.normal(size=3) for name in ("a", "b", "c")}
+        state = adam(params, {name: rng.normal(size=3) for name in params})
+        before = {name: (params[name].copy(), state.m[name].copy(), state.v[name].copy())
+                  for name in params}
+        grads = {name: rng.normal(size=3) for name in params}
+        grads["c"][2] = np.inf
+        with pytest.raises(trainer.TrainError, match="for c"):
+            trainer.adam_step(params, grads, state, 2, lr=0.1)
+        for name, (value, m, v) in before.items():
+            assert np.array_equal(params[name], value)
+            assert np.array_equal(state.m[name], m) and np.array_equal(state.v[name], v)
+
+    def test_missing_gradient_is_a_zero_gradient(self):
+        """A decoder branch absent from a batch: its moments still decay."""
+        rng = np.random.default_rng(2)
+        init = {"a": rng.normal(size=(2, 3)), "b": rng.normal(size=3)}
+        grads = [{"a": rng.normal(size=(2, 3)), "b": rng.normal(size=3)}, {"a": rng.normal(size=(2, 3))}]
+        runs = []
+        for explicit in (False, True):
+            params = {name: value.copy() for name, value in init.items()}
+            state = trainer.AdamState(params)
+            for step, g in enumerate(grads, start=1):
+                if explicit:
+                    g = {name: g.get(name, np.zeros_like(value)) for name, value in params.items()}
+                trainer.adam_step(params, g, state, step, lr=0.1)
+            runs.append((params, state))
+        (p1, s1), (p2, s2) = runs
+        for name in init:
+            assert np.array_equal(p1[name], p2[name])
+            assert np.array_equal(s1.m[name], s2.m[name]) and np.array_equal(s1.v[name], s2.v[name])
+        b1 = trainer.ADAM_BETA1
+        assert np.array_equal(s1.m["b"], b1 * ((1 - b1) * grads[0]["b"]))  # decayed once
 
     def test_step_counts_from_one(self):
         with pytest.raises(trainer.TrainError):
-            trainer.adam_step({"w": np.zeros(1)}, {"w": np.zeros(1)},
-                              trainer.AdamState(), 0, lr=0.1)
+            adam({"w": np.zeros(1)}, {"w": np.zeros(1)}, step=0)
 
-    def test_inputs_not_mutated(self):
-        params = {"w": np.array([1.0])}
-        state = trainer.AdamState()
-        trainer.adam_step(params, {"w": np.array([2.0])}, state, 1, lr=0.1)
-        np.testing.assert_array_equal(params["w"], [1.0])
-        assert state.m == {}
+    def test_updates_params_and_state_in_place(self):
+        """Params and moments are written in place; the gradients are only read."""
+        w = np.array([1.0])
+        g = np.array([2.0])
+        params = {"w": w}
+        state = trainer.AdamState(params)
+        m, v = state.m["w"], state.v["w"]
+        trainer.adam_step(params, {"w": g}, state, 1, lr=0.1)
+        assert params["w"] is w and state.m["w"] is m and state.v["w"] is v
+        np.testing.assert_allclose(w, [0.9], atol=1e-8)
+        np.testing.assert_allclose(m, [0.2], atol=1e-15)
+        np.testing.assert_array_equal(g, [2.0])
 
 
 class TestConfig:
@@ -241,6 +288,23 @@ class TestFit:
         assert [e for e, _ in seen] == [0, 1, 2, 3]
         last = seen[-1][1]
         np.testing.assert_array_equal(last.encoder[0][0], final.encoder[0][0])
+
+    def test_params_hook_gets_snapshots(self):
+        """What the hook received stays as it was; fit returns the last epoch's copy."""
+        seen = []
+
+        def keep(epoch, p):
+            copies = [a.copy() for layer in p.all_arrays() for a in layer]
+            seen.append((p, copies))
+
+        final, _ = trainer.fit(small_config(max_epochs=4), small_dataset(),
+                               trainer.TrainerHooks(on_params=keep))
+        for p, copies in seen:
+            arrays = [a for layer in p.all_arrays() for a in layer]
+            assert all(np.array_equal(a, c) for a, c in zip(arrays, copies))
+        last = [a for layer in final.all_arrays() for a in layer]
+        assert all(np.array_equal(a, c) for a, c in zip(last, seen[-1][1]))
+        assert not np.array_equal(seen[0][1][0], seen[-1][1][0])
 
     def test_one_group_cluster_mi_per_epoch(self, monkeypatch):
         calls = []
