@@ -147,8 +147,9 @@ def _lloyd(x, centers, max_iter, tol):
         d2 += x_sq
         d2 += (c * c).sum(axis=2)[:, :, None]
         nearest = d2.min(axis=1)
-        lab = np.zeros(nearest.shape, dtype=np.intp)
-        for j in range(k - 1, 0, -1):  # the first nearest center wins a tie
+        # the lowest-index nearest center wins a tie: the last write is the lowest j
+        lab = np.full(nearest.shape, k - 1, dtype=np.intp)
+        for j in range(k - 2, -1, -1):
             np.putmask(lab, d2[:, j] == nearest, j)
         point_d2 = np.maximum(nearest, 0.0)
         members = (lab[:, None, :] == clusters).astype(np.float64)

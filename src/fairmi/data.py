@@ -16,7 +16,11 @@ view without them.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import dataclass, fields
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -93,7 +97,9 @@ def standardize(features: np.ndarray) -> np.ndarray:
     mean = features.mean(axis=0)
     std = features.std(axis=0)
     std = np.where(std == 0.0, 1.0, std)
-    return (features - mean) / std
+    out = features - mean
+    out /= std
+    return out
 
 
 def _file_line(path, index):
@@ -102,7 +108,7 @@ def _file_line(path, index):
     Error paths only: it reads the file again, counting blank lines and the
     line breaks inside quoted cells, which ``read_csv`` does not keep.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         starts, start = [], 1
         for row in reader:
@@ -113,14 +119,14 @@ def _file_line(path, index):
 
 
 def read_csv(path):
-    """Header and data rows of a CSV file; blank lines are skipped.
+    """Header and data rows of a UTF-8 CSV file; blank lines and a byte-order mark are skipped.
 
     Rejects an empty file, repeated column names, a header with no data
     rows, and a row whose cell count differs from the header's. Messages
     name a row by the file line it starts on, blank lines included, so the
     header on line 1 is followed by row 2 in a file without blank lines.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = [r for r in csv.reader(fh) if r]
     if not rows:
         raise DataError(f"{path}: empty file")
@@ -158,9 +164,11 @@ def load_csv(path, group_column: str, label_column: str | None = None,
     """Load a dataset from CSV.
 
     All columns except the group and label columns must be numeric features.
-    Besides ``read_csv``'s and ``label_ids``' rules, rejects a file with no
-    feature columns and non-numeric or non-finite feature cells, naming the
-    row and column of the first one.
+    A feature cell is read by Python's ``float()``, so surrounding
+    whitespace, digit-group underscores and non-ASCII decimal digits are
+    accepted. Besides ``read_csv``'s and ``label_ids``' rules, rejects a file
+    with no feature columns and non-numeric or non-finite feature cells,
+    naming the row and column of the first one in row-major order.
     """
     header, rows = read_csv(path)
     f_idx = [i for i, name in enumerate(header) if name not in (group_column, label_column)]
@@ -171,15 +179,23 @@ def load_csv(path, group_column: str, label_column: str | None = None,
     if label_column is not None:
         labels, label_names = label_ids(path, header, rows, label_column, "label")
 
-    features = np.empty((len(rows), len(f_idx)))
-    for r, row in enumerate(rows):
-        for j, i in enumerate(f_idx):
-            try:
-                features[r, j] = float(row[i])
-            except ValueError:
-                raise DataError(
-                    f"{path}: row {_file_line(path, r)}, column {header[i]!r}: non-numeric value {row[i]!r}"
-                ) from None
+    # one pass of Python's float() over the cells, row-major; itemgetter
+    # gives the cell itself, not a 1-tuple, for a single feature column
+    cells = map(itemgetter(*f_idx), rows)
+    if len(f_idx) > 1:
+        cells = chain.from_iterable(cells)
+    try:
+        features = np.fromiter(map(float, cells), np.float64, len(rows) * len(f_idx))
+    except ValueError:  # error path: find the first bad cell
+        for r, row in enumerate(rows):
+            for i in f_idx:
+                try:
+                    float(row[i])
+                except ValueError:
+                    raise DataError(
+                        f"{path}: row {_file_line(path, r)}, column {header[i]!r}: non-numeric value {row[i]!r}"
+                    ) from None
+    features = features.reshape(len(rows), len(f_idx))
     if not np.all(np.isfinite(features)):
         r, j = np.argwhere(~np.isfinite(features))[0]
         i = f_idx[j]
@@ -203,11 +219,12 @@ def save_csv(dataset: Dataset, path):
     """Write features, group, and (if present) label columns.
 
     Group/label cells carry the original values when the dataset kept them,
-    else the dense ids; floats use shortest round-trip formatting.
+    else the dense ids; floats use shortest round-trip formatting. The file
+    is UTF-8, as ``read_csv`` expects.
     """
     names = dataset.feature_names or tuple(f"f{i}" for i in range(dataset.dim))
     header = list(names) + ["group"] + (["label"] if dataset.labels is not None else [])
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for i in range(dataset.n):
@@ -222,6 +239,22 @@ def save_csv(dataset: Dataset, path):
 
 # ---------------------------------------------------------------------------
 # synthetic data
+
+def check_scalar_fields(record, error):
+    """Reject a dataclass's bad ``int`` and ``float`` fields by name, raising ``error``.
+
+    An ``int`` field must hold an integer other than a bool; a ``float``
+    field a finite real number, an integer included.
+    """
+    for f in fields(record):
+        value = getattr(record, f.name)
+        is_bool = isinstance(value, bool)
+        if f.type in ("int", int) and (is_bool or not isinstance(value, numbers.Integral)):
+            raise error(f"{f.name} must be an integer, got {value!r}")
+        if f.type in ("float", float) and (is_bool or not isinstance(value, numbers.Real)
+                                           or not math.isfinite(value)):
+            raise error(f"{f.name} must be a finite number, got {value!r}")
+
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -243,6 +276,9 @@ class SyntheticSpec:
     seed: int
 
     def __post_init__(self):
+        check_scalar_fields(self, DataError)
+        if self.seed < 0:
+            raise DataError(f"seed must be non-negative, got {self.seed}")
         if self.classes < 1 or self.groups < 1 or self.per_cell_count < 1:
             raise DataError("classes, groups, and per_cell_count must be positive")
         if self.class_sep <= 0.0:

@@ -117,9 +117,10 @@ def _run_stack(layers, x):
     z = x
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
-        z = z @ w + b
+        z = z @ w  # a fresh array per layer, so the in-place steps never touch x
+        z += b
         if i != last:
-            z = np.tanh(z)  # hidden layers only; the final layer stays linear
+            np.tanh(z, out=z)  # hidden layers only; the final layer stays linear
     return z
 
 

@@ -14,13 +14,14 @@ gradient path) look at labels when they exist.
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from . import clustering, metrics, model, objectives
-from .data import Dataset, minibatches
+from .data import Dataset, check_scalar_fields, minibatches
 
 logger = logging.getLogger(__name__)
 
@@ -52,11 +53,17 @@ class TrainConfig:
     f_beta_weight: float = 1.0
 
     def __post_init__(self):
+        check_scalar_fields(self, TrainError)
+        if self.seed < 0:
+            raise TrainError(f"seed must be non-negative, got {self.seed}")
         if self.k < 2:
             raise TrainError("k must be >= 2")
         if self.latent_dim < 1:
             raise TrainError("latent_dim must be positive")
         if self.layer_dims is not None:
+            if not isinstance(self.layer_dims, (list, tuple)) or any(
+                    isinstance(d, bool) or not isinstance(d, numbers.Integral) for d in self.layer_dims):
+                raise TrainError(f"layer_dims must be a list of integers, got {self.layer_dims!r}")
             dims = tuple(int(d) for d in self.layer_dims)
             if len(dims) < 2 or any(d < 1 for d in dims):
                 raise TrainError("layer_dims needs >= 2 positive widths")

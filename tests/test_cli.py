@@ -51,6 +51,22 @@ class TestSynth:
         assert cli.run(["synth", "--spec", spec, "--out", str(tmp_path / "x.csv")]) == 1
         assert "classses" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "change,fragment",
+        [
+            ({"per_cell_count": 10.0}, "per_cell_count must be an integer, got 10.0"),
+            ({"class_sep": float("inf")}, "class_sep must be a finite number, got inf"),
+            ({"noise_sd": "1"}, "noise_sd must be a finite number, got '1'"),
+            ({"seed": -1}, "seed must be non-negative, got -1"),
+        ],
+    )
+    def test_bad_spec_field_is_named_before_writing(self, tmp_path, capsys, change, fragment):
+        spec = write_json(tmp_path / "spec.json", {**SPEC, **change})
+        out = tmp_path / "x.csv"
+        assert cli.run(["synth", "--spec", spec, "--out", str(out)]) == 1
+        assert fragment in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_flag_is_usage_error(self, capsys):
         assert cli.run(["synth", "--spec", "whatever.json"]) == 2
         capsys.readouterr()
@@ -171,6 +187,24 @@ class TestTrainEval:
                       "--out-dir", str(tmp_path / "run")])
         assert rc == 1
         assert "kk" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "change,fragment",
+        [
+            ({"k": "2"}, "k must be an integer, got '2'"),
+            ({"k": 2.0}, "k must be an integer, got 2.0"),
+            ({"tau": float("nan")}, "tau must be a finite number, got nan"),
+            ({"learning_rate": float("inf")}, "learning_rate must be a finite number, got inf"),
+            ({"seed": -1}, "seed must be non-negative, got -1"),
+        ],
+    )
+    def test_bad_config_field_is_named_before_training(self, synth_csv, tmp_path, capsys, change, fragment):
+        config = write_json(tmp_path / "config.json", {**CONFIG, **change})
+        out_dir = tmp_path / "run"
+        rc = cli.run(["train", "--data", str(synth_csv), "--config", config, "--out-dir", str(out_dir)])
+        assert rc == 1
+        assert fragment in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_missing_data_file_fails_with_code_one(self, tmp_path, capsys):
         config = write_json(tmp_path / "config.json", CONFIG)

@@ -149,6 +149,27 @@ class TestKMeans:
             assert batch[2][r] == alone[2][0]
         assert np.unique(batch[1][1]).size == 3
 
+    def test_ties_go_to_the_lowest_index_center(self):
+        x = np.array([[0.0], [-1.0], [1.0], [-1.1], [1.1]])
+        _, labels, _ = clustering._lloyd(x, np.array([[[-1.0], [1.0]]]), max_iter=1, tol=0.0)
+        np.testing.assert_array_equal(labels[0], [0, 0, 1, 0, 1])
+
+    def test_assignment_matches_argmin_on_exact_ties(self):
+        # small integers keep every squared distance exact in both forms,
+        # so a point halfway between two centers is an exact tie
+        rng = np.random.default_rng(12)
+        grid = np.array([(a, b) for a in range(-3, 4) for b in range(-3, 4)], dtype=np.float64)
+        ties = 0
+        for trial in range(40):
+            k = int(rng.integers(2, 7))
+            starts = np.stack([grid[rng.choice(len(grid), size=k, replace=False)] for _ in range(3)])
+            _, labels, _ = clustering._lloyd(grid, starts, max_iter=1, tol=0.0)
+            for start, lab in zip(starts, labels):
+                d2 = ((grid[:, None, :] - start[None]) ** 2).sum(axis=2)
+                np.testing.assert_array_equal(lab, d2.argmin(axis=1))
+                ties += int(((d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) > 1).sum())
+        assert ties > 100
+
     def test_k_above_distinct_rows(self):
         # 12 rows on 3 distinct points, 5 clusters: duplicate seeds leave
         # clusters empty, and each is re-seeded onto a row of its own

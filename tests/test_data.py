@@ -53,6 +53,13 @@ class TestStandardize:
         np.testing.assert_allclose(z.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(z.std(axis=0), 1.0, atol=1e-12)
 
+    def test_input_is_not_modified(self):
+        x = np.random.default_rng(1).normal(2.0, 3.0, size=(50, 3))
+        before = x.copy()
+        z = data.standardize(x)
+        assert x.tobytes() == before.tobytes()
+        assert z.tobytes() == ((before - before.mean(axis=0)) / before.std(axis=0)).tobytes()
+
     def test_constant_column_becomes_zero(self):
         x = np.column_stack([np.full(5, 7.0), np.arange(5.0)])
         z = data.standardize(x)
@@ -128,6 +135,13 @@ class TestCSV:
             ("x,g\n\n1.0,a\n\ninf,b\n", None, "row 5, column 'x': non-finite value 'inf'"),
             # a quoted line break makes one record span lines 2 and 3
             ('x,g,y\n1.0,a,"p\nq"\n2.0,,r\n', "y", "row 4 is missing its group value"),
+            ('x,g\n1,"a\nb"\n0x,c\n', None, "row 4, column 'x': non-numeric value '0x'"),
+            # the first bad feature cell, row by row and left to right, is named
+            ("x,y,g\n1,2,a\n\n3,bad,b\nworse,4,a\n", None, "row 4, column 'y': non-numeric value 'bad'"),
+            ("x,y,g\n1,2,a\n3,4,b\nworse,bad,a\n", None, "row 4, column 'x': non-numeric value 'worse'"),
+            ("g,x\na,1\nb,\n", None, "row 3, column 'x': non-numeric value ''"),
+            ("x,y,g\n1,2,a\n\n3,-inf,b\n5,nan,a\n", None, "row 4, column 'y': non-finite value '-inf'"),
+            ("g,x\na,1\nb,1e999\n", None, "row 3, column 'x': non-finite value '1e999'"),
         ],
     )
     def test_rows_are_named_by_file_line(self, tmp_path, text, label_column, fragment):
@@ -142,6 +156,48 @@ class TestCSV:
         with pytest.raises(data.DataError) as err:
             data.load_csv(path, group_column="g")
         assert f"row 4, column 'b': non-finite value {cell!r}" in str(err.value)
+
+    # spellings Python's float() accepts, each of which must load bit for bit
+    FLOAT_CELLS = [" 1.5 ", "1_0", "+.5", "-0.0", "1e-320", "\uff11\uff12.5", "7"]
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_features_are_float_of_each_cell_bit_for_bit(self, tmp_path, width):
+        cells = self.FLOAT_CELLS
+        rows = [[cells[(r + j) % len(cells)] for j in range(width)] for r in range(len(cells))]
+        names = [f"f{j}" for j in range(width)]
+        # every other row quotes its cells
+        lines = [",".join(names + ["g"])] + [
+            ",".join((f'"{c}"' if r % 2 else c) for c in row) + f",{'ab'[r % 2]}"
+            for r, row in enumerate(rows)
+        ]
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        got = data.load_csv(path, group_column="g", standardize_features=False).features
+        want = np.array([[float(c) for c in row] for row in rows])
+        assert got.shape == (len(rows), width)
+        assert got.tobytes() == want.tobytes()
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        path = tmp_path / "excel.csv"
+        path.write_text("\ufeffgroup,x,y\na,1.0,2.0\nb,3.0,4.0\n\nb,5.0,oops\n", encoding="utf-8")
+        header, rows = data.read_csv(path)
+        assert header == ["group", "x", "y"] and len(rows) == 3
+        with pytest.raises(data.DataError) as err:
+            data.load_csv(path, group_column="group")
+        assert "row 5, column 'y': non-numeric value 'oops'" in str(err.value)
+        path.write_text("\ufeffgroup,x,y\na,1.0,2.0\nb,3.0,4.0\n", encoding="utf-8")
+        ds = data.load_csv(path, group_column="group", standardize_features=False)
+        assert ds.group_names == ("a", "b") and ds.feature_names == ("x", "y")
+        np.testing.assert_array_equal(ds.features, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_non_ascii_names_round_trip_as_utf8(self, tmp_path):
+        ds = data.Dataset(features=np.array([[1.0], [2.0]]), groups=np.array([0, 1]),
+                          group_names=("S\u00e3o Paulo", "K\u00f6ln"))
+        path = tmp_path / "out.csv"
+        data.save_csv(ds, path)
+        assert "S\u00e3o Paulo".encode("utf-8") in path.read_bytes()
+        back = data.load_csv(path, group_column="group", standardize_features=False)
+        assert back.group_names == ds.group_names
 
     def test_round_trip(self, tmp_path):
         ds = tiny_dataset()

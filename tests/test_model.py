@@ -110,6 +110,20 @@ class TestEncodeDecode:
                 z = np.tanh(z)
         np.testing.assert_allclose(model.encode(p, x), z, atol=1e-12)
 
+    @pytest.mark.parametrize("layer_dims", [(5, 3), (5, 4, 3), (5, 7, 6, 2)])
+    def test_encode_is_bit_equal_to_the_layer_chain_and_leaves_x_alone(self, layer_dims):
+        p = tiny_params(layer_dims, groups=1, seed=3)
+        x = np.random.default_rng(3).normal(size=(40, 5))
+        z = x
+        for w, b in p.encoder[:-1]:
+            z = np.tanh(z @ w + b)
+        w, b = p.encoder[-1]
+        want = z @ w + b
+        before = x.copy()
+        x.flags.writeable = False  # any write into the caller's array raises
+        assert model.encode(p, x).tobytes() == want.tobytes()
+        assert x.tobytes() == before.tobytes()
+
     def test_batch_order_equivariance(self):
         p = tiny_params(seed=8)
         rng = np.random.default_rng(8)

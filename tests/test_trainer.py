@@ -154,6 +154,32 @@ class TestConfig:
         with pytest.raises(trainer.TrainError):
             trainer.TrainConfig(**kw)
 
+    @pytest.mark.parametrize(
+        "raw,fragment",
+        [
+            ({"k": "3"}, "k must be an integer, got '3'"),
+            ({"k": 3.0}, "k must be an integer, got 3.0"),
+            ({"k": True}, "k must be an integer, got True"),
+            ({"k": 3, "batch_size": 64.0}, "batch_size must be an integer"),
+            ({"k": 3, "tau": float("nan")}, "tau must be a finite number, got nan"),
+            ({"k": 3, "learning_rate": float("inf")}, "learning_rate must be a finite number"),
+            ({"k": 3, "alpha": "0.1"}, "alpha must be a finite number, got '0.1'"),
+            ({"k": 3, "beta_fair": False}, "beta_fair must be a finite number"),
+            ({"k": 3, "seed": -1}, "seed must be non-negative, got -1"),
+            ({"k": 3, "latent_dim": 3, "layer_dims": [4, 6.0, 3]}, "layer_dims must be a list of integers"),
+            ({"k": 3, "latent_dim": 3, "layer_dims": 3}, "layer_dims must be a list of integers, got 3"),
+        ],
+    )
+    def test_bad_field_types_are_named(self, raw, fragment):
+        with pytest.raises(trainer.TrainError) as err:
+            trainer.TrainConfig.from_dict(raw)
+        assert fragment in str(err.value)
+
+    def test_integer_reals_and_numpy_scalars_accepted(self):
+        cfg = trainer.TrainConfig.from_dict({"k": np.int64(3), "tau": 1, "learning_rate": np.float64(1e-3),
+                                             "seed": 0})
+        assert cfg.k == 3 and cfg.tau == 1
+
     def test_default_layer_dims_resolution(self):
         cfg = trainer.TrainConfig(k=2, latent_dim=16)
         assert cfg.resolve_layer_dims(30) == (30, 256, 64, 16)
