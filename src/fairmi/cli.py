@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import sys
 from dataclasses import asdict
 
@@ -59,6 +60,14 @@ def _epoch_count(text):
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0 (0 disables), got {value}")
+    return value
+
+
+def _trade_off_weight(text):
+    """argparse type of --beta: a finite number >= 0."""
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
     return value
 
 
@@ -181,7 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred-col", default="pred", help="predicted label column name")
     p.add_argument("--groups-col", required=True, help="group column name")
     p.add_argument("--truth-col", default=None, help="optional ground-truth column name")
-    p.add_argument("--beta", type=float, default=1.0, help="quality/fairness trade-off weight")
+    p.add_argument("--beta", type=_trade_off_weight, default=1.0,
+                   help="quality/fairness trade-off weight, a finite number >= 0")
     p.add_argument("--report", required=True, help="output report JSON path")
     p.set_defaults(func=_cmd_metrics)
     return parser

@@ -8,6 +8,8 @@ byte-stable. Features are standardized per column by default.
 
 This module owns CSV parsing and its checks: ``load_csv`` and the CLI's
 label-only ``metrics`` input both go through ``read_csv`` and ``label_ids``.
+``read_csv`` returns data rows as tuples, which the cyclic garbage collector
+stops tracking, so full collections never walk a large file's rows.
 
 Ground-truth labels ride along for evaluation only: the trainer receives a
 view without them.
@@ -119,7 +121,11 @@ def _file_line(path, index):
 
 
 def read_csv(path):
-    """Header and data rows of a UTF-8 CSV file; blank lines and a byte-order mark are skipped.
+    """Header list and data rows of a UTF-8 CSV file; blank lines and a byte-order mark are skipped.
+
+    Each data row is a tuple of ``str``: the cyclic garbage collector stops
+    tracking such a tuple at its first young collection, while a list of a
+    large file's rows would be walked again by every full collection.
 
     Rejects an empty file, repeated column names, a header with no data
     rows, and a row whose cell count differs from the header's. Messages
@@ -127,10 +133,11 @@ def read_csv(path):
     header on line 1 is followed by row 2 in a file without blank lines.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = [r for r in csv.reader(fh) if r]
-    if not rows:
+        records = filter(None, csv.reader(fh))
+        header = next(records, None)
+        rows = list(map(tuple, records))
+    if header is None:
         raise DataError(f"{path}: empty file")
-    header, rows = rows[0], rows[1:]
     if len(set(header)) != len(header):
         raise DataError(f"{path}: duplicate column names in header")
     if not rows:

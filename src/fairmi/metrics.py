@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .objectives import _mutual_information, _xlogx
 
@@ -42,10 +42,11 @@ def _labels(a, name):
 
 def _present_rows(table, name):
     """Rows of a cluster-by-group table for clusters that have members."""
-    present = np.flatnonzero(table.sum(axis=1))
-    if present.size != table.shape[0]:
-        logger.warning("%s: ids %s leave empty clusters; empties are excluded", name, present.tolist())
-    return table[present]
+    sizes = table.sum(axis=1)
+    if not sizes.all():
+        empty = np.flatnonzero(sizes == 0).tolist()
+        logger.warning("%s: cluster ids %s are empty and excluded", name, empty)
+    return table[sizes > 0]
 
 
 def contingency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -64,6 +65,10 @@ def _entropy_from_counts(counts):
 
 def accuracy(pred: np.ndarray, truth: np.ndarray) -> float:
     """Fraction correct under the best one-to-one cluster-class matching."""
+    # deferred: scipy.optimize takes most of a fresh process's import time,
+    # and only scoring against ground truth needs it
+    from scipy.optimize import linear_sum_assignment
+
     table = contingency(pred, truth)
     rows, cols = linear_sum_assignment(-table)
     return float(table[rows, cols].sum() / np.asarray(pred).size)
@@ -122,8 +127,8 @@ def f_beta(quality: float, fairness: float, beta: float) -> float:
     """
     if not (0.0 <= quality <= 1.0 and 0.0 <= fairness <= 1.0):
         raise MetricError("scores must lie in [0, 1]")
-    if beta < 0.0:
-        raise MetricError("beta must be non-negative")
+    if not 0.0 <= beta < math.inf:
+        raise MetricError(f"beta must be a finite number >= 0, got {beta!r}")
     if quality == 0.0 or fairness == 0.0:
         return 0.0
     b2 = beta * beta
@@ -206,6 +211,7 @@ def report_to_dict(report: MetricsReport) -> dict:
 
 
 def write_report(report: MetricsReport, path):
+    """Write the report as JSON; a NaN or infinite field raises before the file is opened."""
+    text = json.dumps(report_to_dict(report), indent=2, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(report_to_dict(report), fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")

@@ -252,6 +252,17 @@ class TestMetrics:
         assert report["acc"] is None
         assert report["bal"] == 1.0
 
+    @pytest.mark.parametrize("beta", ["nan", "inf", "-1"])
+    def test_bad_beta_is_usage_error(self, tmp_path, capsys, beta):
+        labels = self.write_labels(tmp_path)
+        report_path = tmp_path / "report.json"
+        rc = cli.run(["metrics", "--pred", str(labels), "--groups-col", "group",
+                      "--truth-col", "truth", "--beta", beta, "--report", str(report_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--beta" in err and f"must be a finite number >= 0, got {beta}" in err
+        assert not report_path.exists()
+
     def test_missing_column_fails_with_code_one(self, tmp_path, capsys):
         labels = self.write_labels(tmp_path)
         rc = cli.run(["metrics", "--pred", str(labels), "--groups-col", "sex",
@@ -308,7 +319,10 @@ class TestMetrics:
         capsys.readouterr()
 
     def test_metrics_path_never_imports_model_code(self, tmp_path):
-        """Scoring plain CSVs must not pull in the autodiff or model stack."""
+        """Scoring plain CSVs must not pull in the autodiff or model stack.
+
+        Nor ``scipy.optimize``: only accuracy against a truth column needs it.
+        """
         labels = self.write_labels(tmp_path)
         report = tmp_path / "report.json"
         code = (
@@ -317,7 +331,7 @@ class TestMetrics:
             "rc = cli.run(['metrics', '--pred', sys.argv[1], '--groups-col', 'group',\n"
             "              '--report', sys.argv[2]])\n"
             "assert rc == 0\n"
-            "heavy = {'fairmi.autodiff', 'fairmi.model', 'fairmi.trainer'}\n"
+            "heavy = {'fairmi.autodiff', 'fairmi.model', 'fairmi.trainer', 'scipy.optimize'}\n"
             "banned = sorted(heavy & set(sys.modules))\n"
             "assert not banned, banned\n"
         )

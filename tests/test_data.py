@@ -1,5 +1,10 @@
 """Dataset containers, CSV IO, and the synthetic mixture generator."""
 
+import csv
+import gc
+import io
+import random
+
 import numpy as np
 import pytest
 
@@ -189,6 +194,37 @@ class TestCSV:
         ds = data.load_csv(path, group_column="group", standardize_features=False)
         assert ds.group_names == ("a", "b") and ds.feature_names == ("x", "y")
         np.testing.assert_array_equal(ds.features, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_rows_are_tuples_of_str_under_a_list_header(self, tmp_path):
+        path = self.write(tmp_path, "x,g\n1.0,a\n2.0,b\n")
+        header, rows = data.read_csv(path)
+        assert header == ["x", "g"] and type(header) is list
+        assert rows == [("1.0", "a"), ("2.0", "b")]
+        assert all(type(row) is tuple and all(type(c) is str for c in row) for row in rows)
+
+    def test_rows_leave_the_cyclic_collector(self, tmp_path):
+        path = self.write(tmp_path, "p,g\n" + "".join(f"c{i % 7},g{i % 3}\n" for i in range(3000)))
+        _, rows = data.read_csv(path)
+        gc.collect()
+        assert not any(map(gc.is_tracked, rows))
+
+    def test_rows_equal_csv_reader_records(self, tmp_path):
+        rnd = random.Random(5)
+        cells = ["a", "", " b ", "1,5", 'say "hi"', "two\nlines", "\u00e9t\u00e9", "x\r\ny", "7"]
+        header = ["c0", "c1", "c2"]
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        for _ in range(3000):
+            if rnd.random() < 0.1:
+                buf.write("\r\n")  # a blank line
+            writer.writerow([rnd.choice(cells) for _ in header])
+        path = tmp_path / "mixed.csv"
+        path.write_bytes(("\ufeff" + buf.getvalue()).encode("utf-8"))
+        want = [r for r in csv.reader(io.StringIO(buf.getvalue(), newline="")) if r]
+        got_header, got_rows = data.read_csv(path)
+        assert got_header == want[0] == header
+        assert list(map(list, got_rows)) == want[1:] and len(got_rows) == 3000
 
     def test_non_ascii_names_round_trip_as_utf8(self, tmp_path):
         ds = data.Dataset(features=np.array([[1.0], [2.0]]), groups=np.array([0, 1]),

@@ -189,6 +189,17 @@ class TestMNCE:
         assert "empt" in caplog.text
         np.testing.assert_allclose(v, 1.0, atol=1e-12)
 
+    def test_empty_cluster_warning_names_the_empty_ids(self, caplog):
+        import logging
+
+        pred = np.array([0, 0, 2, 2, 5, 5])  # ids 1, 3 and 4 unused
+        groups = np.array([0, 1, 0, 1, 0, 1])
+        with caplog.at_level(logging.WARNING, logger="fairmi.metrics"):
+            assert metrics.balance(pred, groups) == 1.0
+        assert [r.getMessage() for r in caplog.records] == [
+            "balance: cluster ids [1, 3, 4] are empty and excluded"
+        ]
+
 
 class TestFBeta:
     def test_published_style_reference_points(self):
@@ -216,6 +227,11 @@ class TestFBeta:
             metrics.f_beta(1.2, 0.5, 1.0)
         with pytest.raises(metrics.MetricError):
             metrics.f_beta(0.5, 0.5, -1.0)
+
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf"), -float("inf"), -1.0])
+    def test_non_finite_or_negative_beta_rejected(self, beta):
+        with pytest.raises(metrics.MetricError, match="beta must be a finite number >= 0"):
+            metrics.f_beta(0.5, 0.5, beta)
 
     @given(
         st.floats(0.01, 1.0), st.floats(0.01, 1.0),
@@ -303,6 +319,15 @@ class TestFullReport:
         metrics.write_report(report, path)
         loaded = json.loads(path.read_text())
         assert loaded["acc"] is None and loaded["nmi"] is None and loaded["f_beta"] is None
+
+    def test_non_finite_field_writes_no_file(self, tmp_path):
+        from dataclasses import replace
+
+        report = metrics.full_report(np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1]))
+        path = tmp_path / "report.json"
+        with pytest.raises(ValueError):
+            metrics.write_report(replace(report, mi_gc=float("nan")), path)
+        assert not path.exists()
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=20, deadline=None)
