@@ -57,15 +57,21 @@ def _cmd_synth(args):
 
 def _epoch_count(text):
     """argparse type of --checkpoint-every: a whole number >= 0."""
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1  # argparse would name this function in its message
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0 (0 disables), got {value}")
+        raise argparse.ArgumentTypeError(f"must be a whole number >= 0 (0 disables), got {text}")
     return value
 
 
 def _trade_off_weight(text):
     """argparse type of --beta: a finite number >= 0."""
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # argparse would name this function in its message
     if not 0.0 <= value < math.inf:
         raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
     return value

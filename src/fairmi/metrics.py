@@ -37,7 +37,7 @@ def _labels(a, name):
         raise MetricError(f"{name} must be integer labels")
     if arr.min() < 0:
         raise MetricError(f"{name} must be non-negative ids")
-    return arr.astype(np.int64)
+    return arr.astype(np.int64, copy=False)
 
 
 def _present_rows(table, name):
@@ -187,7 +187,7 @@ def full_report(pred, groups, truth=None, beta: float = 1.0) -> MetricsReport:
         mi_gc=mi_gc,
         cmi_xcg=_entropy_from_counts(table.sum(axis=0)) - mi_gc,
         n=int(pred.size),
-        k=int(np.unique(pred).size),
+        k=int(np.count_nonzero(table.sum(axis=0))),
         t=table.shape[0],
     )
 

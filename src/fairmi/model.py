@@ -6,14 +6,15 @@ mirrors the encoder; a sample is reconstructed only by the branch of its own
 group, so group-specific appearance can be absorbed by the branch instead of
 the shared code.
 
-Parameters live either as a :class:`ModelParams` record (numpy arrays) or as
-a flat name->array dict; converting between the two copies no array. The
-trainer's optimizer updates its flat dict in place, so every record the
-trainer hands out is built from copies of those arrays.
+Parameters live in one :class:`ModelParams` record, a dict of arrays keyed
+by their `_layout` names in checkpoint order. The trainer's optimizer updates
+its record's arrays in place, so every record the trainer hands out holds
+copies of them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -34,46 +35,41 @@ class ModelError(ValueError):
 class ModelParams:
     """Encoder stack plus one mirrored decoder stack per group.
 
-    Each stack is a list of (weight, bias) pairs; weight is d_in x d_out and
-    bias is d_out. Treated as immutable during evaluation.
+    `arrays` maps every `_layout` name to its array, in checkpoint order:
+    each weight is d_in x d_out and each bias d_out. Treated as immutable
+    during evaluation.
     """
 
-    encoder: list
-    branches: list
+    layer_dims: tuple
+    group_count: int
+    arrays: dict
 
     def __post_init__(self):
-        if len(self.encoder) < 1:
-            raise ModelError("encoder needs at least one layer")
-        if len(self.branches) < 1:
-            raise ModelError("need at least one decoder branch")
-        for t, branch in enumerate(self.branches):
-            if len(branch) != len(self.encoder):
-                raise ModelError(f"branch {t} depth differs from encoder")
-        arrays = (a for layer in self.all_arrays() for a in layer)
-        for (name, shape), a in zip(_layout(self.layer_dims, self.group_count), arrays):
+        dims = tuple(int(d) for d in self.layer_dims)
+        object.__setattr__(self, "layer_dims", dims)
+        _check_dims(dims, self.group_count)
+        layout = list(_layout(dims, self.group_count))
+        names = [name for name, _ in layout]
+        for i, (got, want) in enumerate(itertools.zip_longest(self.arrays, names)):
+            if got != want:
+                raise ModelError(f"parameter {i} is named {got!r} where the layout has {want!r}")
+        for name, shape in layout:
+            a = self.arrays[name]
             if a.shape != shape:
                 raise ModelError(f"{name} has shape {a.shape}, wanted {shape}")
             if not (np.issubdtype(a.dtype, np.floating) and np.all(np.isfinite(a))):
                 raise ModelError(f"{name} is non-finite or not a float array")
 
-    @property
-    def layer_dims(self) -> list[int]:
-        return [self.input_dim] + [w.shape[1] for w, _ in self.encoder]
-
-    @property
-    def input_dim(self) -> int:
-        return self.encoder[0][0].shape[0]
-
-    @property
-    def group_count(self) -> int:
-        return len(self.branches)
-
     def all_arrays(self):
-        for w, b in self.encoder:
-            yield w, b
-        for branch in self.branches:
-            for w, b in branch:
-                yield w, b
+        """The (W, b) pairs in layout order: the encoder's, then each branch's."""
+        arrays = iter(self.arrays.values())
+        return zip(arrays, arrays)
+
+
+def _check_dims(dims, group_count: int):
+    if len(dims) < 2 or min(dims) < 1 or group_count < 1:
+        raise ModelError("need an input and a latent width, every width >= 1, and >= 1 group; "
+                         f"got widths {list(dims)} and {group_count} groups")
 
 
 def _layout(layer_dims, group_count: int):
@@ -96,57 +92,31 @@ def init_params(layer_dims, group_count: int, seed: int) -> ModelParams:
     branches mirror it. All branches get distinct draws from one stream.
     """
     dims = [int(d) for d in layer_dims]
-    if len(dims) < 2:
-        raise ModelError("layer_dims needs at least an input and a latent width")
-    if any(d < 1 for d in dims):
-        raise ModelError("layer widths must be positive")
-    if group_count < 1:
-        raise ModelError("group_count must be >= 1")
+    _check_dims(dims, group_count)
     rng = np.random.default_rng(seed)
-    flat = {}
+    arrays = {}
     for name, shape in _layout(dims, group_count):
         if len(shape) == 2:
             limit = np.sqrt(6.0 / sum(shape))
-            flat[name] = rng.uniform(-limit, limit, size=shape)
+            arrays[name] = rng.uniform(-limit, limit, size=shape)
         else:
-            flat[name] = np.zeros(shape)
-    return params_from_flat(flat, dims, group_count)
-
-
-def _run_stack(layers, x):
-    z = x
-    last = len(layers) - 1
-    for i, (w, b) in enumerate(layers):
-        z = z @ w  # a fresh array per layer, so the in-place steps never touch x
-        z += b
-        if i != last:
-            np.tanh(z, out=z)  # hidden layers only; the final layer stays linear
-    return z
+            arrays[name] = np.zeros(shape)
+    return ModelParams(dims, group_count, arrays)
 
 
 def encode(params: ModelParams, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.input_dim:
-        raise ModelError(f"expected (n, {params.input_dim}) features, got {x.shape}")
-    return _run_stack(params.encoder, x)
-
-
-# ---------------------------------------------------------------------------
-# flat parameter dict <-> ModelParams (shared storage, no copies)
-
-def flatten_params(params: ModelParams) -> dict[str, np.ndarray]:
-    arrays = (a for layer in params.all_arrays() for a in layer)
-    return {name: a for (name, _), a in zip(_layout(params.layer_dims, params.group_count), arrays)}
-
-
-def params_from_flat(flat: dict[str, np.ndarray], layer_dims, group_count: int) -> ModelParams:
-    arrays = iter([flat[name] for name, _ in _layout(layer_dims, group_count)])
-    layers = list(zip(arrays, arrays))  # (W, b) pairs in layout order
-    depth = len(layer_dims) - 1
-    return ModelParams(
-        encoder=layers[:depth],
-        branches=[layers[i: i + depth] for i in range(depth, len(layers), depth)],
-    )
+    width = params.layer_dims[0]
+    if x.ndim != 2 or x.shape[1] != width:
+        raise ModelError(f"expected (n, {width}) features, got {x.shape}")
+    z = x
+    depth = len(params.layer_dims) - 1  # the encoder's pairs come first
+    for i, (w, b) in enumerate(itertools.islice(params.all_arrays(), depth), start=1):
+        z = z @ w  # a fresh array per layer, so the in-place steps never touch x
+        z += b
+        if i != depth:
+            np.tanh(z, out=z)  # hidden layers only; the final layer stays linear
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +183,8 @@ def save_checkpoint(params: ModelParams, path):
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        for w, b in params.all_arrays():
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+        for a in params.arrays.values():
+            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path) -> ModelParams:
@@ -236,17 +205,15 @@ def load_checkpoint(path) -> ModelParams:
     off += 4 * ndims
     (group_count,) = struct.unpack_from("<I", blob, off)
     off += 4
-    if ndims < 2 or group_count < 1:
-        raise ModelError("checkpoint header describes no usable model")
 
-    flat = {}
+    arrays = {}
     for name, shape in _layout(dims, group_count):
         count = math.prod(shape)
         if off + 8 * count > len(blob):
             raise ModelError("checkpoint truncated in weight data")
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
-        flat[name] = arr.reshape(shape).astype(np.float64)
+        arrays[name] = arr.reshape(shape).astype(np.float64)
         off += 8 * count
     if off != len(blob):
         raise ModelError("checkpoint has trailing bytes")
-    return params_from_flat(flat, dims, group_count)
+    return ModelParams(dims, group_count, arrays)

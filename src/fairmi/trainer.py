@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -242,8 +242,8 @@ def fit(config: TrainConfig, dataset: Dataset, hooks: TrainerHooks | None = None
     hooks = hooks or TrainerHooks()
 
     # fit's own arrays, which adam_step updates in place
-    params = model.flatten_params(model.init_params(layer_dims, view.n_groups, config.seed))
-    state = AdamState(params)
+    params = model.init_params(layer_dims, view.n_groups, config.seed)
+    state = AdamState(params.arrays)
     step = 0
     logs: list[EpochLog] = []
     logger.info(
@@ -254,7 +254,7 @@ def fit(config: TrainConfig, dataset: Dataset, hooks: TrainerHooks | None = None
 
     # latents of the current parameters; after each epoch the diagnostics'
     # encode replaces them, and the next center refresh reuses it
-    h_all = model.encode(model.params_from_flat(params, layer_dims, view.n_groups), view.features)
+    h_all = model.encode(params, view.features)
     for epoch in range(config.max_epochs):
         warmup = epoch < config.warmup_epochs
         centers = None
@@ -272,14 +272,14 @@ def fit(config: TrainConfig, dataset: Dataset, hooks: TrainerHooks | None = None
             x = view.features[idx]
             g = view.groups[idx]
             roots = _batch_graphs(x, g, layer_dims, view.n_groups, warmup, centers, config)
-            ad.forward(roots["l_total"], {**params, "x": x})
+            ad.forward(roots["l_total"], {**params.arrays, "x": x})
             values = {name: float(node.value) for name, node in roots.items()}
             if not np.isfinite(values["l_total"]):
                 raise TrainError(f"epoch {epoch}, batch {b}: non-finite loss {values}")
             grads = ad.backward(roots["l_total"])
             del grads["x"]  # the data is not a parameter
             step += 1
-            adam_step(params, grads, state, step, config.learning_rate)
+            adam_step(params.arrays, grads, state, step, config.learning_rate)
             for name in sums:
                 sums[name] += values.get(name, 0.0)
             if hooks.on_batch:
@@ -287,8 +287,7 @@ def fit(config: TrainConfig, dataset: Dataset, hooks: TrainerHooks | None = None
 
         nb = len(batches)
         # a snapshot: the hooks and the caller keep it while training moves on
-        p = model.params_from_flat(
-            {name: value.copy() for name, value in params.items()}, layer_dims, view.n_groups)
+        p = replace(params, arrays={name: value.copy() for name, value in params.arrays.items()})
         h_all = model.encode(p, view.features)
         mi, cmi, extras = _measure(h_all, config, view, labels, epoch)
         log = EpochLog(

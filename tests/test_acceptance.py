@@ -91,8 +91,8 @@ def test_criterion_1_gradient_fidelity():
         x = rng.normal(size=(n, d))
         groups = rng.integers(0, t_groups, size=n)
         groups[:t_groups] = np.arange(t_groups)
-        params = model.flatten_params(model.init_params(layer_dims, t_groups, seed=trial))
-        h = model.encode(model.params_from_flat(params, layer_dims, t_groups), x)
+        params = model.init_params(layer_dims, t_groups, seed=trial).arrays
+        h = model.encode(model.ModelParams(layer_dims, t_groups, params), x)
         centers, _ = clustering.kmeans(h, k, seed=(trial, 7))
 
         cfg = trainer.TrainConfig(k=k, latent_dim=latent, layer_dims=layer_dims,

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -181,6 +182,18 @@ class TestTrainEval:
         assert "--checkpoint-every" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("every", ["abc", "1.5"])
+    def test_non_integer_checkpoint_every_is_usage_error(self, synth_csv, tmp_path, capsys, every):
+        config = write_json(tmp_path / "config.json", CONFIG)
+        out_dir = tmp_path / "run"
+        rc = cli.run(["train", "--data", str(synth_csv), "--config", config,
+                      "--out-dir", str(out_dir), "--checkpoint-every", every])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"argument --checkpoint-every: must be a whole number >= 0 (0 disables), got {every}" in err
+        assert not re.search(r"(?<!\w)_\w", err)  # no private function names
+        assert not out_dir.exists()
+
     def test_unknown_config_key_fails_with_code_one(self, synth_csv, tmp_path, capsys):
         config = write_json(tmp_path / "config.json", {**CONFIG, "kk": 3})
         rc = cli.run(["train", "--data", str(synth_csv), "--config", config,
@@ -261,6 +274,17 @@ class TestMetrics:
         assert rc == 2
         err = capsys.readouterr().err
         assert "--beta" in err and f"must be a finite number >= 0, got {beta}" in err
+        assert not report_path.exists()
+
+    def test_non_numeric_beta_is_usage_error(self, tmp_path, capsys):
+        labels = self.write_labels(tmp_path)
+        report_path = tmp_path / "report.json"
+        rc = cli.run(["metrics", "--pred", str(labels), "--groups-col", "group",
+                      "--beta", "abc", "--report", str(report_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "argument --beta: must be a finite number >= 0, got abc" in err
+        assert not re.search(r"(?<!\w)_\w", err)  # no private function names
         assert not report_path.exists()
 
     def test_missing_column_fails_with_code_one(self, tmp_path, capsys):

@@ -291,6 +291,11 @@ class TestFullReport:
             assert report.mi_gc == group_cluster_mi(onehot, groups, t)
             assert report.cmi_xcg == conditional_mi(onehot, report.mi_gc)
 
+    def test_k_counts_only_the_cluster_ids_in_use(self):
+        pred = np.array([0, 2, 5, 0, 2, 5])
+        report = metrics.full_report(pred, np.array([0, 0, 0, 1, 1, 1]))
+        assert report.k == 3
+
     def test_group_id_gap_rejected(self):
         with pytest.raises(ValueError, match=r"ids \[1\] have no members"):
             metrics.full_report(np.array([0, 1, 0, 1]), np.array([0, 0, 2, 2]))

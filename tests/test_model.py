@@ -14,6 +14,12 @@ def tiny_params(layer_dims=(5, 4, 3), groups=2, seed=0):
     return model.init_params(layer_dims, groups, seed)
 
 
+def stack(p, index):
+    """The (W, b) pairs of the encoder (index 0) or of branch index - 1."""
+    depth = len(p.layer_dims) - 1
+    return list(p.all_arrays())[index * depth: (index + 1) * depth]
+
+
 class TestInit:
     def test_deterministic_per_seed(self):
         a = tiny_params(seed=9)
@@ -25,24 +31,24 @@ class TestInit:
     def test_seed_changes_weights(self):
         a = tiny_params(seed=1)
         b = tiny_params(seed=2)
-        assert not np.array_equal(a.encoder[0][0], b.encoder[0][0])
+        assert not np.array_equal(a.arrays["enc.0.W"], b.arrays["enc.0.W"])
 
     def test_shapes_mirror_and_biases_zero(self):
         p = tiny_params((6, 4, 2), groups=3)
-        assert [w.shape for w, _ in p.encoder] == [(6, 4), (4, 2)]
-        for branch in p.branches:
-            assert [w.shape for w, _ in branch] == [(2, 4), (4, 6)]
+        assert [w.shape for w, _ in stack(p, 0)] == [(6, 4), (4, 2)]
+        for t in range(3):
+            assert [w.shape for w, _ in stack(p, t + 1)] == [(2, 4), (4, 6)]
         for _, b in p.all_arrays():
             np.testing.assert_array_equal(b, 0.0)
 
     def test_branches_are_distinct_draws(self):
         p = tiny_params(groups=3)
-        assert not np.array_equal(p.branches[0][0][0], p.branches[1][0][0])
-        assert not np.array_equal(p.branches[1][0][0], p.branches[2][0][0])
+        assert not np.array_equal(p.arrays["dec.0.0.W"], p.arrays["dec.1.0.W"])
+        assert not np.array_equal(p.arrays["dec.1.0.W"], p.arrays["dec.2.0.W"])
 
     def test_uniform_bound_respected(self):
         p = model.init_params((30, 10), 1, seed=4)
-        w = p.encoder[0][0]
+        w = p.arrays["enc.0.W"]
         limit = np.sqrt(6.0 / 40.0)
         assert np.all(np.abs(w) <= limit)
         assert np.abs(w).max() > 0.8 * limit  # draws actually fill the range
@@ -67,35 +73,46 @@ class TestLayout:
     def test_flat_dict_and_graph_inputs_follow_the_layout(self):
         p = tiny_params((6, 4, 2), groups=3)
         layout = list(model._layout((6, 4, 2), 3))
-        flat = model.flatten_params(p)
-        assert [(name, a.shape) for name, a in flat.items()] == layout
+        assert [(name, a.shape) for name, a in p.arrays.items()] == layout
         nodes = model.param_input_nodes((6, 4, 2), 3)
         assert [(name, node.shape) for name, node in nodes.items()] == layout
 
     @pytest.mark.parametrize("name", ["enc.0.b", "dec.1.1.W"])
     def test_params_reject_a_bad_array_by_name(self, name):
-        flat = model.flatten_params(tiny_params())
+        flat = tiny_params().arrays
         bad = dict(flat, **{name: np.full_like(flat[name], np.nan)})
         with pytest.raises(model.ModelError, match=re.escape(name)):
-            model.params_from_flat(bad, (5, 4, 3), 2)
+            model.ModelParams((5, 4, 3), 2, bad)
         bad[name] = np.zeros(flat[name].shape + (1,))
         with pytest.raises(model.ModelError, match=re.escape(name)):
-            model.params_from_flat(bad, (5, 4, 3), 2)
+            model.ModelParams((5, 4, 3), 2, bad)
+
+    @pytest.mark.parametrize("change,name", [
+        ("missing", "enc.1.W"), ("extra", "dec.2.0.W"), ("out of order", "enc.0.b"),
+    ])
+    def test_params_reject_names_off_the_layout(self, change, name):
+        arrays = dict(tiny_params().arrays)
+        if change == "missing":
+            del arrays[name]
+        elif change == "extra":
+            arrays[name] = np.zeros((3, 4))
+        else:
+            arrays = {name: arrays.pop(name), **arrays}
+        with pytest.raises(model.ModelError, match=re.escape(repr(name))):
+            model.ModelParams((5, 4, 3), 2, arrays)
 
 
 class TestEncodeDecode:
     def test_zero_weights_give_zero_latents(self):
         p = tiny_params()
-        zeroed = model.ModelParams(
-            encoder=[(np.zeros_like(w), np.zeros_like(b)) for w, b in p.encoder],
-            branches=[[(np.zeros_like(w), np.zeros_like(b)) for w, b in br] for br in p.branches],
-        )
+        zeroed = model.ModelParams(p.layer_dims, p.group_count,
+                                   {name: np.zeros_like(a) for name, a in p.arrays.items()})
         h = model.encode(zeroed, np.random.default_rng(0).normal(size=(7, 5)))
         np.testing.assert_array_equal(h, 0.0)
 
     def test_single_identity_layer_is_identity(self):
-        p = model.ModelParams(encoder=[(np.eye(4), np.zeros(4))],
-                              branches=[[(np.eye(4), np.zeros(4))]])
+        p = model.ModelParams((4, 4), 1, {"enc.0.W": np.eye(4), "enc.0.b": np.zeros(4),
+                                          "dec.0.0.W": np.eye(4), "dec.0.0.b": np.zeros(4)})
         x = np.random.default_rng(1).normal(size=(6, 4))
         np.testing.assert_array_equal(model.encode(p, x), x)
 
@@ -104,9 +121,9 @@ class TestEncodeDecode:
         p = tiny_params((5, 4, 3), groups=1, seed=5)
         x = rng.normal(size=(8, 5))
         z = x
-        for i, (w, b) in enumerate(p.encoder):
+        for i, (w, b) in enumerate(stack(p, 0)):
             z = z @ w + b
-            if i < len(p.encoder) - 1:
+            if i < len(stack(p, 0)) - 1:
                 z = np.tanh(z)
         np.testing.assert_allclose(model.encode(p, x), z, atol=1e-12)
 
@@ -115,9 +132,9 @@ class TestEncodeDecode:
         p = tiny_params(layer_dims, groups=1, seed=3)
         x = np.random.default_rng(3).normal(size=(40, 5))
         z = x
-        for w, b in p.encoder[:-1]:
+        for w, b in stack(p, 0)[:-1]:
             z = np.tanh(z @ w + b)
-        w, b = p.encoder[-1]
+        w, b = stack(p, 0)[-1]
         want = z @ w + b
         before = x.copy()
         x.flags.writeable = False  # any write into the caller's array raises
@@ -140,7 +157,7 @@ class TestEncodeDecode:
 class TestGraph:
     def _grads(self, groups, seed=0):
         dims = (4, 3, 2)
-        params = model.flatten_params(model.init_params(dims, 2, seed))
+        params = model.init_params(dims, 2, seed).arrays
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(len(groups), 4))
         nodes = model.param_input_nodes(dims, 2)
@@ -152,12 +169,12 @@ class TestGraph:
 
     def test_graph_matches_numpy_forward(self):
         params, _, root, x = self._grads([0, 1, 0, 1, 1])
-        p = model.params_from_flat(params, (4, 3, 2), 2)
+        p = model.ModelParams((4, 3, 2), 2, params)
         h = model.encode(p, x)
         groups = np.array([0, 1, 0, 1, 1])
         rec = np.empty_like(x)
         for i, t in enumerate(groups):  # each row through its own group's branch
-            (w0, b0), (w1, b1) = p.branches[t]
+            (w0, b0), (w1, b1) = stack(p, t + 1)
             rec[i] = np.tanh(h[i] @ w0 + b0) @ w1 + b1
         expected = ((x - rec) ** 2).sum() / x.shape[0]
         np.testing.assert_allclose(float(root.value), expected, atol=1e-12)
@@ -174,7 +191,7 @@ class TestGraph:
     def test_reconstruction_gradient_matches_finite_differences(self):
         dims = (4, 3, 2)
         groups = np.array([0, 1, 1, 0, 0, 1])
-        params = model.flatten_params(model.init_params(dims, 2, 13))
+        params = model.init_params(dims, 2, 13).arrays
         x = np.random.default_rng(13).normal(size=(6, 4))
         nodes = model.param_input_nodes(dims, 2)
         x_node = ad.input_node("x", x.shape)
@@ -252,9 +269,9 @@ class TestCheckpoint:
         with pytest.raises(model.ModelError, match=r"enc\.0\.b"):
             model.load_checkpoint(path)
 
-    def test_flatten_round_trip_shares_storage(self):
-        p = tiny_params()
-        flat = model.flatten_params(p)
-        back = model.params_from_flat(flat, (5, 4, 3), 2)
-        assert back.encoder[0][0] is p.encoder[0][0]
-        assert back.branches[1][1][1] is p.branches[1][1][1]
+    def test_rejects_zero_width_layer(self, tmp_path):
+        """A v1 file with widths [3, 0, 2] holds only the 2- and 3-wide biases."""
+        path = tmp_path / "model.bin"
+        path.write_bytes(struct.pack("<4sII3II", b"FCMI", 1, 3, 3, 0, 2, 1) + bytes(8 * (2 + 3)))
+        with pytest.raises(model.ModelError, match=re.escape("[3, 0, 2]")):
+            model.load_checkpoint(path)

@@ -73,14 +73,15 @@ class TestReconstruction:
         params = model.init_params(dims, 2, seed=1)
         x = rng.normal(size=(7, 4))
         groups = np.array([0, 1, 1, 0, 1, 0, 0])
-        (w0, b0), (w1, b1) = params.encoder
+        pairs = list(params.all_arrays())  # encoder, then branches 0 and 1
+        (w0, b0), (w1, b1) = pairs[:2]
         expected = 0.0
         for i in range(7):
             h = np.tanh(x[i] @ w0 + b0) @ w1 + b1
-            (v0, c0), (v1, c1) = params.branches[groups[i]]
+            (v0, c0), (v1, c1) = pairs[2 + 2 * groups[i]: 4 + 2 * groups[i]]
             rec = np.tanh(h @ v0 + c0) @ v1 + c1
             expected += ((x[i] - rec) ** 2).sum() / 7
-        value = reconstruction_value(model.flatten_params(params), x, groups, dims, 2)
+        value = reconstruction_value(params.arrays, x, groups, dims, 2)
         np.testing.assert_allclose(value, expected, atol=1e-12)
 
 

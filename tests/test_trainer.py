@@ -313,7 +313,7 @@ class TestFit:
         final, _ = trainer.fit(cfg, small_dataset(), hooks)
         assert [e for e, _ in seen] == [0, 1, 2, 3]
         last = seen[-1][1]
-        np.testing.assert_array_equal(last.encoder[0][0], final.encoder[0][0])
+        np.testing.assert_array_equal(last.arrays["enc.0.W"], final.arrays["enc.0.W"])
 
     def test_params_hook_gets_snapshots(self):
         """What the hook received stays as it was; fit returns the last epoch's copy."""
@@ -331,6 +331,23 @@ class TestFit:
         last = [a for layer in final.all_arrays() for a in layer]
         assert all(np.array_equal(a, c) for a, c in zip(last, seen[-1][1]))
         assert not np.array_equal(seen[0][1][0], seen[-1][1][0])
+
+    def test_snapshots_share_no_storage_with_the_live_arrays(self, monkeypatch):
+        live = []
+        original = trainer.adam_step
+
+        def spy(params, *args, **kwargs):
+            live.append(params)
+            return original(params, *args, **kwargs)
+
+        monkeypatch.setattr(trainer, "adam_step", spy)
+        seen = []
+        final, _ = trainer.fit(small_config(max_epochs=3), small_dataset(),
+                               trainer.TrainerHooks(on_params=lambda epoch, p: seen.append(p)))
+        assert live and all(arrays is live[0] for arrays in live)
+        for p in seen + [final]:
+            for name, a in p.arrays.items():
+                assert not np.shares_memory(a, live[0][name]), name
 
     def test_one_group_cluster_mi_per_epoch(self, monkeypatch):
         calls = []
@@ -441,8 +458,8 @@ class TestEvaluate:
         ds = small_dataset()
         cfg = small_config()
         init = model.init_params((5, 8, 3), ds.n_groups, seed=0)
-        flat = {name: np.zeros_like(arr) for name, arr in model.flatten_params(init).items()}
-        zeroed = model.params_from_flat(flat, (5, 8, 3), ds.n_groups)
+        flat = {name: np.zeros_like(arr) for name, arr in init.arrays.items()}
+        zeroed = model.ModelParams((5, 8, 3), ds.n_groups, flat)
         with caplog.at_level(logging.WARNING):
             report = trainer.evaluate(zeroed, ds, cfg)
         assert "jitter" in caplog.text
