@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 # Attribute -> defining submodule. Resolution is lazy (PEP 562) so that light
-# entry points (scoring a CSV of labels) never pay for the autodiff stack.
+# entry points (scoring a CSV of labels) never import the model or the trainer.
 _EXPORTS = {
     "ClusterCenters": "clustering",
     "SoftAssignment": "clustering",

@@ -7,6 +7,8 @@ encoder/decoder networks and the clustering/fairness objectives need
 (2-d matrix products, bias addition, elementwise maps, row-wise softmax and
 L2 normalization, full reductions, row selection). Shapes are inferred and
 checked at build time so a malformed graph fails before any numerics run.
+The numerical guards live here only, as numpy kernels that the ops run and
+the numpy estimators call directly.
 
 All arrays are float64. Gradients are accumulated in a fixed reverse
 topological order, so repeated runs are bitwise reproducible. The first
@@ -27,9 +29,32 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
-# Clamp used by the guarded log inside entropy expressions. With probabilities
-# clamped at this floor, 0 * log(clamp) evaluates to exactly 0.0.
+# Floor of the guarded log in entropy sums, so 0 * log(clamp) is exactly 0.0,
+# and the jitter added to a zero row before it is normalized.
 GUARD_EPS = 1e-12
+
+
+def guarded_log(x: np.ndarray) -> np.ndarray:
+    """log(max(x, GUARD_EPS)), elementwise."""
+    return np.log(np.maximum(x, GUARD_EPS))
+
+
+def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x / row norms, row norms); a zero row gets a GUARD_EPS jitter and a warning first."""
+    norms = np.sqrt((x * x).sum(axis=1))
+    zero = norms == 0.0
+    if zero.any():
+        logger.warning("unit_rows: %d zero-norm rows jittered by %g", int(zero.sum()), GUARD_EPS)
+        x = x.copy()
+        x[zero] += GUARD_EPS
+        norms = np.sqrt((x * x).sum(axis=1))
+    return x / norms[:, None], norms
+
+
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax of each row of a 2-d array, shifted by the row max."""
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 class GraphError(ValueError):
@@ -115,7 +140,7 @@ def tanh(a: Node) -> Node:
 
 
 def log_guarded(a: Node) -> Node:
-    """log(max(x, GUARD_EPS)): the clamped log used inside entropy sums."""
+    """:func:`guarded_log` as a graph op: the clamped log used inside entropy sums."""
     return Node("log_guarded", (a,), shape=a.shape)
 
 
@@ -126,7 +151,7 @@ def softmax_rows(a: Node) -> Node:
 
 
 def normalize_rows(a: Node) -> Node:
-    """Row-wise L2 normalization; zero rows get a uniform 1e-12 jitter first."""
+    """:func:`unit_rows` as a graph op; zero rows get the GUARD_EPS jitter first."""
     if len(a.shape) != 2:
         raise GraphError(f"normalize_rows needs a 2-d operand, got shape {a.shape}")
     return Node("normalize_rows", (a,), shape=a.shape)
@@ -193,22 +218,12 @@ def _compute(node: Node) -> np.ndarray:
     if op == "tanh":
         return np.tanh(vals[0])
     if op == "log_guarded":
-        return np.log(np.maximum(vals[0], GUARD_EPS))
+        return guarded_log(vals[0])
     if op == "softmax_rows":
-        shifted = vals[0] - vals[0].max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True)
+        return softmax(vals[0])
     if op == "normalize_rows":
-        x = vals[0]
-        norms = np.sqrt((x * x).sum(axis=1))
-        zero = norms == 0.0
-        if zero.any():
-            logger.warning("normalize_rows: %d zero-norm rows jittered by %g", int(zero.sum()), GUARD_EPS)
-            x = x.copy()
-            x[zero] += GUARD_EPS
-            norms = np.sqrt((x * x).sum(axis=1))
-        node.cache = norms
-        return x / norms[:, None]
+        rows, node.cache = unit_rows(vals[0])
+        return rows
     if op == "sum":
         return np.asarray(vals[0].sum())
     if op == "scale":

@@ -42,14 +42,10 @@ def _sha256(path):
 
 
 def _cmd_synth(args):
-    from .data import SyntheticSpec, generate_synthetic, save_csv
+    from .data import DataError, SyntheticSpec, generate_synthetic, record_from_dict, save_csv
 
     raw = _read_json(args.spec, "synthetic spec")
-    known = set(SyntheticSpec.__dataclass_fields__)
-    unknown = sorted(set(raw) - known)
-    if unknown:
-        raise ValueError(f"unknown synthetic spec keys: {', '.join(unknown)}")
-    dataset = generate_synthetic(SyntheticSpec(**raw))
+    dataset = generate_synthetic(record_from_dict(SyntheticSpec, raw, DataError, "synthetic spec"))
     save_csv(dataset, args.out)
     logging.info("wrote %d rows to %s", dataset.n, args.out)
     return 0

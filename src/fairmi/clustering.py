@@ -6,7 +6,8 @@ pass, and a restart ends exactly as it would alone. Squared distances use
 the expanded form ||x||^2 - 2 x.c + ||c||^2 through BLAS, clamped at 0, and
 the per-cluster sums come from a BLAS product with the one-hot labels.
 Assignments are soft: cosine similarity of each latent row to each center,
-sharpened by a temperature softmax. Centers are treated as constants by the
+sharpened by a temperature softmax, on the numpy and the graph path alike
+through ``autodiff``'s kernels. Centers are treated as constants by the
 training graph; gradients flow only through the latent rows.
 """
 
@@ -14,17 +15,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from . import autodiff as ad
+from . import autodiff as ad
 
 logger = logging.getLogger(__name__)
-
-# must stay equal to autodiff.GUARD_EPS so numpy and graph paths agree
-_NORM_EPS = 1e-12
 
 
 class ClusteringError(ValueError):
@@ -209,17 +205,6 @@ def kmeans(features: np.ndarray, k: int, seed, max_iter: int = 100, tol: float =
     return ClusterCenters(centers=centers[best]), labels[best]
 
 
-def _unit_rows(x):
-    norms = np.sqrt((x * x).sum(axis=1))
-    zero = norms == 0.0
-    if zero.any():
-        logger.warning("soft_assign: %d zero-norm latent rows jittered by %g", int(zero.sum()), _NORM_EPS)
-        x = x.copy()
-        x[zero] += _NORM_EPS
-        norms = np.sqrt((x * x).sum(axis=1))
-    return x / norms[:, None]
-
-
 def soft_assign(h: np.ndarray, centers: ClusterCenters, tau: float) -> SoftAssignment:
     """Temperature softmax over cosine similarities to the centers."""
     h = np.asarray(h, dtype=np.float64)
@@ -227,19 +212,14 @@ def soft_assign(h: np.ndarray, centers: ClusterCenters, tau: float) -> SoftAssig
         raise ClusteringError("temperature must be positive")
     if h.ndim != 2 or h.shape[1] != centers.centers.shape[1]:
         raise ClusteringError("latent width does not match the centers")
-    sims = _unit_rows(h) @ _unit_rows(centers.centers).T
-    logits = sims / tau
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return SoftAssignment(probs=e / e.sum(axis=1, keepdims=True), tau=tau)
+    sims = ad.unit_rows(h)[0] @ ad.unit_rows(centers.centers)[0].T
+    return SoftAssignment(probs=ad.softmax(sims / tau), tau=tau)
 
 
 def soft_assign_graph(h_node: ad.Node, centers: ClusterCenters, tau: float) -> ad.Node:
     """Differentiable version of :func:`soft_assign`; centers enter as constants."""
-    from . import autodiff as ad  # deferred: numpy-only callers never need the graph engine
-
     if tau <= 0.0:
         raise ClusteringError("temperature must be positive")
-    dirs = ad.constant(_unit_rows(centers.centers).T)
+    dirs = ad.constant(ad.unit_rows(centers.centers)[0].T)
     sims = ad.matmul(ad.normalize_rows(h_node), dirs)
     return ad.softmax_rows(ad.scale(sims, 1.0 / tau))

@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from itertools import chain
 from operator import itemgetter
 
@@ -49,13 +49,15 @@ class Dataset:
             raise DataError("features must be finite")
         if g.shape != (x.shape[0],):
             raise DataError("need exactly one group id per row")
-        if g.min() < 0:
-            raise DataError("group ids must be non-negative")
-        counts = np.bincount(g)
-        if np.any(counts == 0):
-            raise DataError("group ids must be dense (no empty group)")
         if self.labels is not None and self.labels.shape != (x.shape[0],):
             raise DataError("need exactly one label per row when labels are present")
+        for name, ids in (("groups", g), ("labels", self.labels)):
+            if ids is not None and not np.issubdtype(ids.dtype, np.integer):
+                raise DataError(f"{name} must be an integer id array, got dtype {ids.dtype}")
+            if ids is not None and ids.min() < 0:
+                raise DataError(f"{name} must be non-negative ids")
+        if np.any(np.bincount(g) == 0):
+            raise DataError("group ids must be dense (no empty group)")
 
     def __len__(self):
         return self.features.shape[0]
@@ -246,6 +248,18 @@ def save_csv(dataset: Dataset, path):
 
 # ---------------------------------------------------------------------------
 # synthetic data
+
+def record_from_dict(cls, raw: dict, error, what: str):
+    """Build dataclass ``cls`` from a dict of its fields; ``error`` names unknown and missing keys."""
+    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+    missing = [f.name for f in fields(cls)
+               if f.name not in raw and f.default is MISSING and f.default_factory is MISSING]
+    problems = [f"{kind} {what} keys: {', '.join(names)}"
+                for kind, names in (("unknown", unknown), ("missing", missing)) if names]
+    if problems:
+        raise error("; ".join(problems))
+    return cls(**raw)
+
 
 def check_scalar_fields(record, error):
     """Reject a dataclass's bad ``int`` and ``float`` fields by name, raising ``error``.

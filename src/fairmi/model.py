@@ -206,14 +206,17 @@ def load_checkpoint(path) -> ModelParams:
     (group_count,) = struct.unpack_from("<I", blob, off)
     off += 4
 
+    # size the file before walking the layout, whose cost grows with the group count
+    _check_dims(dims, group_count)
+    encoder = sum(math.prod(shape) for _, shape in _layout(dims, 0))
+    branch = sum(math.prod(shape) for _, shape in _layout(dims, 1)) - encoder
+    expected = off + 8 * (encoder + group_count * branch)
+    if len(blob) != expected:
+        raise ModelError(f"checkpoint holds {len(blob)} bytes where its header implies {expected}")
     arrays = {}
     for name, shape in _layout(dims, group_count):
         count = math.prod(shape)
-        if off + 8 * count > len(blob):
-            raise ModelError("checkpoint truncated in weight data")
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
         arrays[name] = arr.reshape(shape).astype(np.float64)
         off += 8 * count
-    if off != len(blob):
-        raise ModelError("checkpoint has trailing bytes")
     return ModelParams(dims, group_count, arrays)

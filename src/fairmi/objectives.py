@@ -13,30 +13,24 @@ training differentiates:
 
 total_loss_graph weighs the three into the training objective.
 
-The numpy estimators score an assignment without the graph engine:
+The numpy estimators score an assignment without building a graph:
 group_cluster_mi is the leakage diagnostic mi_gc, and conditional_mi
 estimates how much information the assignments carry about the samples
 beyond what the groups already explain; it is a diagnostic, not a training
 signal, and decomposes exactly into cluster entropy, assignment entropy and
 mi_gc.
 
-All logarithms are natural. Probabilities inside entropy sums go through a
-log clamped at 1e-12 so that zero cells contribute exactly zero.
+All logarithms are natural. Probabilities inside entropy sums go through
+``autodiff``'s guarded log, on the numpy and the graph path alike, so that
+zero cells contribute exactly zero.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
+from . import autodiff as ad
 from .clustering import SoftAssignment
-
-if TYPE_CHECKING:
-    from . import autodiff as ad
-
-# must stay equal to autodiff.GUARD_EPS so numpy and graph paths agree
-_EPS = 1e-12
 
 
 class ObjectiveError(ValueError):
@@ -45,7 +39,7 @@ class ObjectiveError(ValueError):
 
 def _xlogx(p):
     # p * log(p) with 0 contributing exactly 0
-    return p * np.log(np.maximum(p, _EPS))
+    return p * ad.guarded_log(p)
 
 
 def cluster_marginal(assign: SoftAssignment) -> np.ndarray:
@@ -121,6 +115,11 @@ def conditional_mi(assign: SoftAssignment, mi_gc: float) -> float:
 # graph builders (training path). Each takes the assignment node produced by
 # clustering.soft_assign_graph plus batch constants, and returns a scalar node.
 
+def _xlogx_sum_graph(p: ad.Node) -> ad.Node:
+    """sum of p * log(p) over every cell: the graph mirror of :func:`_xlogx`."""
+    return ad.sum_all(ad.multiply(p, ad.log_guarded(p)))
+
+
 def clustering_loss_graph(c_node: ad.Node, n: int) -> ad.Node:
     """Negative cluster entropy plus mean assignment entropy over one batch.
 
@@ -128,12 +127,10 @@ def clustering_loss_graph(c_node: ad.Node, n: int) -> ad.Node:
     assignment confident: balanced one-hot rows over K clusters reach -ln K,
     while uniform rows, or rows all on one cluster, score 0.
     """
-    from . import autodiff as ad  # deferred: estimator-only callers skip the graph engine
-
     ones_row = ad.constant(np.ones((1, n)))
     p = ad.scale(ad.matmul(ones_row, c_node), 1.0 / n)
-    neg_h_c = ad.sum_all(ad.multiply(p, ad.log_guarded(p)))
-    h_cx = ad.scale(ad.sum_all(ad.multiply(c_node, ad.log_guarded(c_node))), -1.0 / n)
+    neg_h_c = _xlogx_sum_graph(p)
+    h_cx = ad.scale(_xlogx_sum_graph(c_node), -1.0 / n)
     return ad.add(neg_h_c, h_cx)
 
 
@@ -146,8 +143,6 @@ def group_cluster_mi_graph(c_node: ad.Node, groups, n_groups: int) -> ad.Node:
     and contributes exactly zero. Gradients flow through the assignments
     only; groups are constants.
     """
-    from . import autodiff as ad
-
     groups = np.asarray(groups)
     n = groups.shape[0]
     counts = _group_counts(groups, n_groups)
@@ -158,16 +153,14 @@ def group_cluster_mi_graph(c_node: ad.Node, groups, n_groups: int) -> ad.Node:
     p_gc = ad.scale(ad.matmul(ad.constant(onehot), c_node), 1.0 / n)
     ones_row = ad.constant(np.ones((1, n)))
     p_c = ad.scale(ad.matmul(ones_row, c_node), 1.0 / n)
-    joint_term = ad.sum_all(ad.multiply(p_gc, ad.log_guarded(p_gc)))
-    cluster_term = ad.sum_all(ad.multiply(p_c, ad.log_guarded(p_c)))
+    joint_term = _xlogx_sum_graph(p_gc)
+    cluster_term = _xlogx_sum_graph(p_c)
     return ad.subtract(ad.subtract(joint_term, ad.constant(np.asarray(neg_h_g))), cluster_term)
 
 
 def total_loss_graph(rec_node: ad.Node, clu_node: ad.Node, fair_node: ad.Node,
                      alpha: float, beta_fair: float) -> ad.Node:
     """rec + alpha * clu + beta_fair * fair; the weights must be non-negative."""
-    from . import autodiff as ad
-
     if alpha < 0.0 or beta_fair < 0.0:
         raise ObjectiveError("loss weights must be non-negative")
     return ad.add(rec_node, ad.add(ad.scale(clu_node, alpha), ad.scale(fair_node, beta_fair)))

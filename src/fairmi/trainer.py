@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import clustering, metrics, model, objectives
-from .data import Dataset, check_scalar_fields, minibatches
+from .data import Dataset, check_scalar_fields, minibatches, record_from_dict
 
 logger = logging.getLogger(__name__)
 
@@ -83,13 +83,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrainConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise TrainError(f"unknown config keys: {', '.join(unknown)}")
-        if "k" not in raw:
-            raise TrainError("config must set k")
-        return cls(**raw)
+        return record_from_dict(cls, raw, TrainError, "config")
 
     def resolve_layer_dims(self, input_dim: int) -> tuple:
         if self.layer_dims is None:
@@ -323,8 +317,8 @@ def evaluate(params: model.ModelParams, dataset: Dataset, config: TrainConfig) -
     h = model.encode(params, dataset.features)
     if np.all(np.ptp(h, axis=0) == 0.0):
         # degenerate encoder (e.g. all-zero weights): jitter so clustering can run
-        logger.warning("evaluate: all latent rows identical; applying seeded 1e-12 jitter")
-        h = h + np.random.default_rng(config.seed).uniform(0.0, 1e-12, size=h.shape)
+        logger.warning("evaluate: all latent rows identical; applying seeded %g jitter", ad.GUARD_EPS)
+        h = h + np.random.default_rng(config.seed).uniform(0.0, ad.GUARD_EPS, size=h.shape)
     centers, _ = clustering.kmeans(h, config.k, seed=config.seed, restarts=10)
     assign = clustering.soft_assign(h, centers, config.tau)
     return metrics.full_report(assign.hard(), dataset.groups, dataset.labels, config.f_beta_weight)

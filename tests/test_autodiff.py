@@ -4,6 +4,8 @@ Every analytic gradient is checked against central finite differences; the
 finite-difference loop is the independent oracle throughout.
 """
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,14 @@ class TestForward:
         ]
         for root in roots:
             assert np.isfinite(ad.forward(root, {"x": rng.normal(size=(3, 3))}))
+
+    def test_normalize_rows_forward_is_unit_rows_with_one_warning(self, caplog):
+        h = np.array([[0.0, 0.0], [3.0, 4.0], [1.0, -2.0]])
+        x = ad.input_node("x", h.shape)
+        with caplog.at_level(logging.WARNING):
+            out = ad.forward(ad.normalize_rows(x), {"x": h})
+        assert [(r.name, r.levelno) for r in caplog.records] == [("fairmi.autodiff", logging.WARNING)]
+        assert np.array_equal(out, ad.unit_rows(h)[0])
 
 
 class TestErrors:

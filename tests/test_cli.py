@@ -52,6 +52,13 @@ class TestSynth:
         assert cli.run(["synth", "--spec", spec, "--out", str(tmp_path / "x.csv")]) == 1
         assert "classses" in capsys.readouterr().err
 
+    def test_missing_spec_keys_are_named(self, tmp_path, capsys):
+        spec = write_json(tmp_path / "spec.json", {"classes": 2, "groups": 2})
+        assert cli.run(["synth", "--spec", spec, "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "missing synthetic spec keys: per_cell_count, class_sep, group_shift, dim, noise_sd, seed" in err
+        assert "__init__" not in err
+
     @pytest.mark.parametrize(
         "change,fragment",
         [
@@ -343,9 +350,11 @@ class TestMetrics:
         capsys.readouterr()
 
     def test_metrics_path_never_imports_model_code(self, tmp_path):
-        """Scoring plain CSVs must not pull in the autodiff or model stack.
+        """Scoring plain CSVs must not pull in the model or the trainer.
 
         Nor ``scipy.optimize``: only accuracy against a truth column needs it.
+        ``fairmi.autodiff`` is allowed: it holds the numerical guards that the
+        estimators share with the training graph, and costs about 1 ms to import.
         """
         labels = self.write_labels(tmp_path)
         report = tmp_path / "report.json"
@@ -355,7 +364,7 @@ class TestMetrics:
             "rc = cli.run(['metrics', '--pred', sys.argv[1], '--groups-col', 'group',\n"
             "              '--report', sys.argv[2]])\n"
             "assert rc == 0\n"
-            "heavy = {'fairmi.autodiff', 'fairmi.model', 'fairmi.trainer', 'scipy.optimize'}\n"
+            "heavy = {'fairmi.model', 'fairmi.trainer', 'scipy.optimize'}\n"
             "banned = sorted(heavy & set(sys.modules))\n"
             "assert not banned, banned\n"
         )

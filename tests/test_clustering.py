@@ -239,6 +239,14 @@ class TestSoftAssign:
         np.testing.assert_allclose(assign.probs.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(np.isfinite(assign.probs))
 
+    def test_probs_are_the_autodiff_kernel_composition(self):
+        rng = np.random.default_rng(22)
+        h = rng.normal(size=(12, 3))
+        h[4] = 0.0
+        centers = ClusterCenters(centers=rng.normal(size=(3, 3)))
+        want = ad.softmax(ad.unit_rows(h)[0] @ ad.unit_rows(centers.centers)[0].T / 0.2)
+        assert np.array_equal(clustering.soft_assign(h, centers, tau=0.2).probs, want)
+
     def test_graph_matches_numpy_path(self):
         rng = np.random.default_rng(21)
         h = rng.normal(size=(15, 3))

@@ -40,6 +40,18 @@ class TestDataset:
                 labels=np.array([0, 1, 0]),
             )
 
+    @pytest.mark.parametrize(
+        "groups,labels,fragment",
+        [
+            (np.array([0.0, 1.0]), None, "groups must be an integer id array"),
+            (np.array([0, 1]), np.array([0.0, 1.0]), "labels must be an integer id array"),
+            (np.array([0, 1]), np.array([0, -1]), "labels must be non-negative"),
+        ],
+    )
+    def test_rejects_bad_id_arrays_by_field(self, groups, labels, fragment):
+        with pytest.raises(data.DataError, match=fragment):
+            data.Dataset(features=np.ones((2, 2)), groups=groups, labels=labels)
+
     def test_shape_properties(self):
         ds = tiny_dataset()
         assert (len(ds), ds.n, ds.dim, ds.n_groups) == (4, 4, 2, 2)

@@ -269,6 +269,13 @@ class TestCheckpoint:
         with pytest.raises(model.ModelError, match=r"enc\.0\.b"):
             model.load_checkpoint(path)
 
+    def test_rejects_a_huge_group_count_from_the_header_alone(self, tmp_path):
+        """84 bytes claiming 2**32 - 1 groups fail before any per-group work."""
+        path = tmp_path / "model.bin"
+        path.write_bytes(struct.pack("<4sII2II", b"FCMI", 1, 2, 2, 1, 2**32 - 1) + bytes(60))
+        with pytest.raises(model.ModelError, match="header implies"):
+            model.load_checkpoint(path)
+
     def test_rejects_zero_width_layer(self, tmp_path):
         """A v1 file with widths [3, 0, 2] holds only the 2- and 3-wide biases."""
         path = tmp_path / "model.bin"

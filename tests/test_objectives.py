@@ -114,6 +114,9 @@ class TestEntropies:
             obj.cluster_marginal(assign), assign.probs.mean(axis=0), atol=0
         )
 
+    def test_xlogx_of_zero_is_exactly_zero(self):
+        assert obj._xlogx(np.array([0.0]))[0] == 0.0
+
     def test_rejects_non_probability_marginal(self):
         with pytest.raises(obj.ObjectiveError):
             obj.cluster_entropy(np.array([0.7, 0.7]))
