@@ -2,10 +2,9 @@
 
 Machine-readable output goes only to the files named by flags; diagnostics
 go to stderr. Exit codes: 0 success, 2 usage errors, 1 runtime failures.
-The metrics subcommand works on plain label CSVs and never touches model
-code, so external partitions can be scored without a trained model. Every
-subcommand reads its CSV input through ``data``, which owns the format and
-its checks.
+The metrics subcommand works on plain label CSVs, so external partitions
+can be scored without a trained model. Every subcommand reads its CSV input
+through ``data``, which owns the format and its checks.
 """
 
 from __future__ import annotations
@@ -15,8 +14,11 @@ import hashlib
 import json
 import logging
 import math
+import os
 import sys
 from dataclasses import asdict
+
+from . import __version__, data, metrics, model, trainer
 
 
 def _read_json(path, what):
@@ -42,11 +44,10 @@ def _sha256(path):
 
 
 def _cmd_synth(args):
-    from .data import DataError, SyntheticSpec, generate_synthetic, record_from_dict, save_csv
-
     raw = _read_json(args.spec, "synthetic spec")
-    dataset = generate_synthetic(record_from_dict(SyntheticSpec, raw, DataError, "synthetic spec"))
-    save_csv(dataset, args.out)
+    spec = data.record_from_dict(data.SyntheticSpec, raw, data.DataError, "synthetic spec")
+    dataset = data.generate_synthetic(spec)
+    data.save_csv(dataset, args.out)
     logging.info("wrote %d rows to %s", dataset.n, args.out)
     return 0
 
@@ -74,9 +75,7 @@ def _trade_off_weight(text):
 
 
 def _load_dataset(args):
-    from .data import load_csv
-
-    return load_csv(
+    return data.load_csv(
         args.data,
         group_column=args.groups_col,
         label_column=args.truth_col,
@@ -85,13 +84,7 @@ def _load_dataset(args):
 
 
 def _cmd_train(args):
-    import os
-
-    from . import __version__
-    from .model import save_checkpoint
-    from .trainer import TrainConfig, TrainerHooks, fit, write_log_csv
-
-    config = TrainConfig.from_dict(_read_json(args.config, "config"))
+    config = trainer.TrainConfig.from_dict(_read_json(args.config, "config"))
     dataset = _load_dataset(args)
     os.makedirs(args.out_dir, exist_ok=True)
 
@@ -101,17 +94,17 @@ def _cmd_train(args):
         def snapshot(epoch, params, _every=args.checkpoint_every):
             if (epoch + 1) % _every == 0:
                 path = os.path.join(args.out_dir, f"checkpoint_epoch{epoch:04d}.bin")
-                save_checkpoint(params, path)
+                model.save_checkpoint(params, path)
                 periodic.append(path)
 
-        hooks = TrainerHooks(on_params=snapshot)
-    params, logs = fit(config, dataset, hooks)
+        hooks = trainer.TrainerHooks(on_params=snapshot)
+    params, logs = trainer.fit(config, dataset, hooks)
 
     ckpt_path = os.path.join(args.out_dir, "checkpoint.bin")
     log_path = os.path.join(args.out_dir, "training_log.csv")
     manifest_path = os.path.join(args.out_dir, "manifest.json")
-    save_checkpoint(params, ckpt_path)
-    write_log_csv(logs, log_path)
+    model.save_checkpoint(params, ckpt_path)
+    trainer.write_log_csv(logs, log_path)
     manifest = {
         "tool_version": __version__,
         "seed": config.seed,
@@ -129,31 +122,24 @@ def _cmd_train(args):
 
 
 def _cmd_eval(args):
-    from .metrics import write_report
-    from .model import load_checkpoint
-    from .trainer import TrainConfig, evaluate
-
-    config = TrainConfig.from_dict(_read_json(args.config, "config"))
+    config = trainer.TrainConfig.from_dict(_read_json(args.config, "config"))
     dataset = _load_dataset(args)
-    params = load_checkpoint(args.checkpoint)
-    report = evaluate(params, dataset, config)
-    write_report(report, args.report)
+    params = model.load_checkpoint(args.checkpoint)
+    report = trainer.evaluate(params, dataset, config)
+    metrics.write_report(report, args.report)
     logging.info("wrote report to %s", args.report)
     return 0
 
 
 def _cmd_metrics(args):
-    from .data import label_ids, read_csv
-    from .metrics import full_report, write_report
-
-    header, rows = read_csv(args.pred)
-    pred = label_ids(args.pred, header, rows, args.pred_col, "pred")[0]
-    groups = label_ids(args.pred, header, rows, args.groups_col, "group")[0]
+    header, rows = data.read_csv(args.pred)
+    pred = data.label_ids(args.pred, header, rows, args.pred_col, "pred")[0]
+    groups = data.label_ids(args.pred, header, rows, args.groups_col, "group")[0]
     truth = None
     if args.truth_col is not None:
-        truth = label_ids(args.pred, header, rows, args.truth_col, "truth")[0]
-    report = full_report(pred, groups, truth, beta=args.beta)
-    write_report(report, args.report)
+        truth = data.label_ids(args.pred, header, rows, args.truth_col, "truth")[0]
+    report = metrics.full_report(pred, groups, truth, beta=args.beta)
+    metrics.write_report(report, args.report)
     logging.info("wrote report to %s", args.report)
     return 0
 

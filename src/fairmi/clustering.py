@@ -22,6 +22,9 @@ from . import autodiff as ad
 
 logger = logging.getLogger(__name__)
 
+MAX_ITER = 100  # Lloyd iterations per kmeans call
+TOL = 1e-6  # a restart stops once no center moves this far
+
 
 class ClusteringError(ValueError):
     pass
@@ -29,7 +32,7 @@ class ClusteringError(ValueError):
 
 @dataclass(frozen=True)
 class ClusterCenters:
-    """K x latent_dim center matrix; no center may be the zero vector."""
+    """K x latent_dim center matrix."""
 
     centers: np.ndarray
 
@@ -39,8 +42,6 @@ class ClusterCenters:
             raise ClusteringError("need a 2-d center matrix with K >= 2")
         if not np.all(np.isfinite(c)):
             raise ClusteringError("centers must be finite")
-        if np.any((c * c).sum(axis=1) == 0.0):
-            raise ClusteringError("zero-vector center is not allowed")
 
     @property
     def k(self) -> int:
@@ -62,8 +63,7 @@ class SoftAssignment:
         p = self.probs
         if p.ndim != 2 or p.shape[1] < 1:
             raise ClusteringError("assignment matrix must be 2-d")
-        if self.tau <= 0.0:
-            raise ClusteringError("temperature must be positive")
+        _check_temperature(self.tau)
         if not np.all(np.isfinite(p)):
             raise ClusteringError("assignment entries must be finite")
         if np.any(p < 0.0) or np.any(p > 1.0):
@@ -81,6 +81,11 @@ class SoftAssignment:
 
     def hard(self) -> np.ndarray:
         return self.probs.argmax(axis=1)
+
+
+def _check_temperature(tau):
+    if not 0.0 < tau < np.inf:
+        raise ClusteringError(f"temperature must be a finite number > 0, got {tau}")
 
 
 def _plus_plus_seed(x, k, rng):
@@ -167,8 +172,7 @@ def _lloyd(x, centers, max_iter, tol):
     return centers, labels, history
 
 
-def kmeans(features: np.ndarray, k: int, seed, max_iter: int = 100, tol: float = 1e-6,
-           restarts: int = 1):
+def kmeans(features: np.ndarray, k: int, seed, restarts: int = 1):
     """Euclidean k-means; returns (ClusterCenters, hard labels).
 
     Deterministic for a fixed seed (seed may be an int or a tuple of ints).
@@ -189,8 +193,6 @@ def kmeans(features: np.ndarray, k: int, seed, max_iter: int = 100, tol: float =
         raise ClusteringError("features must be finite")
     if np.all(np.ptp(x, axis=0) == 0.0):
         raise ClusteringError("all points identical: clustering is degenerate")
-    if max_iter < 1 or tol < 0.0:
-        raise ClusteringError("max_iter must be >= 1 and tol >= 0")
     if restarts < 1:
         raise ClusteringError("restarts must be >= 1")
     if restarts == 1:
@@ -199,7 +201,7 @@ def kmeans(features: np.ndarray, k: int, seed, max_iter: int = 100, tol: float =
         base = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
         seeds = [base + (r,) for r in range(restarts)]
     centers0 = np.stack([_plus_plus_seed(x, k, np.random.default_rng(s)) for s in seeds])
-    centers, labels, history = _lloyd(x, centers0, max_iter, tol)
+    centers, labels, history = _lloyd(x, centers0, MAX_ITER, TOL)
     final = [h[-1] for h in history]
     best = final.index(min(final))  # the first restart wins a tie
     return ClusterCenters(centers=centers[best]), labels[best]
@@ -208,8 +210,7 @@ def kmeans(features: np.ndarray, k: int, seed, max_iter: int = 100, tol: float =
 def soft_assign(h: np.ndarray, centers: ClusterCenters, tau: float) -> SoftAssignment:
     """Temperature softmax over cosine similarities to the centers."""
     h = np.asarray(h, dtype=np.float64)
-    if tau <= 0.0:
-        raise ClusteringError("temperature must be positive")
+    _check_temperature(tau)
     if h.ndim != 2 or h.shape[1] != centers.centers.shape[1]:
         raise ClusteringError("latent width does not match the centers")
     sims = ad.unit_rows(h)[0] @ ad.unit_rows(centers.centers)[0].T
@@ -218,8 +219,7 @@ def soft_assign(h: np.ndarray, centers: ClusterCenters, tau: float) -> SoftAssig
 
 def soft_assign_graph(h_node: ad.Node, centers: ClusterCenters, tau: float) -> ad.Node:
     """Differentiable version of :func:`soft_assign`; centers enter as constants."""
-    if tau <= 0.0:
-        raise ClusteringError("temperature must be positive")
+    _check_temperature(tau)
     dirs = ad.constant(ad.unit_rows(centers.centers)[0].T)
     sims = ad.matmul(ad.normalize_rows(h_node), dirs)
     return ad.softmax_rows(ad.scale(sims, 1.0 / tau))

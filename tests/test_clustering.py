@@ -113,6 +113,19 @@ class TestKMeans:
         with pytest.raises(clustering.ClusteringError):
             clustering.kmeans(np.random.default_rng(0).normal(size=(9, 2)), 1, seed=0)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_center_at_the_origin_is_a_valid_solution(self, seed, caplog):
+        """Euclidean k-means may put a center at 0; only cosine assignment needs a guard."""
+        x = np.array([[1.0, 0], [-1, 0], [1, 0.5], [-1, -0.5], [9, 9], [10, 10], [9, 10], [10, 9]])
+        centers, _ = clustering.kmeans(x, 2, seed=seed)
+        assert [0.0, 0.0] in centers.centers.tolist()
+        with caplog.at_level(logging.WARNING):
+            assign = clustering.soft_assign(x, centers, tau=0.1)
+        assert [(r.name, r.levelno) for r in caplog.records] == [("fairmi.autodiff", logging.WARNING)]
+        assert "unit_rows" in caplog.text
+        assert np.all(np.isfinite(assign.probs))
+        np.testing.assert_allclose(assign.probs.sum(axis=1), 1.0, atol=1e-12)
+
     def test_inertia_non_increasing_across_iterations(self):
         rng = np.random.default_rng(17)
         for trial in range(10):
@@ -262,10 +275,22 @@ class TestSoftAssign:
             SoftAssignment(probs=np.array([[0.5, 0.4]]), tau=0.1)  # rows must sum to 1
         with pytest.raises(clustering.ClusteringError):
             SoftAssignment(probs=np.array([[1.5, -0.5]]), tau=0.1)
-        with pytest.raises(clustering.ClusteringError):
-            ClusterCenters(centers=np.array([[0.0, 0.0], [1.0, 0.0]]))
         # one-hot rows are allowed: hard partitions reuse the estimators
         SoftAssignment(probs=np.array([[1.0, 0.0], [0.0, 1.0]]), tau=1.0)
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("entry", ["SoftAssignment", "soft_assign", "soft_assign_graph"])
+    def test_temperature_must_be_finite_and_positive(self, entry, tau):
+        h = np.array([[1.0, 0.0], [0.0, 1.0]])
+        calls = {
+            "SoftAssignment": lambda: SoftAssignment(probs=np.full((2, 2), 0.5), tau=tau),
+            "soft_assign": lambda: clustering.soft_assign(h, self.centers2(), tau=tau),
+            "soft_assign_graph": lambda: clustering.soft_assign_graph(
+                ad.input_node("h", h.shape), self.centers2(), tau=tau),
+        }
+        with pytest.raises(clustering.ClusteringError,
+                           match=rf"temperature must be a finite number > 0, got {tau}$"):
+            calls[entry]()
 
 
 class TestRestarts:
@@ -296,7 +321,7 @@ class TestRestarts:
         b = clustering.kmeans(x, 3, seed=(1, 2, 3), restarts=1)
         np.testing.assert_array_equal(a[0].centers, b[0].centers)
 
-    def test_equals_best_of_single_runs(self):
+    def test_equals_best_of_single_runs(self, monkeypatch):
         """restarts=R is bitwise the lowest-inertia run among kmeans(seed=base + (r,))."""
         rng = np.random.default_rng(45)
         lengths = set()
@@ -304,13 +329,14 @@ class TestRestarts:
             # a coarse tol stops restarts short of a fixed point, so one that
             # kept iterating after its stop would end elsewhere
             tol = 1e-6 if trial % 2 else 0.5
+            monkeypatch.setattr(clustering, "TOL", tol)
             k = int(rng.integers(2, 6))
             x, _ = blobs(rng, rng.normal(0, 3, size=(k + 1, 2)), per=25, sd=1.5)
             restarts = int(rng.integers(2, 9))
-            centers, labels = clustering.kmeans(x, k, seed=(trial, 5), tol=tol, restarts=restarts)
+            centers, labels = clustering.kmeans(x, k, seed=(trial, 5), restarts=restarts)
             singles, finals = [], []
             for r in range(restarts):
-                singles.append(clustering.kmeans(x, k, seed=(trial, 5, r), tol=tol))
+                singles.append(clustering.kmeans(x, k, seed=(trial, 5, r)))
                 seeded = clustering._plus_plus_seed(x, k, np.random.default_rng((trial, 5, r)))
                 history = clustering._lloyd(x, seeded[None], max_iter=100, tol=tol)[2][0]
                 finals.append(history[-1])

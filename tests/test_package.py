@@ -1,10 +1,11 @@
-"""The package's lazy export table, the names the benchmark relies on, and
-source-wide rules read off the syntax tree."""
+"""The package's exports, the names the benchmark relies on, and source-wide
+rules read off the syntax tree."""
 
 import ast
 import importlib
 import math
 import runpy
+import sys
 from pathlib import Path
 
 import fairmi
@@ -14,10 +15,21 @@ SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 SRC_FILES = sorted(Path(fairmi.__file__).resolve().parent.glob("*.py"))
 
 
+EXPORTS = [
+    "ClusterCenters", "Dataset", "EpochLog", "MetricsReport", "ModelParams", "SoftAssignment",
+    "SyntheticSpec", "TrainConfig", "accuracy", "balance", "conditional_mi", "encode",
+    "evaluate", "f_beta", "fit", "full_report", "generate_synthetic", "group_cluster_mi",
+    "init_params", "kmeans", "load_checkpoint", "load_csv", "minibatches", "mnce", "nmi",
+    "save_checkpoint", "soft_assign",
+]
+
+
 def test_every_exported_name_resolves_to_its_module_attribute():
+    assert fairmi.__all__ == EXPORTS
     for name in fairmi.__all__:
-        module = importlib.import_module(f"fairmi.{fairmi._EXPORTS[name]}")
-        assert getattr(fairmi, name) is getattr(module, name), name
+        value = getattr(fairmi, name)
+        assert value.__module__.startswith("fairmi."), name
+        assert getattr(sys.modules[value.__module__], name) is value, name
 
 
 def test_every_benchmark_span_names_a_function():
@@ -36,20 +48,24 @@ def test_all_arrays_pairs_count_every_layout_parameter():
         math.prod(shape) for _, shape in model._layout(dims, 3))
 
 
-def _imports_autodiff(node):
+def _imported_modules(node):
+    """The modules an import statement names; relative ones start with a dot."""
     if isinstance(node, ast.Import):
-        return any(alias.name == "fairmi.autodiff" for alias in node.names)
+        return [alias.name for alias in node.names]
     if isinstance(node, ast.ImportFrom):
-        module = ("." * node.level) + (node.module or "")
-        if module in ("fairmi.autodiff", ".autodiff"):
-            return True
-        return module in ("fairmi", ".") and any(alias.name == "autodiff" for alias in node.names)
-    return False
+        return ["." * node.level + (node.module or "")]
+    return []
 
 
 def test_the_guard_epsilon_and_its_import_have_one_home():
-    """1e-12 is written only in autodiff, and no function imports autodiff late."""
+    """1e-12 is written only in autodiff, and no function imports a fairmi module late.
+
+    Modules import each other at the top; the one import left in a function
+    body is ``scipy.optimize`` in ``metrics.accuracy``, which only scoring
+    against a truth column needs.
+    """
     assert "autodiff.py" in {path.name for path in SRC_FILES}
+    late = []
     for path in SRC_FILES:
         tree = ast.parse(path.read_text(), filename=str(path))
         if path.name != "autodiff.py":
@@ -58,5 +74,6 @@ def test_the_guard_epsilon_and_its_import_have_one_home():
             assert not literals, f"{path.name} writes 1e-12 on lines {literals}"
         for func in ast.walk(tree):
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                late = [node.lineno for node in ast.walk(func) if _imports_autodiff(node)]
-                assert not late, f"{path.name}: {func.name} imports fairmi.autodiff on lines {late}"
+                late += [(path.name, func.name, module) for node in ast.walk(func)
+                         for module in _imported_modules(node)]
+    assert late == [("metrics.py", "accuracy", "scipy.optimize")]
