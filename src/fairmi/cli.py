@@ -132,12 +132,11 @@ def _cmd_eval(args):
 
 
 def _cmd_metrics(args):
-    header, rows = data.read_csv(args.pred)
-    pred = data.label_ids(args.pred, header, rows, args.pred_col, "pred")[0]
-    groups = data.label_ids(args.pred, header, rows, args.groups_col, "group")[0]
-    truth = None
+    columns = [(args.pred_col, "pred"), (args.groups_col, "group")]
     if args.truth_col is not None:
-        truth = data.label_ids(args.pred, header, rows, args.truth_col, "truth")[0]
+        columns.append((args.truth_col, "truth"))
+    (pred, _), (groups, _), *rest = data.read_csv(args.pred, columns)[0]
+    truth = rest[0][0] if rest else None
     report = metrics.full_report(pred, groups, truth, beta=args.beta)
     metrics.write_report(report, args.report)
     logging.info("wrote report to %s", args.report)

@@ -88,11 +88,15 @@ def _check_temperature(tau):
         raise ClusteringError(f"temperature must be a finite number > 0, got {tau}")
 
 
-def _plus_plus_seed(x, k, rng):
-    n = x.shape[0]
-    centers = np.empty((k, x.shape[1]))
-    centers[0] = x[rng.integers(n)]
-    d2 = ((x - centers[0]) ** 2).sum(axis=1)
+def _plus_plus_seed(x_t, k, rng):
+    """k-means++ centers drawn from the columns of ``x_t``, the (d, n) transposed points.
+
+    Each distance pass runs its numpy loops over the n points, not over d.
+    """
+    n = x_t.shape[1]
+    centers = np.empty((k, x_t.shape[0]))
+    centers[0] = x_t[:, rng.integers(n)]
+    d2 = ((x_t - centers[0][:, None]) ** 2).sum(axis=0)
     for j in range(1, k):
         total = d2.sum()
         if total == 0.0:
@@ -103,9 +107,9 @@ def _plus_plus_seed(x, k, rng):
             cdf = np.cumsum(d2 / total)
             cdf /= cdf[-1]
             idx = cdf.searchsorted(rng.random(), side="right")
-        centers[j] = x[idx]
+        centers[j] = x_t[:, idx]
         if j < k - 1:  # the last center's distances would never be read
-            d2 = np.minimum(d2, ((x - centers[j]) ** 2).sum(axis=1))
+            d2 = np.minimum(d2, ((x_t - centers[j][:, None]) ** 2).sum(axis=0))
     return centers
 
 
@@ -121,19 +125,20 @@ def _reseed_empty(x, restart, centers, labels, point_d2):
     np.maximum(point_d2, 0.0, out=point_d2)
 
 
-def _lloyd(x, centers, max_iter, tol):
+def _lloyd(x, x_t, centers, max_iter, tol):
     """Lloyd updates of R restarts at once; returns (centers, labels, inertia histories).
 
-    ``centers`` holds the (R, k, d) initial centers; the result is the
-    (R, k, d) final centers, the (R, n) labels and one inertia list per
-    restart, recorded after each assignment step. A restart is frozen once
-    its centers move less than ``tol``, and ends exactly as it would alone:
-    its products keep their single-restart shapes. An empty cluster is
-    re-seeded to the point currently farthest from its assigned center.
+    ``x_t`` is ``x`` transposed into a contiguous (d, n) array, as
+    ``kmeans`` builds it for the seeding too. ``centers`` holds the (R, k,
+    d) initial centers; the result is the (R, k, d) final centers, the
+    (R, n) labels and one inertia list per restart, recorded after each
+    assignment step. A restart is frozen once its centers move less than
+    ``tol``, and ends exactly as it would alone: its products keep their
+    single-restart shapes. An empty cluster is re-seeded to the point
+    currently farthest from its assigned center.
     """
     centers = centers.copy()
     n_restarts, k, _ = centers.shape
-    x_t = np.ascontiguousarray(x.T)
     x_sq = (x * x).sum(axis=1)
     clusters = np.arange(k)[:, None]
     labels = np.empty((n_restarts, x.shape[0]), dtype=np.intp)
@@ -142,9 +147,8 @@ def _lloyd(x, centers, max_iter, tol):
     for _ in range(max_iter):
         c = centers[active]
         # (A, k, n) squared distances ||c||^2 - 2 c.x + ||x||^2, one
-        # (k, d) x (d, n) product per active restart
-        d2 = np.matmul(c, x_t)
-        d2 *= -2.0
+        # (k, d) x (d, n) product per active restart; scaling by -2 is exact
+        d2 = np.matmul(c * -2.0, x_t)
         d2 += x_sq
         d2 += (c * c).sum(axis=2)[:, :, None]
         nearest = d2.min(axis=1)
@@ -200,8 +204,9 @@ def kmeans(features: np.ndarray, k: int, seed, restarts: int = 1):
     else:
         base = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
         seeds = [base + (r,) for r in range(restarts)]
-    centers0 = np.stack([_plus_plus_seed(x, k, np.random.default_rng(s)) for s in seeds])
-    centers, labels, history = _lloyd(x, centers0, MAX_ITER, TOL)
+    x_t = np.ascontiguousarray(x.T)
+    centers0 = np.stack([_plus_plus_seed(x_t, k, np.random.default_rng(s)) for s in seeds])
+    centers, labels, history = _lloyd(x, x_t, centers0, MAX_ITER, TOL)
     final = [h[-1] for h in history]
     best = final.index(min(final))  # the first restart wins a tie
     return ClusterCenters(centers=centers[best]), labels[best]

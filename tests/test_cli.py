@@ -1,10 +1,12 @@
 """End-to-end command line behavior: pipelines, exit codes, artifact formats."""
 
+import csv
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -391,6 +393,84 @@ class TestEntryPoint:
     def test_help_exits_zero(self, capsys):
         assert cli.run(["--help"]) == 0
         assert "synth" in capsys.readouterr().out
+
+
+def write_label_csv(path, n_rows, seed=0):
+    """pred, group and truth columns of string labels: 50 clusters, 5 groups, 50 classes."""
+    rng = np.random.default_rng(seed)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["pred", "group", "truth"])
+        writer.writerows(zip((f"c{v}" for v in rng.integers(0, 50, n_rows)),
+                             (f"g{v}" for v in rng.integers(0, 5, n_rows)),
+                             (f"t{v}" for v in rng.integers(0, 50, n_rows))))
+    return path
+
+
+def metrics_argv(path, report):
+    return ["metrics", "--pred", str(path), "--groups-col", "group", "--truth-col", "truth",
+            "--report", str(report)]
+
+
+class TestChunkedMetricsInput:
+    """``fairmi metrics`` reads its CSV in chunks of ``data.CHUNK_ROWS`` rows."""
+
+    def test_report_equals_a_whole_file_reading(self, tmp_path, monkeypatch):
+        path = write_label_csv(tmp_path / "labels.csv", 1001)
+        with open(path, newline="") as fh:
+            records = list(csv.reader(fh))[1:]
+        ids = [{}, {}, {}]
+        pred, groups, truth = (np.array([d.setdefault(row[j], len(d)) for row in records])
+                               for j, d in enumerate(ids))
+        metrics.write_report(metrics.full_report(pred, groups, truth), tmp_path / "want.json")
+        monkeypatch.setattr(data, "CHUNK_ROWS", 7)
+        assert cli.run(metrics_argv(path, tmp_path / "report.json")) == 0
+        assert (tmp_path / "report.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+    @pytest.mark.parametrize("text,fragment", [
+        # chunks of 3 rows: lines 2-4, then 5, 7 (line 6 is blank) and 8
+        ("0,a,p\n1,b,q\n0,a,p\n1,b,q\n\n0,a\n", "row 7 has 2 cells, header has 3"),
+        ("0,a,p\n1,b,q\n0,a,p\n1,b,q\n\n0,,p\n", "row 7 is missing its group value in column 'group'"),
+        # a blank truth cell in chunk 1 is reported before a short row in chunk 2
+        ("0,a,p\n1,b, \n0,a,p\n1,b\n", "row 3 is missing its truth value in column 'truth'"),
+    ])
+    def test_fault_names_its_file_line_across_chunks(self, tmp_path, capsys, monkeypatch, text, fragment):
+        monkeypatch.setattr(data, "CHUNK_ROWS", 3)
+        path = tmp_path / "labels.csv"
+        path.write_text("pred,group,truth\n" + text)
+        assert cli.run(metrics_argv(path, tmp_path / "r.json")) == 1
+        assert f"error: {path}: {fragment}\n" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_reading_100k_rows_allocates_under_8_mb(self, tmp_path):
+        """tracemalloc's peak over one call; the whole-file reader peaked at about 25 MB."""
+        path = write_label_csv(tmp_path / "labels.csv", 100_000)
+        warm = write_label_csv(tmp_path / "warm.csv", 10)
+        assert cli.run(metrics_argv(warm, tmp_path / "warm.json")) == 0  # imports scipy.optimize
+        tracemalloc.start()
+        try:
+            assert cli.run(metrics_argv(path, tmp_path / "report.json")) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+    def test_peak_rss_barely_grows_with_file_length(self, tmp_path):
+        """A 200,000-row file raises a process's peak RSS by under 20 MB over a 10-row one."""
+        code = (
+            "import resource, sys\n"
+            "from fairmi import cli\n"
+            "assert cli.run(['metrics', '--pred', sys.argv[1], '--groups-col', 'group',\n"
+            "                '--truth-col', 'truth', '--report', sys.argv[2]]) == 0\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"  # KiB on Linux
+        )
+        peaks = []
+        for n_rows in (10, 200_000):
+            path = write_label_csv(tmp_path / f"labels{n_rows}.csv", n_rows)
+            done = subprocess.run([sys.executable, "-c", code, str(path), str(tmp_path / "r.json")],
+                                  check=True, capture_output=True, text=True, env=subprocess_env())
+            peaks.append(int(done.stdout))
+        assert peaks[1] - peaks[0] < 20 * 1024, f"peak RSS {peaks[0]} KiB -> {peaks[1]} KiB"
 
 
 def test_metrics_and_eval_score_through_the_metrics_module_attribute(synth_csv, tmp_path, monkeypatch):

@@ -10,6 +10,14 @@ from fairmi import clustering
 from fairmi.clustering import ClusterCenters, SoftAssignment
 
 
+def plus_plus_seed(x, k, rng):
+    return clustering._plus_plus_seed(np.ascontiguousarray(x.T), k, rng)
+
+
+def lloyd(x, centers, **kw):
+    return clustering._lloyd(x, np.ascontiguousarray(x.T), centers, **kw)
+
+
 def blobs(rng, centers, per=30, sd=0.3):
     pts = [rng.normal(c, sd, size=(per, len(c))) for c in centers]
     return np.concatenate(pts), np.repeat(np.arange(len(centers)), per)
@@ -45,7 +53,7 @@ def reference_plus_plus(x, k, rng):
 class TestPlusPlusSeed:
     def check(self, x, k, seed):
         ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = clustering._plus_plus_seed(x, k, ours)
+        got = plus_plus_seed(x, k, ours)
         assert got.tobytes() == reference_plus_plus(x, k, ref).tobytes()
         assert ours.random() == ref.random()  # both consumed the same draws
 
@@ -66,7 +74,7 @@ class TestPlusPlusSeed:
         x = np.repeat(np.array([[0.0, 1.0], [2.0, -1.0], [5.0, 5.0]]), 4, axis=0)
         for seed in range(20):
             self.check(x, 6, seed)
-            centers = clustering._plus_plus_seed(x, 6, np.random.default_rng(seed))
+            centers = plus_plus_seed(x, 6, np.random.default_rng(seed))
             assert len(np.unique(centers[:3], axis=0)) == 3  # the distinct rows come first
 
 
@@ -130,9 +138,9 @@ class TestKMeans:
         rng = np.random.default_rng(17)
         for trial in range(10):
             x = rng.normal(size=(60, 2))
-            seeds = np.stack([clustering._plus_plus_seed(x, 4, np.random.default_rng((trial, r)))
+            seeds = np.stack([plus_plus_seed(x, 4, np.random.default_rng((trial, r)))
                               for r in range(3)])
-            _, _, histories = clustering._lloyd(x, seeds, max_iter=50, tol=0.0)
+            _, _, histories = lloyd(x, seeds, max_iter=50, tol=0.0)
             for history in histories:
                 diffs = np.diff(history)
                 assert np.all(diffs <= 1e-9), history
@@ -142,7 +150,7 @@ class TestKMeans:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(30, 2))
         bad = np.vstack([x[:2], [1e6, 1e6]])
-        centers, labels, _ = clustering._lloyd(x, bad[None], max_iter=30, tol=1e-9)
+        centers, labels, _ = lloyd(x, bad[None], max_iter=30, tol=1e-9)
         assert np.unique(labels[0]).size == 3  # nothing stays empty
         assert np.all(np.abs(centers[0]) < 1e3)  # the runaway center was replaced
 
@@ -152,11 +160,11 @@ class TestKMeans:
         good = x[[0, 10, 20]]
         bad = np.vstack([x[:2], [1e6, 1e6]])
         with caplog.at_level(logging.DEBUG, logger="fairmi.clustering"):
-            batch = clustering._lloyd(x, np.stack([good, bad, good]), max_iter=30, tol=1e-9)
+            batch = lloyd(x, np.stack([good, bad, good]), max_iter=30, tol=1e-9)
         reseeds = [r.getMessage() for r in caplog.records if "re-seeded" in r.getMessage()]
         assert reseeds and all(m.startswith("kmeans: restart 1 ") for m in reseeds)
         for r, start in enumerate((good, bad, good)):
-            alone = clustering._lloyd(x, start[None], max_iter=30, tol=1e-9)
+            alone = lloyd(x, start[None], max_iter=30, tol=1e-9)
             assert batch[0][r].tobytes() == alone[0][0].tobytes()
             np.testing.assert_array_equal(batch[1][r], alone[1][0])
             assert batch[2][r] == alone[2][0]
@@ -164,7 +172,7 @@ class TestKMeans:
 
     def test_ties_go_to_the_lowest_index_center(self):
         x = np.array([[0.0], [-1.0], [1.0], [-1.1], [1.1]])
-        _, labels, _ = clustering._lloyd(x, np.array([[[-1.0], [1.0]]]), max_iter=1, tol=0.0)
+        _, labels, _ = lloyd(x, np.array([[[-1.0], [1.0]]]), max_iter=1, tol=0.0)
         np.testing.assert_array_equal(labels[0], [0, 0, 1, 0, 1])
 
     def test_assignment_matches_argmin_on_exact_ties(self):
@@ -176,7 +184,7 @@ class TestKMeans:
         for trial in range(40):
             k = int(rng.integers(2, 7))
             starts = np.stack([grid[rng.choice(len(grid), size=k, replace=False)] for _ in range(3)])
-            _, labels, _ = clustering._lloyd(grid, starts, max_iter=1, tol=0.0)
+            _, labels, _ = lloyd(grid, starts, max_iter=1, tol=0.0)
             for start, lab in zip(starts, labels):
                 d2 = ((grid[:, None, :] - start[None]) ** 2).sum(axis=2)
                 np.testing.assert_array_equal(lab, d2.argmin(axis=1))
@@ -337,8 +345,8 @@ class TestRestarts:
             singles, finals = [], []
             for r in range(restarts):
                 singles.append(clustering.kmeans(x, k, seed=(trial, 5, r)))
-                seeded = clustering._plus_plus_seed(x, k, np.random.default_rng((trial, 5, r)))
-                history = clustering._lloyd(x, seeded[None], max_iter=100, tol=tol)[2][0]
+                seeded = plus_plus_seed(x, k, np.random.default_rng((trial, 5, r)))
+                history = lloyd(x, seeded[None], max_iter=100, tol=tol)[2][0]
                 finals.append(history[-1])
                 lengths.add(len(history))
             best = finals.index(min(finals))

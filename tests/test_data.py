@@ -197,8 +197,8 @@ class TestCSV:
     def test_byte_order_mark_is_ignored(self, tmp_path):
         path = tmp_path / "excel.csv"
         path.write_text("\ufeffgroup,x,y\na,1.0,2.0\nb,3.0,4.0\n\nb,5.0,oops\n", encoding="utf-8")
-        header, rows = data.read_csv(path)
-        assert header == ["group", "x", "y"] and len(rows) == 3
+        (groups, names), = data.read_csv(path, [("group", "group")])[0]
+        assert names == ("a", "b") and groups.tolist() == [0, 1, 1]
         with pytest.raises(data.DataError) as err:
             data.load_csv(path, group_column="group")
         assert "row 5, column 'y': non-numeric value 'oops'" in str(err.value)
@@ -206,37 +206,6 @@ class TestCSV:
         ds = data.load_csv(path, group_column="group", standardize_features=False)
         assert ds.group_names == ("a", "b") and ds.feature_names == ("x", "y")
         np.testing.assert_array_equal(ds.features, [[1.0, 2.0], [3.0, 4.0]])
-
-    def test_rows_are_tuples_of_str_under_a_list_header(self, tmp_path):
-        path = self.write(tmp_path, "x,g\n1.0,a\n2.0,b\n")
-        header, rows = data.read_csv(path)
-        assert header == ["x", "g"] and type(header) is list
-        assert rows == [("1.0", "a"), ("2.0", "b")]
-        assert all(type(row) is tuple and all(type(c) is str for c in row) for row in rows)
-
-    def test_rows_leave_the_cyclic_collector(self, tmp_path):
-        path = self.write(tmp_path, "p,g\n" + "".join(f"c{i % 7},g{i % 3}\n" for i in range(3000)))
-        _, rows = data.read_csv(path)
-        gc.collect()
-        assert not any(map(gc.is_tracked, rows))
-
-    def test_rows_equal_csv_reader_records(self, tmp_path):
-        rnd = random.Random(5)
-        cells = ["a", "", " b ", "1,5", 'say "hi"', "two\nlines", "\u00e9t\u00e9", "x\r\ny", "7"]
-        header = ["c0", "c1", "c2"]
-        buf = io.StringIO(newline="")
-        writer = csv.writer(buf)
-        writer.writerow(header)
-        for _ in range(3000):
-            if rnd.random() < 0.1:
-                buf.write("\r\n")  # a blank line
-            writer.writerow([rnd.choice(cells) for _ in header])
-        path = tmp_path / "mixed.csv"
-        path.write_bytes(("\ufeff" + buf.getvalue()).encode("utf-8"))
-        want = [r for r in csv.reader(io.StringIO(buf.getvalue(), newline="")) if r]
-        got_header, got_rows = data.read_csv(path)
-        assert got_header == want[0] == header
-        assert list(map(list, got_rows)) == want[1:] and len(got_rows) == 3000
 
     def test_non_ascii_names_round_trip_as_utf8(self, tmp_path):
         ds = data.Dataset(features=np.array([[1.0], [2.0]]), groups=np.array([0, 1]),
@@ -256,6 +225,115 @@ class TestCSV:
         np.testing.assert_array_equal(back.features, ds.features)
         np.testing.assert_array_equal(back.groups, ds.groups)
         np.testing.assert_array_equal(back.labels, ds.labels)
+
+
+def csv_reader_reference(text, label_columns):
+    """Ids and distinct values of each label column, feature names and features: csv.reader plus a dict."""
+    records = [r for r in csv.reader(io.StringIO(text, newline="")) if r]
+    header, rows = records[0], records[1:]
+    labels = []
+    for name in label_columns:
+        i, ids = header.index(name), {}
+        labels.append(([ids.setdefault(row[i], len(ids)) for row in rows], tuple(ids)))
+    f_idx = [i for i, name in enumerate(header) if name not in label_columns]
+    features = np.array([[float(row[i]) for i in f_idx] for row in rows]).reshape(len(rows), len(f_idx))
+    return labels, tuple(header[i] for i in f_idx), features
+
+
+def write_mixed_csv(path, n_rows, seed):
+    """Random CSV text with quoted commas and line breaks, ~10% blank lines and a byte-order mark."""
+    rnd = random.Random(seed)
+    labels = ["a", " b ", "1,5", 'say "hi"', "two\nlines", "\u00e9t\u00e9", "x\r\ny", "7"]
+    numbers = [" 1.5 ", "1_0", "+.5", "-0.0", "1e-320", "\uff17", "3", "-2.25e3"]
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["f0", "g", "f1", "y"])
+    for _ in range(n_rows):
+        if rnd.random() < 0.1:
+            buf.write("\r\n")  # a blank line
+        writer.writerow([rnd.choice(numbers), rnd.choice(labels), repr(rnd.uniform(-1e3, 1e3)),
+                         rnd.choice(labels)])
+    path.write_bytes(("\ufeff" + buf.getvalue()).encode("utf-8"))
+    return buf.getvalue()
+
+
+@pytest.fixture()
+def chunk_rows(monkeypatch):
+    monkeypatch.setattr(data, "CHUNK_ROWS", 4)
+
+
+class TestChunkedReader:
+    """``read_csv`` reads ``CHUNK_ROWS`` rows at a time; patched small, files span many chunks."""
+
+    COLUMNS = [("g", "group"), ("y", "label")]
+
+    @pytest.mark.parametrize("n_rows", [1, 3, 4, 5, 8, 9, 1001])
+    def test_matches_a_whole_file_csv_reader_reference(self, tmp_path, chunk_rows, n_rows):
+        path = tmp_path / "mixed.csv"
+        text = write_mixed_csv(path, n_rows, seed=n_rows)
+        want_labels, want_names, want_features = csv_reader_reference(text, ["g", "y"])
+        labels, names, features = data.read_csv(path, self.COLUMNS, features=True)
+        for (ids, values), (want_ids, want_values) in zip(labels, want_labels):
+            assert ids.dtype == np.int64 and ids.tolist() == want_ids
+            assert values == want_values
+        assert names == want_names == ("f0", "f1")
+        assert features.shape == (n_rows, 2) and features.tobytes() == want_features.tobytes()
+        ds = data.load_csv(path, "g", "y", standardize_features=False)
+        assert ds.features.tobytes() == features.tobytes()
+        assert ds.groups.tolist() == want_labels[0][0] and ds.label_names == want_labels[1][1]
+
+    def test_labels_only_read_skips_the_other_columns(self, tmp_path, chunk_rows):
+        path = tmp_path / "labels.csv"
+        path.write_text("pred,note,g\n" + "".join(f"c{i % 3},not a number,g{i % 2}\n" for i in range(10)))
+        (pred, pred_names), (groups, _) = data.read_csv(path, [("pred", "pred"), ("g", "group")])[0]
+        assert pred.tolist() == [i % 3 for i in range(10)] and pred_names == ("c0", "c1", "c2")
+        assert groups.tolist() == [i % 2 for i in range(10)]
+        assert data.read_csv(path, [("g", "group")])[1:] == (None, None)
+
+    # chunk 1 holds data rows 0-3 on lines 2, 4, 5 and 6 (line 3 is blank);
+    # chunk 2 starts with a good row on line 7 and has its fault on line 8
+    HEAD = "x,g,y\n1,a,p\n\n2,b,q\n3,a,p\n4,b,q\n5,a,p\n"
+
+    @pytest.mark.parametrize("row,fragment", [
+        ("6,b\n", "row 8 has 2 cells, header has 3"),
+        ("6,,q\n", "row 8 is missing its group value in column 'g'"),
+        ("6,b, \n", "row 8 is missing its label value in column 'y'"),
+        ("zz,b,q\n", "row 8, column 'x': non-numeric value 'zz'"),
+        ("inf,b,q\n", "row 8, column 'x': non-finite value 'inf'"),
+    ])
+    def test_fault_in_the_second_chunk_names_its_file_line(self, tmp_path, chunk_rows, row, fragment):
+        path = tmp_path / "data.csv"
+        path.write_text(self.HEAD + row + "7,a,p\n")
+        with pytest.raises(data.DataError) as err:
+            data.load_csv(path, group_column="g", label_column="y")
+        assert f"{path}: {fragment}" == str(err.value)
+
+    @pytest.mark.parametrize("chunk1,chunk2,fragment", [
+        # a fault in an earlier chunk wins over any kind of fault in a later one
+        ("3,a,p\n4,b,q\nnan,a,p\n", "6,b\n", "row 5, column 'x': non-finite value 'nan'"),
+        ("3,a,p\n4,,q\n5,a,p\n", "6,b\n", "row 4 is missing its group value"),
+        # within one chunk the checks keep their order: cell counts come first
+        ("3,a,p\nnan,b,q\n5,a\n", "6,b,q\n", "row 5 has 2 cells, header has 3"),
+    ])
+    def test_the_earliest_chunk_with_a_fault_is_reported(self, tmp_path, chunk_rows, chunk1, chunk2, fragment):
+        path = tmp_path / "data.csv"
+        path.write_text("x,g,y\n1,a,p\n" + chunk1 + chunk2)
+        with pytest.raises(data.DataError) as err:
+            data.load_csv(path, group_column="g", label_column="y")
+        assert fragment in str(err.value)
+
+    def test_a_read_runs_no_garbage_collection(self, tmp_path):
+        """At the default chunk size no chunk reaches the collector's young-generation threshold."""
+        path = tmp_path / "labels.csv"
+        path.write_text("pred,g\n" + "".join(f"c{i % 7},g{i % 3}\n" for i in range(20_000)))
+        collections = []
+        gc.collect()
+        gc.callbacks.append(lambda phase, info: collections.append(info["generation"]))
+        try:
+            data.read_csv(path, [("pred", "pred"), ("g", "group")])
+        finally:
+            gc.callbacks.pop()
+        assert collections == []
 
 
 class TestSynthetic:
