@@ -19,6 +19,14 @@ gradient that only passes through an op (``add``, the matrix side of
 the parent's buffer is first written, when it is copied. Every node still
 gets a gradient of its own shape, and the arrays :func:`backward` returns are
 never shared.
+
+Buffers live only as long as they are needed, so a training step holds its
+saved activations and a gradient frontier rather than every array of its
+graph. :func:`forward` drops a computed value once its last consumer has
+run, unless backward reads it (the ``_READS_*`` table beside
+:func:`_accumulate`) or it is the root or 0-d. :func:`backward` drops each
+node's gradient once that node has passed it on, so only input nodes keep
+one. Backward never drops a value, so it can run again on the same forward.
 """
 
 from __future__ import annotations
@@ -65,7 +73,11 @@ class Node:
     """One vertex of a computation graph.
 
     ``value`` is populated by :func:`forward` and ``grad`` by
-    :func:`backward`. Nodes are plain records; all numeric state lives in
+    :func:`backward`. After forward, ``value`` is left only on inputs,
+    constants, the root, 0-d nodes and the nodes whose value backward reads;
+    other values are dropped to None, since nothing reads them again. After
+    backward, only input nodes hold a ``grad``: they hold the gradients that
+    backward returns. Nodes are plain records; all numeric state lives in
     numpy arrays. Do not mutate a node's value in place.
     """
 
@@ -239,10 +251,14 @@ def forward(root: Node, inputs: dict[str, np.ndarray] | None = None) -> np.ndarr
     """Evaluate the graph below `root` with the given input bindings.
 
     Every input node in the graph must have a binding of exactly its declared
-    shape; extra bindings are ignored. Returns the root value.
+    shape; extra bindings are ignored. Returns the root value. A computed
+    value is dropped once its last consumer has run, unless it is kept (see
+    :func:`_kept`).
     """
     inputs = inputs or {}
-    for node in topo_order(root):
+    order = topo_order(root)
+    consumers, kept = _kept(order)
+    for node in order:
         if node.op == "input":
             if node.name not in inputs:
                 raise GraphError(f"missing binding for {node!r}")
@@ -258,7 +274,36 @@ def forward(root: Node, inputs: dict[str, np.ndarray] | None = None) -> np.ndarr
             pass
         else:
             node.value = _compute(node)
+            for parent in node.parents:
+                consumers[parent] -= 1
+                if not consumers[parent] and parent not in kept:
+                    parent.value = None
     return root.value
+
+
+# The values each op's backward reads besides its gradient: those of its
+# operands, or its own output. _accumulate and this table change together.
+_READS_OPERANDS = frozenset({"matmul", "multiply", "log_guarded", "square"})
+_READS_OUTPUT = frozenset({"tanh", "softmax_rows", "normalize_rows"})
+
+
+def _kept(order):
+    """Consumer count of every node in `order`, and the nodes whose value forward keeps.
+
+    Kept: inputs, constants, 0-d values (the loss terms a caller reads), and
+    every value that backward reads by the table above. The root has no
+    consumer, so forward never drops it either.
+    """
+    consumers = dict.fromkeys(order, 0)
+    kept = set()
+    for node in order:
+        if not node.parents or node.shape == () or node.op in _READS_OUTPUT:
+            kept.add(node)
+        for parent in node.parents:
+            consumers[parent] += 1
+            if node.op in _READS_OPERANDS:
+                kept.add(parent)
+    return consumers, kept
 
 
 def _accumulate(node: Node, send):
@@ -301,7 +346,7 @@ def _accumulate(node: Node, send):
         inner = (g * y).sum(axis=1, keepdims=True)
         send(ps[0], (g - y * inner) / norms[:, None])
     elif op == "sum":
-        send(ps[0], np.full(ps[0].value.shape, g))  # scalar broadcast over the operand
+        send(ps[0], np.full(ps[0].shape, g))  # scalar broadcast over the operand
     elif op == "scale":
         send(ps[0], g * node.factor)
     elif op == "square":
@@ -313,9 +358,10 @@ def _accumulate(node: Node, send):
 def backward(root: Node) -> dict[str, np.ndarray]:
     """Backpropagate from a scalar root; returns gradients for every input node.
 
-    forward() must have run on this graph first. Gradients are also stored on
-    each node's ``grad`` field; see the module docstring for how the
-    buffers are owned. The returned input gradients never share storage.
+    forward() must have run on this graph first. The input nodes keep these
+    gradients on their ``grad`` field; every other node's is dropped once
+    the node has passed it on (see the module docstring for how the buffers
+    are owned). The returned input gradients never share storage.
     """
     if root.value is None:
         raise GraphError("backward before forward: root has no value")
@@ -330,7 +376,7 @@ def backward(root: Node) -> dict[str, np.ndarray]:
     def send(parent, g, borrow=False, rows=None):
         if rows is not None:
             if parent.grad is None:
-                parent.grad = np.zeros(parent.value.shape)
+                parent.grad = np.zeros(parent.shape)
             elif parent in borrowed:
                 parent.grad = np.array(parent.grad)
                 borrowed.discard(parent)
@@ -348,6 +394,8 @@ def backward(root: Node) -> dict[str, np.ndarray]:
     for node in reversed(order):
         if node.parents:
             _accumulate(node, send)
+        if node.op != "input":
+            node.grad = None  # every contribution to it has been sent on
     grads = {}
     for node in order:
         if node.op == "input":
@@ -355,34 +403,3 @@ def backward(root: Node) -> dict[str, np.ndarray]:
                 node.grad = np.array(node.grad)
             grads[node.name] = node.grad
     return grads
-
-
-def grad_check(scalar_fn, point: np.ndarray, step: float) -> float:
-    """Compare an analytic gradient against central finite differences.
-
-    `scalar_fn(x)` must return `(value, grad)` with `grad` shaped like `x`.
-    Returns max over coordinates of |analytic - central| / max(1, |central|).
-    """
-    if step <= 0.0:
-        raise GraphError("grad_check step must be positive")
-    point = np.asarray(point, dtype=np.float64)
-    _, grad = scalar_fn(point)
-    grad = np.asarray(grad, dtype=np.float64)
-    if grad.shape != point.shape:
-        raise GraphError(f"gradient shape {grad.shape} does not match point {point.shape}")
-    flat = point.ravel()
-    gflat = grad.ravel()
-    worst = 0.0
-    for i in range(flat.size):
-        bumped = flat.copy()
-        bumped[i] = flat[i] + step
-        plus = float(scalar_fn(bumped.reshape(point.shape))[0])
-        bumped[i] = flat[i] - step
-        minus = float(scalar_fn(bumped.reshape(point.shape))[0])
-        central = (plus - minus) / (2.0 * step)
-        if not np.isfinite(central):
-            raise GraphError(f"non-finite finite-difference at coordinate {i}")
-        err = abs(gflat[i] - central) / max(1.0, abs(central))
-        if err > worst:
-            worst = err
-    return worst

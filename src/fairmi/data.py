@@ -150,7 +150,8 @@ def read_csv(path, columns, features: bool = False):
 
     Blank lines and a byte-order mark are skipped. Rows are read
     ``CHUNK_ROWS`` at a time, so memory holds one chunk besides the output
-    arrays. Header faults come first: an empty file, repeated column
+    arrays. A column named in ``columns`` for two roles fails before the
+    file is opened. Header faults come next: an empty file, repeated column
     names, a header with no data rows, no feature columns (with
     ``features``), a missing column. Then each chunk is checked in turn for
     a cell count that differs from the header's, a blank or whitespace-only
@@ -160,6 +161,11 @@ def read_csv(path, columns, features: bool = False):
     lines included, so the header on line 1 is followed by row 2 in a file
     without blank lines.
     """
+    roles = {}
+    for name, role in columns:
+        if name in roles:
+            raise DataError(f"{path}: column {name!r} is named for two roles, {roles[name]} and {role}")
+        roles[name] = role
     with open(path, newline="", encoding="utf-8-sig") as fh:
         records = filter(None, csv.reader(fh))
         header = next(records, None)

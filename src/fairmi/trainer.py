@@ -139,14 +139,18 @@ class TrainerHooks:
 class AdamState:
     """Adam's moments for a fixed set of parameter arrays, updated in place.
 
-    Per parameter: zeroed first and second moments ``m`` and ``v`` plus two
-    scratch arrays of the same shape, all allocated here once.
+    Per parameter: zeroed first and second moments ``m`` and ``v``, and a
+    pair of scratch views of that shape. The update handles one parameter at
+    a time, so every pair views the same two buffers, each the size of the
+    largest parameter. All of it is allocated here once.
     """
 
     def __init__(self, params: dict):
         self.m = {name: np.zeros_like(value) for name, value in params.items()}
         self.v = {name: np.zeros_like(value) for name, value in params.items()}
-        self.scratch = {name: (np.empty_like(value), np.empty_like(value))
+        size = max(value.size for value in params.values())
+        buffers = (np.empty(size), np.empty(size))
+        self.scratch = {name: tuple(buf[:value.size].reshape(value.shape) for buf in buffers)
                         for name, value in params.items()}
 
 
@@ -271,7 +275,8 @@ def fit(config: TrainConfig, dataset: Dataset, hooks: TrainerHooks | None = None
             if not np.isfinite(values["l_total"]):
                 raise TrainError(f"epoch {epoch}, batch {b}: non-finite loss {values}")
             grads = ad.backward(roots["l_total"])
-            del grads["x"]  # the data is not a parameter
+            # the step's graph goes now, not when the next one replaces it
+            del roots, grads["x"]  # and the data is not a parameter
             step += 1
             adam_step(params.arrays, grads, state, step, config.learning_rate)
             for name in sums:

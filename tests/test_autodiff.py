@@ -4,12 +4,16 @@ Every analytic gradient is checked against central finite differences; the
 finite-difference loop is the independent oracle throughout.
 """
 
+import inspect
 import logging
+import re
 
 import numpy as np
 import pytest
 
 from fairmi import autodiff as ad
+
+from helpers import grad_check
 
 
 def graph_fn(root, x_node_name="x"):
@@ -168,7 +172,7 @@ class TestBackward:
             s = ad.add(p, q)
             terms = [ad.sum_all(ad.multiply(s, s)), ad.sum_all(ad.multiply(p, q))]
             root = ad.add(*(terms[::-1] if swap else terms))
-            err = ad.grad_check(graph_fn(root), np.array([0.3, -1.1, 0.7, 2.0]), 1e-6)
+            err = grad_check(graph_fn(root), np.array([0.3, -1.1, 0.7, 2.0]), 1e-6)
             assert err < 1e-7, (swap, err)
 
     def test_repeated_backward_returns_equal_gradients(self):
@@ -208,13 +212,13 @@ class TestGradCheck:
         x = ad.input_node("x", (5,))
         root = ad.add(ad.scale(ad.sum_all(ad.square(x)), 1.0 / 5), ad.sum_all(ad.tanh(x)))
         point = np.linspace(-1.2, 1.4, 5)
-        assert ad.grad_check(graph_fn(root), point, 1e-5) < 1e-7
+        assert grad_check(graph_fn(root), point, 1e-5) < 1e-7
 
     def test_constant_function_has_zero_error(self):
         x = ad.input_node("x", (3,))
         # root ignores x numerically: scale by 0
         root = ad.sum_all(ad.scale(x, 0.0))
-        assert ad.grad_check(graph_fn(root), np.ones(3), 1e-5) == 0.0
+        assert grad_check(graph_fn(root), np.ones(3), 1e-5) == 0.0
 
     def test_entropy_of_softmax_composition(self):
         """Clustering-style entropy through softmax stays under 1e-4."""
@@ -227,13 +231,13 @@ class TestGradCheck:
             ad.sum_all(ad.multiply(p, ad.log_guarded(p))),
             ad.scale(ad.sum_all(ad.multiply(c, ad.log_guarded(c))), -1.0 / 6.0),
         )
-        assert ad.grad_check(graph_fn(root), rng.normal(size=(6, 3)), 1e-5) < 1e-4
+        assert grad_check(graph_fn(root), rng.normal(size=(6, 3)), 1e-5) < 1e-4
 
     def test_rejects_bad_step(self):
         x = ad.input_node("x", (2,))
         root = ad.sum_all(x)
         with pytest.raises(ad.GraphError):
-            ad.grad_check(graph_fn(root), np.ones(2), 0.0)
+            grad_check(graph_fn(root), np.ones(2), 0.0)
 
 
 def _primitive_cases(rng):
@@ -271,5 +275,116 @@ class TestPrimitiveGradients:
         worst = 0.0
         for _ in range(100):
             for root, point in _primitive_cases(rng):
-                worst = max(worst, ad.grad_check(graph_fn(root), point, 1e-5))
+                worst = max(worst, grad_check(graph_fn(root), point, 1e-5))
         assert worst < 1e-6, f"worst primitive gradient error {worst}"
+
+
+
+def _dense_layer():
+    """0.5 * sum(tanh(x @ w + b)), with every node by name, and bindings for it."""
+    x = ad.input_node("x", (4, 3))
+    w = ad.input_node("w", (3, 2))
+    b = ad.input_node("b", (2,))
+    mm = ad.matmul(x, w)
+    z = ad.add(mm, b)
+    t = ad.tanh(z)
+    total = ad.sum_all(t)
+    root = ad.scale(total, 0.5)
+    rng = np.random.default_rng(4)
+    bindings = {"x": rng.normal(size=(4, 3)), "w": rng.normal(size=(3, 2)), "b": rng.normal(size=2)}
+    return dict(x=x, w=w, b=b, mm=mm, z=z, t=t, total=total, root=root), bindings
+
+
+def _op_case(op, x, v):
+    """A scalar graph over inputs x (3, 3) and v (3,) that runs `op` once.
+
+    The op's operands are ``scale`` outputs and its output reaches the root
+    through ``select_rows`` and ``sum``. Backward reads none of those
+    values, so only the saved-values table keeps what the op's own backward
+    reads.
+    """
+    a, b = ad.scale(x, 0.7), ad.scale(x, -1.3)
+    builders = {
+        "matmul": lambda: ad.matmul(a, b),
+        "add": lambda: ad.add(a, b),
+        "add_bias": lambda: ad.add(a, ad.scale(v, 2.0)),
+        "subtract": lambda: ad.subtract(a, b),
+        "multiply": lambda: ad.multiply(a, b),
+        "tanh": lambda: ad.tanh(a),
+        "log_guarded": lambda: ad.log_guarded(a),
+        "softmax_rows": lambda: ad.softmax_rows(a),
+        "normalize_rows": lambda: ad.normalize_rows(a),
+        "sum": lambda: ad.sum_all(a),
+        "scale": lambda: ad.scale(a, 2.5),
+        "square": lambda: ad.square(a),
+        "select_rows": lambda: ad.select_rows(a, [2, 0, 2]),
+    }
+    out = builders[op]()
+    if out.shape == ():
+        return ad.scale(out, 1.5)
+    return ad.sum_all(ad.select_rows(out, [0, 2, 2]))
+
+
+class TestBufferLifetimes:
+    def test_forward_keeps_only_what_backward_or_the_caller_reads(self):
+        nodes, bindings = _dense_layer()
+        ad.forward(nodes["root"], bindings)
+        assert nodes["mm"].value is None  # add_bias reads no operand
+        assert nodes["z"].value is None   # tanh reads its own output
+        for name in ("x", "w", "b", "t", "total", "root"):
+            assert nodes[name].value is not None, name
+        want = 0.5 * np.tanh(bindings["x"] @ bindings["w"] + bindings["b"]).sum()
+        np.testing.assert_allclose(nodes["root"].value, want, rtol=1e-15)
+
+    def test_a_non_scalar_root_keeps_its_value(self):
+        nodes, bindings = _dense_layer()
+        root = ad.scale(nodes["z"], 2.0)
+        out = ad.forward(root, bindings)
+        assert out is root.value and out.shape == (4, 2)
+        assert nodes["z"].value is None and nodes["mm"].value is None
+
+    def test_backward_leaves_gradients_on_input_nodes_only(self):
+        nodes, bindings = _dense_layer()
+        ad.forward(nodes["root"], bindings)
+        grads = ad.backward(nodes["root"])
+        for name in ("mm", "z", "t", "total", "root"):
+            assert nodes[name].grad is None, name
+        for name in ("x", "w", "b"):
+            assert grads[name] is nodes[name].grad
+        dz = 0.5 * (1.0 - np.tanh(bindings["x"] @ bindings["w"] + bindings["b"]) ** 2)
+        np.testing.assert_allclose(grads["w"], bindings["x"].T @ dz, atol=1e-15)
+        np.testing.assert_allclose(grads["b"], dz.sum(axis=0), atol=1e-15)
+
+    def test_constants_keep_their_value_and_hold_no_gradient(self):
+        x = ad.input_node("x", (2, 3))
+        probe = ad.constant(np.arange(6.0).reshape(3, 2))
+        root = ad.sum_all(ad.matmul(x, probe))
+        ad.forward(root, {"x": np.ones((2, 3))})
+        ad.backward(root)
+        assert probe.grad is None
+        np.testing.assert_array_equal(probe.value, np.arange(6.0).reshape(3, 2))
+
+    def test_every_op_backpropagates_twice_after_one_forward(self):
+        """Guards the saved-values table: a new op must add a case here."""
+        ops = set(re.findall(r'op == "(\w+)"', inspect.getsource(ad._compute)))
+        rng = np.random.default_rng(6)
+        point = rng.uniform(0.2, 1.5, size=(3, 3))  # log_guarded wants positive operands
+        v_val = rng.normal(size=3)
+        seen = set()
+        for op in sorted(ops):
+            x, v = ad.input_node("x", (3, 3)), ad.input_node("v", (3,))
+            root = _op_case(op, x, v)
+            seen |= {node.op for node in ad.topo_order(root)}
+            ad.forward(root, {"x": point, "v": v_val})
+            first = {name: g.copy() for name, g in ad.backward(root).items()}
+            second = ad.backward(root)
+            assert first.keys() == second.keys(), op
+            for name in first:
+                assert np.array_equal(first[name], second[name]), (op, name)
+
+            def fn(p, root=root):
+                value = ad.forward(root, {"x": p, "v": v_val})
+                return float(value), ad.backward(root)["x"]
+
+            assert grad_check(fn, point, 1e-5) < 1e-6, op
+        assert seen >= ops

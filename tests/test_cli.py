@@ -6,13 +6,14 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fairmi import cli, data, metrics, model
+
+from helpers import traced_peak
 
 SPEC = {
     "classes": 2, "groups": 2, "per_cell_count": 15, "class_sep": 6.0,
@@ -344,6 +345,18 @@ class TestMetrics:
         assert f"error: {err.value}\n" in capsys.readouterr().err
         assert "row 4 is missing its group value in column 'g'" in str(err.value)
 
+    @pytest.mark.parametrize("roles,message", [
+        (["--pred-col", "g", "--groups-col", "g"], "column 'g' is named for two roles, pred and group"),
+        (["--groups-col", "g", "--truth-col", "pred"], "column 'pred' is named for two roles, pred and truth"),
+    ])
+    def test_one_column_for_two_roles_fails_with_no_report(self, tmp_path, capsys, roles, message):
+        path = tmp_path / "labels.csv"
+        path.write_text("pred,g\n0,a\n1,b\n0,b\n")
+        rc = cli.run(["metrics", "--pred", str(path), *roles, "--report", str(tmp_path / "r.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not (tmp_path / "r.json").exists()
+
     def test_groups_col_is_required(self, tmp_path, capsys):
         labels = self.write_labels(tmp_path)
         rc = cli.run(["metrics", "--pred", str(labels),
@@ -445,14 +458,9 @@ class TestChunkedMetricsInput:
     def test_reading_100k_rows_allocates_under_8_mb(self, tmp_path):
         """tracemalloc's peak over one call; the whole-file reader peaked at about 25 MB."""
         path = write_label_csv(tmp_path / "labels.csv", 100_000)
-        warm = write_label_csv(tmp_path / "warm.csv", 10)
-        assert cli.run(metrics_argv(warm, tmp_path / "warm.json")) == 0  # imports scipy.optimize
-        tracemalloc.start()
-        try:
-            assert cli.run(metrics_argv(path, tmp_path / "report.json")) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        codes = []
+        peak = traced_peak(lambda: codes.append(cli.run(metrics_argv(path, tmp_path / "report.json"))))
+        assert codes == [0]
         assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
     def test_peak_rss_barely_grows_with_file_length(self, tmp_path):

@@ -129,6 +129,12 @@ class TestCSV:
             data.load_csv(path, group_column="g")
         assert fragment in str(err.value)
 
+    def test_one_column_for_two_roles_is_rejected_before_any_row(self, tmp_path):
+        path = self.write(tmp_path, "x,g\n1.0,a\n2.0\n")  # row 3 is short, and never read
+        with pytest.raises(data.DataError) as err:
+            data.load_csv(path, group_column="g", label_column="g")
+        assert str(err.value) == f"{path}: column 'g' is named for two roles, group and label"
+
     def test_bad_cell_error_names_row_and_column(self, tmp_path):
         path = self.write(tmp_path, "a,b,g\n1,2,x\n3,huh,y\n")
         with pytest.raises(data.DataError) as err:

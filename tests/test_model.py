@@ -9,6 +9,8 @@ import pytest
 from fairmi import autodiff as ad
 from fairmi import model
 
+from helpers import grad_check
+
 
 def tiny_params(layer_dims=(5, 4, 3), groups=2, seed=0):
     return model.init_params(layer_dims, groups, seed)
@@ -212,7 +214,7 @@ class TestGraph:
             return float(value), flat
 
         point = np.concatenate([params[n].ravel() for n in names])
-        assert ad.grad_check(fn, point, 1e-5) < 1e-6
+        assert grad_check(fn, point, 1e-5) < 1e-6
 
 
 class TestCheckpoint:

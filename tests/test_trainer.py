@@ -10,6 +10,8 @@ import pytest
 
 from fairmi import data, model, objectives, trainer
 
+from helpers import traced_peak
+
 
 def small_dataset(seed=0, per_cell=20):
     spec = data.SyntheticSpec(
@@ -122,6 +124,38 @@ class TestAdam:
         np.testing.assert_allclose(w, [0.9], atol=1e-8)
         np.testing.assert_allclose(m, [0.2], atol=1e-15)
         np.testing.assert_array_equal(g, [2.0])
+
+    def test_scratch_is_two_buffers_the_size_of_the_largest_parameter(self):
+        params = {"a": np.zeros((4, 5)), "b": np.zeros(7), "c": np.zeros((2, 3))}
+        state = trainer.AdamState(params)
+        owners = {}
+        for name, pair in state.scratch.items():
+            assert [view.shape for view in pair] == [params[name].shape] * 2
+            for view in pair:
+                owner = view if view.base is None else view.base
+                owners[id(owner)] = owner
+        assert sorted(owner.size for owner in owners.values()) == [20, 20]
+
+    def test_shared_scratch_matches_per_parameter_scratch_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        init = {"a": rng.normal(size=(4, 5)), "b": rng.normal(size=7), "c": rng.normal(size=(2, 3))}
+        runs = []
+        for shared in (True, False):
+            params = {name: value.copy() for name, value in init.items()}
+            state = trainer.AdamState(params)
+            if not shared:  # the reference: scratch arrays of each parameter's own
+                state.scratch = {name: (np.empty_like(value), np.empty_like(value))
+                                 for name, value in params.items()}
+            draws = np.random.default_rng(4)
+            for step in range(1, 7):
+                grads = {name: draws.normal(size=value.shape) for name, value in params.items()}
+                trainer.adam_step(params, grads, state, step, lr=0.05)
+            runs.append((params, state))
+        (p1, s1), (p2, s2) = runs
+        for name in init:
+            assert p1[name].tobytes() == p2[name].tobytes()
+            assert s1.m[name].tobytes() == s2.m[name].tobytes()
+            assert s1.v[name].tobytes() == s2.v[name].tobytes()
 
 
 class TestConfig:
@@ -381,6 +415,16 @@ class TestFit:
                 _, logs = trainer.fit(cfg, ds)
                 final_mi[beta].append(logs[-1].mi_gc)
         assert np.mean(final_mi[1.0]) < np.mean(final_mi[0.0])
+
+    def test_traced_peak_of_a_canonical_fit_stays_under_8_mb(self):
+        """A step holds its saved activations, not its whole graph; keeping every
+        value and gradient of the graph until the next step peaked at 11.6 MB."""
+        spec = data.SyntheticSpec(classes=3, groups=2, per_cell_count=150, class_sep=8.0,
+                                  group_shift=6.0, dim=16, noise_sd=1.0, seed=1)
+        ds = data.generate_synthetic(spec)
+        cfg = trainer.TrainConfig(k=3, max_epochs=22, seed=1)
+        peak = traced_peak(lambda: trainer.fit(cfg, ds))
+        assert peak < 8 * 2**20, f"peak {peak / 2**20:.2f} MB"
 
 
 class TestLogCSV:
