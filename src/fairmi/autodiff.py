@@ -332,7 +332,10 @@ def _accumulate(node: Node, send):
         send(ps[0], g * ps[1].value)
         send(ps[1], g * ps[0].value)
     elif op == "tanh":
-        send(ps[0], g * (1.0 - node.value * node.value))
+        d = node.value * node.value  # g * (1 - y*y), step by step in one buffer
+        np.subtract(1.0, d, out=d)
+        d *= g
+        send(ps[0], d)
     elif op == "log_guarded":
         x = ps[0].value
         send(ps[0], g * np.where(x > GUARD_EPS, 1.0 / np.maximum(x, GUARD_EPS), 0.0))

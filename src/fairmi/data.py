@@ -324,6 +324,21 @@ def check_scalar_fields(record, error):
             raise error(f"{f.name} must be a finite number, got {value!r}")
 
 
+def check_ranges(record, error, at_least=(), above=()):
+    """Reject a field out of its range by name and value, raising ``error``.
+
+    ``at_least`` holds (field, minimum) pairs and ``above`` (field, bound)
+    pairs, the bound itself excluded; fields are checked in that order. The
+    fields are numbers by then, so a numpy scalar prints as its value.
+    """
+    for name, low in at_least:
+        if getattr(record, name) < low:
+            raise error(f"{name} must be >= {low}, got {getattr(record, name)}")
+    for name, low in above:
+        if getattr(record, name) <= low:
+            raise error(f"{name} must be > {low}, got {getattr(record, name)}")
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Gaussian mixture with one cell per (class, group) pair.
@@ -347,12 +362,9 @@ class SyntheticSpec:
         check_scalar_fields(self, DataError)
         if self.seed < 0:
             raise DataError(f"seed must be non-negative, got {self.seed}")
-        if self.classes < 1 or self.groups < 1 or self.per_cell_count < 1:
-            raise DataError("classes, groups, and per_cell_count must be positive")
-        if self.class_sep <= 0.0:
-            raise DataError("class_sep must be positive")
-        if self.noise_sd < 0.0:
-            raise DataError("noise_sd must be non-negative")
+        check_ranges(self, DataError,
+                     at_least=(("classes", 1), ("groups", 1), ("per_cell_count", 1), ("noise_sd", 0)),
+                     above=(("class_sep", 0),))
         needed = (self.classes - 1) + (1 if self.groups >= 2 else 0)
         if self.dim < max(needed, 1):
             raise DataError(

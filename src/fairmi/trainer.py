@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import clustering, metrics, model, objectives
-from .data import Dataset, check_scalar_fields, minibatches, record_from_dict
+from .data import Dataset, check_ranges, check_scalar_fields, minibatches, record_from_dict
 
 logger = logging.getLogger(__name__)
 
@@ -56,30 +56,24 @@ class TrainConfig:
         check_scalar_fields(self, TrainError)
         if self.seed < 0:
             raise TrainError(f"seed must be non-negative, got {self.seed}")
-        if self.k < 2:
-            raise TrainError("k must be >= 2")
-        if self.latent_dim < 1:
-            raise TrainError("latent_dim must be positive")
+        # max_epochs is checked before warmup_epochs is compared with it
+        check_ranges(self, TrainError,
+                     at_least=(("k", 2), ("latent_dim", 1), ("max_epochs", 1), ("warmup_epochs", 0),
+                               ("batch_size", 1), ("alpha", 0), ("beta_fair", 0), ("f_beta_weight", 0)),
+                     above=(("learning_rate", 0), ("tau", 0)))
+        if self.warmup_epochs > self.max_epochs:
+            raise TrainError(f"warmup_epochs ({self.warmup_epochs}) must not exceed "
+                             f"max_epochs ({self.max_epochs})")
         if self.layer_dims is not None:
             if not isinstance(self.layer_dims, (list, tuple)) or any(
                     isinstance(d, bool) or not isinstance(d, numbers.Integral) for d in self.layer_dims):
                 raise TrainError(f"layer_dims must be a list of integers, got {self.layer_dims!r}")
             dims = tuple(int(d) for d in self.layer_dims)
             if len(dims) < 2 or any(d < 1 for d in dims):
-                raise TrainError("layer_dims needs >= 2 positive widths")
+                raise TrainError(f"layer_dims needs >= 2 widths, each >= 1, got {list(dims)}")
             if dims[-1] != self.latent_dim:
-                raise TrainError("layer_dims must end at latent_dim")
+                raise TrainError(f"layer_dims must end at latent_dim ({self.latent_dim}), got {list(dims)}")
             object.__setattr__(self, "layer_dims", dims)
-        if not (0 <= self.warmup_epochs <= self.max_epochs):
-            raise TrainError("need 0 <= warmup_epochs <= max_epochs")
-        if self.max_epochs < 1:
-            raise TrainError("max_epochs must be >= 1")
-        if self.batch_size < 1:
-            raise TrainError("batch_size must be >= 1")
-        if self.learning_rate <= 0 or self.tau <= 0:
-            raise TrainError("learning_rate and tau must be positive")
-        if self.alpha < 0 or self.beta_fair < 0 or self.f_beta_weight < 0:
-            raise TrainError("loss and score weights must be non-negative")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrainConfig":
@@ -207,6 +201,11 @@ def _batch_graphs(x, groups, layer_dims, n_groups, warmup, centers, cfg):
     return {"l_rec": rec, "l_clu": clu, "l_fair": fair, "l_total": total}
 
 
+def _copy(params: model.ModelParams) -> model.ModelParams:
+    """A record of new arrays, which stay as they are while training moves on."""
+    return replace(params, arrays={name: value.copy() for name, value in params.arrays.items()})
+
+
 def _measure(h, cfg, view, labels, epoch):
     """End-of-epoch diagnostics on the full-dataset latents; never feeds gradients."""
     # measurement must not wobble between local minima, hence the restarts
@@ -228,7 +227,9 @@ def fit(config: TrainConfig, dataset: Dataset, hooks: TrainerHooks | None = None
     """Train on the dataset; returns (ModelParams, list of EpochLog).
 
     Deterministic for a fixed config: data order, center seeding, and every
-    update are derived from config.seed.
+    update are derived from config.seed. Adam updates one set of arrays in
+    place; the returned record, and each one `hooks.on_params` gets, is a
+    copy of them, taken only then. Nothing of a step outlives it.
     """
     view = dataset.train_view()
     labels = dataset.labels
@@ -279,15 +280,19 @@ def fit(config: TrainConfig, dataset: Dataset, hooks: TrainerHooks | None = None
             del roots, grads["x"]  # and the data is not a parameter
             step += 1
             adam_step(params.arrays, grads, state, step, config.learning_rate)
+            # nor do the gradients and the batch outlive the step: they would
+            # sit beside the encode, the diagnostics and the next step
+            del grads, x, g
             for name in sums:
                 sums[name] += values.get(name, 0.0)
             if hooks.on_batch:
                 hooks.on_batch(epoch, b, values)
 
         nb = len(batches)
-        # a snapshot: the hooks and the caller keep it while training moves on
-        p = replace(params, arrays={name: value.copy() for name, value in params.arrays.items()})
-        h_all = model.encode(p, view.features)
+        # adam_step is done with the live arrays until the next epoch, so the
+        # encode reads them in place. Rebuilding the record checks them first:
+        # a non-finite parameter raises ModelError in the epoch it appears.
+        h_all = model.encode(replace(params), view.features)
         mi, cmi, extras = _measure(h_all, config, view, labels, epoch)
         log = EpochLog(
             epoch=epoch,
@@ -303,13 +308,13 @@ def fit(config: TrainConfig, dataset: Dataset, hooks: TrainerHooks | None = None
         if hooks.on_epoch:
             hooks.on_epoch(log)
         if hooks.on_params:
-            hooks.on_params(epoch, p)
+            hooks.on_params(epoch, _copy(params))
         if epoch % 20 == 0 or epoch == config.max_epochs - 1:
             logger.info(
                 "epoch %d: l_total=%.6f l_rec=%.6f mi_gc=%.6f", epoch, log.l_total, log.l_rec, log.mi_gc
             )
 
-    return p, logs
+    return _copy(params), logs
 
 
 def evaluate(params: model.ModelParams, dataset: Dataset, config: TrainConfig) -> metrics.MetricsReport:

@@ -13,7 +13,7 @@ import pytest
 
 from fairmi import autodiff as ad
 
-from helpers import grad_check
+from helpers import grad_check, traced_peak
 
 
 def graph_fn(root, x_node_name="x"):
@@ -363,6 +363,28 @@ class TestBufferLifetimes:
         ad.backward(root)
         assert probe.grad is None
         np.testing.assert_array_equal(probe.value, np.arange(6.0).reshape(3, 2))
+
+    def test_tanh_backward_is_the_formula_bit_for_bit(self):
+        """g * (1 - y*y), step by step in place, equals the expression exactly and leaves y alone."""
+        rng = np.random.default_rng(8)
+        x = ad.input_node("x", (64, 32))
+        t = ad.tanh(x)
+        c = rng.normal(size=(64, 32))
+        root = ad.sum_all(ad.multiply(t, ad.constant(c)))  # tanh's incoming gradient is c
+        ad.forward(root, {"x": rng.normal(scale=2.0, size=(64, 32))})
+        y = t.value.copy()
+        grad = ad.backward(root)["x"]
+        assert grad.tobytes() == (c * (1.0 - y * y)).tobytes()
+        assert t.value.tobytes() == y.tobytes()
+
+    def test_tanh_backward_writes_one_buffer(self):
+        """Through sum(tanh(x)), backward holds the incoming gradient and tanh's
+        result; the three-array rule held two temporaries beside them."""
+        x = ad.input_node("x", (256, 64))  # 128 KiB, below numpy's temporary elision
+        root = ad.sum_all(ad.tanh(x))
+        ad.forward(root, {"x": np.random.default_rng(9).normal(size=(256, 64))})
+        peak = traced_peak(lambda: ad.backward(root))
+        assert peak < 2.5 * 256 * 64 * 8, peak
 
     def test_every_op_backpropagates_twice_after_one_forward(self):
         """Guards the saved-values table: a new op must add a case here."""

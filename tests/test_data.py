@@ -402,6 +402,21 @@ class TestSynthetic:
         # 5 classes, 1 group needs only 4 dims
         data.generate_synthetic(self.spec(classes=5, groups=1, dim=4))
 
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"classes": 0}, "classes must be >= 1, got 0"),
+            ({"groups": 0}, "groups must be >= 1, got 0"),
+            ({"per_cell_count": -2}, "per_cell_count must be >= 1, got -2"),
+            ({"noise_sd": -1.0}, "noise_sd must be >= 0, got -1.0"),
+            ({"class_sep": 0.0}, "class_sep must be > 0, got 0.0"),
+        ],
+    )
+    def test_range_errors_name_the_field_and_value(self, change, message):
+        with pytest.raises(data.DataError) as err:
+            self.spec(**change)
+        assert str(err.value) == message
+
     def test_single_class_single_group(self):
         ds = data.generate_synthetic(self.spec(classes=1, groups=1, dim=3))
         assert ds.n == 50 and np.all(ds.labels == 0)

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -208,6 +209,32 @@ class TestConfig:
         with pytest.raises(trainer.TrainError) as err:
             trainer.TrainConfig.from_dict(raw)
         assert fragment in str(err.value)
+
+    @pytest.mark.parametrize(
+        "raw,message",
+        [
+            ({"k": 3, "max_epochs": 10}, "warmup_epochs (20) must not exceed max_epochs (10)"),
+            ({"k": 3, "max_epochs": 0}, "max_epochs must be >= 1, got 0"),
+            ({"k": 3, "warmup_epochs": -1}, "warmup_epochs must be >= 0, got -1"),
+            ({"k": 3, "tau": 0}, "tau must be > 0, got 0"),
+            ({"k": 3, "learning_rate": -0.5}, "learning_rate must be > 0, got -0.5"),
+            ({"k": 3, "alpha": -1}, "alpha must be >= 0, got -1"),
+            ({"k": 3, "f_beta_weight": -0.5}, "f_beta_weight must be >= 0, got -0.5"),
+            ({"k": 1}, "k must be >= 2, got 1"),
+            ({"k": np.int64(1)}, "k must be >= 2, got 1"),
+            ({"k": 3, "tau": np.float64(-1.0)}, "tau must be > 0, got -1.0"),
+            ({"k": 3, "latent_dim": 0}, "latent_dim must be >= 1, got 0"),
+            ({"k": 3, "batch_size": 0}, "batch_size must be >= 1, got 0"),
+            ({"k": 3, "latent_dim": 3, "layer_dims": [4, 0, 3]},
+             "layer_dims needs >= 2 widths, each >= 1, got [4, 0, 3]"),
+            ({"k": 3, "latent_dim": 3, "layer_dims": [4, 99]},
+             "layer_dims must end at latent_dim (3), got [4, 99]"),
+        ],
+    )
+    def test_range_errors_name_the_field_and_value(self, raw, message):
+        with pytest.raises(trainer.TrainError) as err:
+            trainer.TrainConfig.from_dict(raw)
+        assert str(err.value) == message
 
     def test_integer_reals_and_numpy_scalars_accepted(self):
         cfg = trainer.TrainConfig.from_dict({"k": np.int64(3), "tau": 1, "learning_rate": np.float64(1e-3),
@@ -416,15 +443,80 @@ class TestFit:
                 final_mi[beta].append(logs[-1].mi_gc)
         assert np.mean(final_mi[1.0]) < np.mean(final_mi[0.0])
 
-    def test_traced_peak_of_a_canonical_fit_stays_under_8_mb(self):
-        """A step holds its saved activations, not its whole graph; keeping every
-        value and gradient of the graph until the next step peaked at 11.6 MB."""
+    def test_the_last_steps_gradients_are_gone_by_the_end_of_epoch_encode(self, monkeypatch):
+        last, alive = [], []
+        original_step, original_encode = trainer.adam_step, model.encode
+
+        def spy(params, grads, *args, **kwargs):
+            last[:] = [weakref.ref(grads["enc.0.W"])]
+            return original_step(params, grads, *args, **kwargs)
+
+        def encode(params, x):
+            if last:  # the encode before the first step has no step behind it
+                alive.append(last[0]() is not None)
+            return original_encode(params, x)
+
+        monkeypatch.setattr(trainer, "adam_step", spy)
+        monkeypatch.setattr(model, "encode", encode)
+        trainer.fit(small_config(max_epochs=3), small_dataset())
+        assert alive == [False, False, False]
+
+    def test_without_a_params_hook_fit_copies_the_parameters_once(self, monkeypatch):
+        """The copy fit returns is the only one; each epoch's check reads the live arrays."""
+        live, records = [], []
+        original_step = trainer.adam_step
+        original_check = model.ModelParams.__post_init__
+
+        def spy(params, *args, **kwargs):
+            live.append(params)
+            return original_step(params, *args, **kwargs)
+
+        def check(record):
+            original_check(record)
+            records.append(record)
+
+        monkeypatch.setattr(trainer, "adam_step", spy)
+        monkeypatch.setattr(model.ModelParams, "__post_init__", check)
+        final, _ = trainer.fit(small_config(max_epochs=4), small_dataset())
+        copies = [r for r in records if not np.shares_memory(r.arrays["enc.0.W"], live[0]["enc.0.W"])]
+        assert len(copies) == 1 and copies[0] is final
+        assert len(records) == 1 + 4 + 1  # init, one check per epoch, the returned copy
+
+    def test_a_non_finite_parameter_raises_in_the_epoch_it_appears(self, monkeypatch):
+        ds = small_dataset()
+        original = trainer.adam_step
+
+        def poison(params, grads, state, step, lr):
+            original(params, grads, state, step, lr)
+            if step == 2:  # one batch per epoch: the last update of epoch 1
+                params["enc.0.W"][0, 0] = np.nan
+
+        monkeypatch.setattr(trainer, "adam_step", poison)
+        logs = []
+        hooks = trainer.TrainerHooks(on_epoch=logs.append)
+        with pytest.raises(model.ModelError, match="enc.0.W is non-finite"):
+            trainer.fit(small_config(batch_size=ds.n, max_epochs=4), ds, hooks)
+        assert [log.epoch for log in logs] == [0]
+
+    def test_traced_peak_of_a_canonical_fit_stays_under_5_5_mb(self):
+        """Nothing of a finished step outlives it: keeping the last step's gradients
+        and an unread per-epoch copy of the parameters peaked at 6.3 MB."""
         spec = data.SyntheticSpec(classes=3, groups=2, per_cell_count=150, class_sep=8.0,
                                   group_shift=6.0, dim=16, noise_sd=1.0, seed=1)
         ds = data.generate_synthetic(spec)
         cfg = trainer.TrainConfig(k=3, max_epochs=22, seed=1)
         peak = traced_peak(lambda: trainer.fit(cfg, ds))
-        assert peak < 8 * 2**20, f"peak {peak / 2**20:.2f} MB"
+        assert peak < 5.5 * 2**20, f"peak {peak / 2**20:.2f} MB"
+
+    def test_traced_peak_of_a_30_group_fit_stays_under_32_mb(self):
+        """804,496 parameters, 6.4 MB per copy of them: keeping the last step's
+        gradients and an unread per-epoch copy peaked at 40.6 MB."""
+        spec = data.SyntheticSpec(classes=3, groups=30, per_cell_count=10, class_sep=8.0,
+                                  group_shift=6.0, dim=32, noise_sd=1.0, seed=1)
+        ds = data.generate_synthetic(spec)
+        cfg = trainer.TrainConfig(k=3, warmup_epochs=2, max_epochs=6, seed=1)
+        peak = traced_peak(lambda: trainer.fit(cfg, ds))
+        assert peak < 32 * 2**20, f"peak {peak / 2**20:.2f} MB"
 
 
 class TestLogCSV:
