@@ -71,7 +71,8 @@ class Dataset:
                 raise DataError(f"{name} must be an integer id array, got dtype {ids.dtype}")
             if ids is not None and ids.min() < 0:
                 raise DataError(f"{name} must be non-negative ids")
-        if np.any(np.bincount(g) == 0):
+        # n dense ids reach at most n - 1; checked first, so no count array is sized by a stray id
+        if g.max() >= g.size or np.any(np.bincount(g) == 0):
             raise DataError("group ids must be dense (no empty group)")
 
     def __len__(self):

@@ -63,14 +63,58 @@ def _entropy_from_counts(counts):
     return float(0.0 - _xlogx(counts / counts.sum()).sum())
 
 
+def _max_matching(table):
+    """Rows and columns of a one-to-one matching with the largest total count.
+
+    Shortest augmenting paths (Crouse, IEEE TAES 2016) on the costs
+    ``table.max() - table``, one row at a time, through the transpose when rows
+    outnumber columns. Counts are integers far below 2**53, so every dual and
+    path length is exact in float64.
+    """
+    transposed = table.shape[0] > table.shape[1]
+    cost = table.T if transposed else table
+    cost = (cost.max() - cost).astype(np.float64)
+    n_rows, n_cols = cost.shape
+    u, v = np.zeros(n_rows), np.zeros(n_cols)
+    col_of = np.full(n_rows, -1)
+    row_of = np.full(n_cols, -1)
+    for start in range(n_rows):
+        # Dijkstra over columns on the reduced costs, until a free column is reached
+        dist = np.full(n_cols, np.inf)
+        via = np.zeros(n_cols, dtype=np.int64)
+        seen = np.zeros(n_cols, dtype=bool)
+        reached = []
+        row, reach = start, 0.0
+        while True:
+            reduced = cost[row] - v
+            reduced += reach - u[row]
+            shorter = reduced < dist
+            dist[shorter] = reduced[shorter]
+            via[shorter] = row
+            col = int(np.where(seen, np.inf, dist).argmin())
+            reach = dist[col]
+            seen[col] = True
+            if row_of[col] < 0:
+                break
+            row = row_of[col]
+            reached.append(row)
+        u[start] += reach
+        u[reached] += reach - dist[col_of[reached]]
+        v[seen] -= reach - dist[seen]
+        while True:  # flip the path's edges, back to the start row
+            row = via[col]
+            row_of[col] = row
+            col_of[row], col = col, col_of[row]
+            if row == start:
+                break
+    rows = np.arange(n_rows)
+    return (col_of, rows) if transposed else (rows, col_of)
+
+
 def accuracy(pred: np.ndarray, truth: np.ndarray) -> float:
     """Fraction correct under the best one-to-one cluster-class matching."""
-    # deferred: scipy.optimize takes most of a fresh process's import time,
-    # and only scoring against ground truth needs it
-    from scipy.optimize import linear_sum_assignment
-
     table = contingency(pred, truth)
-    rows, cols = linear_sum_assignment(-table)
+    rows, cols = _max_matching(table)
     return float(table[rows, cols].sum() / np.asarray(pred).size)
 
 

@@ -1,6 +1,5 @@
 """Measuring tools shared by the tests: a finite-difference gradient check and a traced peak."""
 
-import importlib
 import tracemalloc
 
 import numpy as np
@@ -40,12 +39,7 @@ def grad_check(scalar_fn, point: np.ndarray, step: float) -> float:
 
 
 def traced_peak(fn) -> int:
-    """tracemalloc's peak, in bytes, over one call of ``fn()``.
-
-    ``scipy.optimize`` is imported before tracing starts, so the one-off
-    import that scoring against a truth column pays is never counted.
-    """
-    importlib.import_module("scipy.optimize")
+    """tracemalloc's peak, in bytes, over one call of ``fn()``."""
     tracemalloc.start()
     try:
         fn()

@@ -364,29 +364,6 @@ class TestMetrics:
         assert rc == 2
         capsys.readouterr()
 
-    def test_metrics_path_without_truth_never_imports_scipy_optimize(self, tmp_path):
-        """Scoring plain CSVs without a truth column must not import ``scipy.optimize``.
-
-        It takes most of a fresh process's import time, and only accuracy
-        against a truth column needs it. The package's own modules, model and
-        trainer included, are imported with the package: together they cost a
-        few milliseconds.
-        """
-        labels = self.write_labels(tmp_path)
-        report = tmp_path / "report.json"
-        code = (
-            "import sys\n"
-            "from fairmi import cli\n"
-            "rc = cli.run(['metrics', '--pred', sys.argv[1], '--groups-col', 'group',\n"
-            "              '--report', sys.argv[2]])\n"
-            "assert rc == 0\n"
-            "assert 'scipy.optimize' not in sys.modules\n"
-        )
-        subprocess.run(
-            [sys.executable, "-c", code, str(labels), str(report)],
-            check=True, capture_output=True, env=subprocess_env(),
-        )
-
 
 class TestEntryPoint:
     def test_installed_console_script(self, tmp_path):
@@ -479,6 +456,39 @@ class TestChunkedMetricsInput:
                                   check=True, capture_output=True, text=True, env=subprocess_env())
             peaks.append(int(done.stdout))
         assert peaks[1] - peaks[0] < 20 * 1024, f"peak RSS {peaks[0]} KiB -> {peaks[1]} KiB"
+
+
+@pytest.mark.parametrize("command", ["train_truth", "eval_truth", "metrics", "metrics_truth"])
+def test_no_command_loads_scipy(synth_csv, tmp_path, command):
+    """numpy is the only runtime dependency: scoring against a truth column included,
+    a fresh process running the command has no ``scipy`` module loaded."""
+    config = write_json(tmp_path / "config.json", {**CONFIG, "max_epochs": 2})
+    train = ["train", "--data", str(synth_csv), "--config", config,
+             "--truth-col", "label", "--out-dir", str(tmp_path / "run")]
+    labels = tmp_path / "labels.csv"
+    labels.write_text("pred,group,truth\n0,a,0\n1,b,1\n0,b,0\n1,a,1\n")
+    metrics_argv = ["metrics", "--pred", str(labels), "--groups-col", "group",
+                    "--report", str(tmp_path / "metrics.json")]
+    if command == "eval_truth":
+        assert cli.run(train) == 0
+    argv = {
+        "train_truth": train,
+        "eval_truth": ["eval", "--data", str(synth_csv), "--config", config, "--truth-col", "label",
+                       "--checkpoint", str(tmp_path / "run" / "checkpoint.bin"),
+                       "--report", str(tmp_path / "eval.json")],
+        "metrics": metrics_argv,
+        "metrics_truth": [*metrics_argv, "--truth-col", "truth"],
+    }[command]
+    code = (
+        "import sys\n"
+        "from fairmi import cli\n"
+        "assert cli.run(sys.argv[1:]) == 0\n"
+        "loaded = sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_metrics_and_eval_score_through_the_metrics_module_attribute(synth_csv, tmp_path, monkeypatch):

@@ -28,8 +28,10 @@ class TestDataset:
             data.Dataset(features=bad, groups=np.array([0, 1]))
 
     def test_rejects_sparse_group_ids(self):
-        with pytest.raises(data.DataError):
-            data.Dataset(features=np.ones((2, 2)), groups=np.array([0, 2]))
+        """A gap fails with its message; so does a huge id, before any count array is sized by it."""
+        for groups in ([0, 2], [0, 0, 2], [0, 10**15]):
+            with pytest.raises(data.DataError, match=r"group ids must be dense \(no empty group\)"):
+                data.Dataset(features=np.ones((len(groups), 2)), groups=np.array(groups))
 
     def test_rejects_length_mismatches(self):
         with pytest.raises(data.DataError):

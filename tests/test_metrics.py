@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from fairmi import metrics
 from fairmi.clustering import SoftAssignment
@@ -72,6 +73,19 @@ class TestAccuracy:
         pred = np.array([0, 1, 2, 3])
         truth = np.array([0, 0, 1, 1])
         assert metrics.accuracy(pred, truth) == 0.5
+
+    @given(st.integers(1, 12), st.integers(1, 12), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_scipy_matching_on_count_tables(self, rows, cols, draw):
+        """Zeros and ties included, 1 x n and n x 1 included: the matched count is scipy's."""
+        cells = draw.draw(st.lists(st.integers(0, 4), min_size=rows * cols, max_size=rows * cols))
+        table = np.array(cells, dtype=np.int64).reshape(rows, cols)
+        table[draw.draw(st.integers(0, rows - 1)), draw.draw(st.integers(0, cols - 1))] += 1
+        flat = np.arange(table.size)
+        pred = np.repeat(flat // cols, table.ravel())
+        truth = np.repeat(flat % cols, table.ravel())
+        matched_rows, matched_cols = linear_sum_assignment(-table)
+        assert metrics.accuracy(pred, truth) == table[matched_rows, matched_cols].sum() / pred.size
 
 
 class TestNMI:

@@ -4,14 +4,18 @@ rules read off the syntax tree."""
 import ast
 import importlib
 import math
+import re
 import runpy
 import sys
 from pathlib import Path
+
+import pytest
 
 import fairmi
 from fairmi import model
 
 SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 SRC_FILES = sorted(Path(fairmi.__file__).resolve().parent.glob("*.py"))
 
 
@@ -58,12 +62,7 @@ def _imported_modules(node):
 
 
 def test_the_guard_epsilon_and_its_import_have_one_home():
-    """1e-12 is written only in autodiff, and no function imports a fairmi module late.
-
-    Modules import each other at the top; the one import left in a function
-    body is ``scipy.optimize`` in ``metrics.accuracy``, which only scoring
-    against a truth column needs.
-    """
+    """1e-12 is written only in autodiff, and every import sits at a module's top."""
     assert "autodiff.py" in {path.name for path in SRC_FILES}
     late = []
     for path in SRC_FILES:
@@ -76,4 +75,19 @@ def test_the_guard_epsilon_and_its_import_have_one_home():
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 late += [(path.name, func.name, module) for node in ast.walk(func)
                          for module in _imported_modules(node)]
-    assert late == [("metrics.py", "accuracy", "scipy.optimize")]
+    assert late == []
+
+
+def test_runtime_dependencies_are_exactly_the_imported_third_party_modules():
+    """``[project].dependencies`` names each third-party module that src imports, and no other,
+    so a runtime import cannot come back unlisted."""
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads(PYPROJECT.read_text())["project"]
+    listed = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+              for req in project["dependencies"]}
+    imported = set()
+    for path in SRC_FILES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            imported.update(module.split(".")[0] for module in _imported_modules(node))
+    # a relative import's first part is "", the package itself
+    assert listed == imported - set(sys.stdlib_module_names) - {""}
