@@ -74,18 +74,10 @@ def _trade_off_weight(text):
     return value
 
 
-def _load_dataset(args):
-    return data.load_csv(
-        args.data,
-        group_column=args.groups_col,
-        label_column=args.truth_col,
-        standardize_features=not args.no_standardize,
-    )
-
-
 def _cmd_train(args):
     config = trainer.TrainConfig.from_dict(_read_json(args.config, "config"))
-    dataset = _load_dataset(args)
+    dataset = data.load_csv(args.data, group_column=args.groups_col, label_column=args.truth_col,
+                            standardize_features=not args.no_standardize)
     os.makedirs(args.out_dir, exist_ok=True)
 
     periodic = []
@@ -121,10 +113,41 @@ def _cmd_train(args):
     return 0
 
 
+def _check_feature_columns(path, names, params):
+    """Reject feature columns other than the training ones, by name where the checkpoint has names."""
+    trained = params.scoring.feature_names if params.scoring is not None else None
+    if trained is None:
+        if len(names) != params.layer_dims[0]:
+            raise ValueError(f"{path} has {len(names)} feature columns ({', '.join(names)}) "
+                             f"where the checkpoint takes {params.layer_dims[0]} inputs")
+        return
+    if names == trained:
+        return
+    problems = [f"{what} {', '.join(map(repr, columns))}" for what, columns in (
+        ("missing", [n for n in trained if n not in names]),
+        ("extra", [n for n in names if n not in trained])) if columns]
+    raise ValueError(f"{path}: feature columns differ from the training ones: "
+                     + ("; ".join(problems) or f"{list(names)} is in another order than {list(trained)}"))
+
+
 def _cmd_eval(args):
     config = trainer.TrainConfig.from_dict(_read_json(args.config, "config"))
-    dataset = _load_dataset(args)
     params = model.load_checkpoint(args.checkpoint)
+    scoring = params.scoring
+    if scoring is None:
+        logging.warning("%s holds no trained centers or feature transform (a version 1 file, or a "
+                        "record that never went through fit): scores come from %s's own statistics "
+                        "(its own standardization unless --no-standardize) and a fresh k-means",
+                        args.checkpoint, args.data)
+    elif args.no_standardize:
+        raise ValueError(f"--no-standardize does not apply: {args.checkpoint} stores how its training "
+                         "features were transformed, and eval applies that to the data")
+    # with scoring, the data is read raw and mapped through the training transform
+    dataset = data.load_csv(args.data, group_column=args.groups_col, label_column=args.truth_col,
+                            standardize_features=scoring is None and not args.no_standardize)
+    _check_feature_columns(args.data, dataset.feature_names, params)
+    if scoring is not None:
+        dataset = data.apply_transform(dataset, scoring.transform)
     report = trainer.evaluate(params, dataset, config)
     metrics.write_report(report, args.report)
     logging.info("wrote report to %s", args.report)

@@ -31,7 +31,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from itertools import chain, islice
 from operator import itemgetter
 
@@ -54,6 +54,9 @@ class Dataset:
     feature_names: tuple | None = None
     group_names: tuple | None = None
     label_names: tuple | None = None
+    # (mean, std) per feature column that turned the file's features into
+    # these, as ``feature_transform`` gives them; None when they are raw
+    transform: tuple | None = None
 
     def __post_init__(self):
         x = self.features
@@ -66,6 +69,9 @@ class Dataset:
             raise DataError("need exactly one group id per row")
         if self.labels is not None and self.labels.shape != (x.shape[0],):
             raise DataError("need exactly one label per row when labels are present")
+        if self.feature_names is not None and len(self.feature_names) != x.shape[1]:
+            raise DataError(f"need one name per feature column: {len(self.feature_names)} names "
+                            f"for {x.shape[1]} columns")
         for name, ids in (("groups", g), ("labels", self.labels)):
             if ids is not None and not np.issubdtype(ids.dtype, np.integer):
                 raise DataError(f"{name} must be an integer id array, got dtype {ids.dtype}")
@@ -112,14 +118,40 @@ class TrainView:
         return int(self.groups.max()) + 1
 
 
-def standardize(features: np.ndarray) -> np.ndarray:
-    """Per-column zero mean, unit variance; constant columns become zero."""
-    mean = features.mean(axis=0)
+def feature_transform(features: np.ndarray) -> tuple:
+    """Per-column (mean, std) that ``standardize`` uses; a constant column's std is 1.0."""
     std = features.std(axis=0)
-    std = np.where(std == 0.0, 1.0, std)
+    return features.mean(axis=0), np.where(std == 0.0, 1.0, std)
+
+
+def _transformed(features, transform):
+    mean, std = transform
     out = features - mean
     out /= std
     return out
+
+
+def standardize(features: np.ndarray) -> np.ndarray:
+    """Per-column zero mean, unit variance; constant columns become zero."""
+    return _transformed(features, feature_transform(features))
+
+
+def apply_transform(dataset: Dataset, transform) -> Dataset:
+    """``dataset``'s raw features mapped through ``transform``, which the result records.
+
+    ``transform`` is a (mean, std) pair from ``feature_transform``, or None
+    for features used raw. New data is scored in a model's training
+    feature space this way: the operations are those of ``standardize``,
+    so the training file itself maps bit for bit onto its training features.
+    """
+    if dataset.transform is not None:
+        raise DataError("features are transformed already; load them raw (standardize_features=False)")
+    if transform is None:
+        return dataset
+    width = len(transform[0])
+    if width != dataset.dim:
+        raise DataError(f"the transform is for {width} features, the data has {dataset.dim}")
+    return replace(dataset, features=_transformed(dataset.features, transform), transform=transform)
 
 
 def _file_line(path, index):
@@ -252,7 +284,8 @@ def load_csv(path, group_column: str, label_column: str | None = None,
     All columns except the group and label columns must be numeric features.
     A feature cell is read by Python's ``float()``, so surrounding
     whitespace, digit-group underscores and non-ASCII decimal digits are
-    accepted. ``read_csv`` names the row and column of a bad cell.
+    accepted. ``read_csv`` names the row and column of a bad cell. With
+    ``standardize_features`` the result records the (mean, std) it applied.
     """
     columns = [(group_column, "group")]
     if label_column is not None:
@@ -260,8 +293,10 @@ def load_csv(path, group_column: str, label_column: str | None = None,
     id_columns, feature_names, features = read_csv(path, columns, features=True)
     (groups, group_names), *rest = id_columns
     labels, label_names = rest[0] if rest else (None, None)
+    transform = None
     if standardize_features:
-        features = standardize(features)
+        transform = feature_transform(features)
+        features = _transformed(features, transform)
     return Dataset(
         features=features,
         groups=groups,
@@ -269,6 +304,7 @@ def load_csv(path, group_column: str, label_column: str | None = None,
         feature_names=feature_names,
         group_names=group_names,
         label_names=label_names,
+        transform=transform,
     )
 
 

@@ -9,7 +9,9 @@ the shared code.
 Parameters live in one :class:`ModelParams` record, a dict of arrays keyed
 by their `_layout` names in checkpoint order. The trainer's optimizer updates
 its record's arrays in place, so every record the trainer hands out holds
-copies of them.
+copies of them. A record the trainer hands out also carries a
+:class:`Scoring`: the final cluster centers and the training feature
+transform, which a version 2 checkpoint stores after the weights.
 """
 
 from __future__ import annotations
@@ -24,11 +26,46 @@ import numpy as np
 from . import autodiff as ad
 
 CHECKPOINT_MAGIC = b"FCMI"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class ModelError(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class Scoring:
+    """What scoring new rows takes besides the weights.
+
+    ``centers`` (k x latent width) and ``tau`` give the soft assignment of
+    the training latents the last epoch log was measured with.
+    ``transform`` is the (mean, std) pair per input column the training
+    features were standardized with, None when they were used raw, and
+    ``feature_names`` the training feature columns in order, None when they
+    had no names.
+    """
+
+    centers: np.ndarray
+    tau: float
+    transform: tuple | None = None
+    feature_names: tuple | None = None
+
+    def __post_init__(self):
+        c = self.centers
+        if c.ndim != 2 or c.shape[0] < 2:
+            raise ModelError(f"scoring needs a 2-d matrix of k >= 2 centers, got shape {c.shape}")
+        if not np.all(np.isfinite(c)):
+            raise ModelError("scoring centers must be finite")
+        if not 0.0 < self.tau < math.inf:
+            raise ModelError(f"scoring tau must be a finite number > 0, got {self.tau}")
+        if self.transform is not None:
+            mean, std = self.transform
+            if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std)) and np.all(std > 0.0)):
+                raise ModelError("the feature transform needs finite means and finite stds > 0")
+
+    @property
+    def k(self) -> int:
+        return self.centers.shape[0]
 
 
 @dataclass(frozen=True)
@@ -37,12 +74,14 @@ class ModelParams:
 
     `arrays` maps every `_layout` name to its array, in checkpoint order:
     each weight is d_in x d_out and each bias d_out. Treated as immutable
-    during evaluation.
+    during evaluation. `scoring` is None on a record that never went
+    through `fit` and on a version 1 checkpoint.
     """
 
     layer_dims: tuple
     group_count: int
     arrays: dict
+    scoring: Scoring | None = None
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.layer_dims)
@@ -59,6 +98,16 @@ class ModelParams:
                 raise ModelError(f"{name} has shape {a.shape}, wanted {shape}")
             if not (np.issubdtype(a.dtype, np.floating) and np.all(np.isfinite(a))):
                 raise ModelError(f"{name} is non-finite or not a float array")
+        s = self.scoring
+        if s is not None:
+            shapes = [("centers", s.centers.shape[1:], (dims[-1],))]
+            shapes += [(f"transform {part}", np.shape(a), (dims[0],))
+                       for part, a in zip(("mean", "std"), s.transform or ())]
+            if s.feature_names is not None:
+                shapes.append(("feature names", (len(s.feature_names),), (dims[0],)))
+            for what, got, want in shapes:
+                if got != want:
+                    raise ModelError(f"scoring {what} have shape {got} where the layers need {want}")
 
     def all_arrays(self):
         """The (W, b) pairs in layout order: the encoder's, then each branch's."""
@@ -167,13 +216,36 @@ def reconstruction_graph(x_node: ad.Node, h_node: ad.Node, nodes: dict, layer_di
 #
 # Layout (all integers u32 little-endian, all floats f64 little-endian):
 #   bytes 0..3   magic "FCMI"
-#   u32          version (currently 1)
+#   u32          version (currently 2; version 1 files end after the weights)
 #   u32          number of encoder layer dims L
 #   L x u32      layer dims, input width first, latent width last
 #   u32          group count T
 #   then each parameter array as raw f64, in `_layout` order:
 #   encoder layer 0 W, encoder layer 0 b, ..., encoder layer L-2 W/b,
 #   branch 0 layer 0 W/b ... branch T-1 last layer W/b (branches mirror dims).
+#   then the scoring block (version 2):
+#   u32          k, the center count; 0 when the record has no scoring, and
+#                then the file ends here
+#   f64          tau
+#   u32          1 when a feature transform follows, else 0
+#   u32          feature name count N: 0 (no names) or the input width
+#   k x latent   centers, row by row
+#   input x 2    the transform's means, then its stds (when present)
+#   N x u32      byte length of each name
+#   the names as UTF-8, back to back
+
+_SCORING_HEAD = "<IdII"
+
+
+def _scoring_bytes(scoring):
+    if scoring is None:
+        return [struct.pack("<I", 0)]
+    names = [name.encode("utf-8") for name in scoring.feature_names or ()]
+    arrays = [scoring.centers, *(scoring.transform or ())]
+    return [struct.pack(_SCORING_HEAD, scoring.k, scoring.tau, scoring.transform is not None, len(names)),
+            *(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays),
+            struct.pack(f"<{len(names)}I", *map(len, names)), *names]
+
 
 def save_checkpoint(params: ModelParams, path):
     dims = params.layer_dims
@@ -185,9 +257,11 @@ def save_checkpoint(params: ModelParams, path):
         fh.write(header)
         for a in params.arrays.values():
             fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        fh.writelines(_scoring_bytes(params.scoring))
 
 
 def load_checkpoint(path) -> ModelParams:
+    """Read a version 1 or 2 checkpoint; a version 1 file gives a record without scoring."""
     with open(path, "rb") as fh:
         blob = fh.read()
     head = struct.calcsize("<4sII")
@@ -196,7 +270,7 @@ def load_checkpoint(path) -> ModelParams:
     magic, version, ndims = struct.unpack_from("<4sII", blob, 0)
     if magic != CHECKPOINT_MAGIC:
         raise ModelError(f"bad checkpoint magic {magic!r}")
-    if version != CHECKPOINT_VERSION:
+    if version not in (1, CHECKPOINT_VERSION):
         raise ModelError(f"unsupported checkpoint version {version}")
     off = head
     if len(blob) < off + 4 * (ndims + 1):
@@ -211,7 +285,7 @@ def load_checkpoint(path) -> ModelParams:
     encoder = sum(math.prod(shape) for _, shape in _layout(dims, 0))
     branch = sum(math.prod(shape) for _, shape in _layout(dims, 1)) - encoder
     expected = off + 8 * (encoder + group_count * branch)
-    if len(blob) != expected:
+    if len(blob) < expected or (version == 1 and len(blob) > expected):
         raise ModelError(f"checkpoint holds {len(blob)} bytes where its header implies {expected}")
     arrays = {}
     for name, shape in _layout(dims, group_count):
@@ -219,4 +293,43 @@ def load_checkpoint(path) -> ModelParams:
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
         arrays[name] = arr.reshape(shape).astype(np.float64)
         off += 8 * count
-    return ModelParams(dims, group_count, arrays)
+    scoring = _read_scoring(blob, off, dims) if version == 2 else None
+    return ModelParams(dims, group_count, arrays, scoring)
+
+
+def _read_scoring(blob, off, dims):
+    """The scoring block that starts at ``off``, sized against the file before any of it is read."""
+    if len(blob) < off + 4:
+        raise ModelError("checkpoint truncated before its scoring block")
+    if struct.unpack_from("<I", blob, off) == (0,):  # a record without scoring
+        if len(blob) != off + 4:
+            raise ModelError(f"checkpoint holds {len(blob)} bytes where its header implies {off + 4}")
+        return None
+    fixed = struct.calcsize(_SCORING_HEAD)
+    if len(blob) < off + fixed:
+        raise ModelError("checkpoint truncated in its scoring block")
+    k, tau, has_transform, n_names = struct.unpack_from(_SCORING_HEAD, blob, off)
+    if has_transform > 1 or n_names not in (0, dims[0]):
+        raise ModelError(f"scoring block flags a transform as {has_transform} and holds {n_names} "
+                         f"feature names, where 0 or 1 and 0 or {dims[0]} are allowed")
+    off += fixed
+    centers, width = k * dims[-1], dims[0]
+    lengths_at = off + 8 * (centers + 2 * width * has_transform)
+    if len(blob) < lengths_at + 4 * n_names:
+        raise ModelError(f"checkpoint holds {len(blob)} bytes where its scoring block implies "
+                         f"at least {lengths_at + 4 * n_names}")
+    lengths = struct.unpack_from(f"<{n_names}I", blob, lengths_at)
+    expected = lengths_at + 4 * n_names + sum(lengths)
+    if len(blob) != expected:
+        raise ModelError(f"checkpoint holds {len(blob)} bytes where its scoring block implies {expected}")
+    values = np.frombuffer(blob, dtype="<f8", count=centers + 2 * width * has_transform, offset=off)
+    values = values.astype(np.float64)
+    transform = (values[centers:centers + width], values[centers + width:]) if has_transform else None
+    names, off = [], lengths_at + 4 * n_names
+    try:
+        for length in lengths:
+            names.append(blob[off:off + length].decode("utf-8"))
+            off += length
+    except UnicodeDecodeError as e:
+        raise ModelError(f"checkpoint feature name {len(names)} is not UTF-8: {e}") from e
+    return Scoring(values[:centers].reshape(k, dims[-1]), tau, transform, tuple(names) or None)

@@ -201,13 +201,18 @@ def _batch_graphs(x, groups, layer_dims, n_groups, warmup, centers, cfg):
     return {"l_rec": rec, "l_clu": clu, "l_fair": fair, "l_total": total}
 
 
-def _copy(params: model.ModelParams) -> model.ModelParams:
-    """A record of new arrays, which stay as they are while training moves on."""
-    return replace(params, arrays={name: value.copy() for name, value in params.arrays.items()})
+def _copy(params: model.ModelParams, scoring: model.Scoring) -> model.ModelParams:
+    """A record of new arrays, which stay as they are while training moves on, and ``scoring``."""
+    return replace(params, arrays={name: value.copy() for name, value in params.arrays.items()},
+                   scoring=scoring)
 
 
 def _measure(h, cfg, view, labels, epoch):
-    """End-of-epoch diagnostics on the full-dataset latents; never feeds gradients."""
+    """End-of-epoch diagnostics on the full-dataset latents; never feeds gradients.
+
+    Returns mi_gc, cmi_xcg, the label metrics (empty without labels) and
+    the centers they were measured against.
+    """
     # measurement must not wobble between local minima, hence the restarts
     try:
         centers, _ = clustering.kmeans(h, cfg.k, seed=(cfg.seed, epoch, 0xD1A6), restarts=10)
@@ -220,7 +225,7 @@ def _measure(h, cfg, view, labels, epoch):
     if labels is not None:
         report = metrics.full_report(assign.hard(), view.groups, labels, cfg.f_beta_weight)
         extras = {name: getattr(report, name) for name in ("acc", "nmi", "bal", "mnce", "f_beta")}
-    return mi, cmi, extras
+    return mi, cmi, extras, centers
 
 
 def fit(config: TrainConfig, dataset: Dataset, hooks: TrainerHooks | None = None):
@@ -229,7 +234,9 @@ def fit(config: TrainConfig, dataset: Dataset, hooks: TrainerHooks | None = None
     Deterministic for a fixed config: data order, center seeding, and every
     update are derived from config.seed. Adam updates one set of arrays in
     place; the returned record, and each one `hooks.on_params` gets, is a
-    copy of them, taken only then. Nothing of a step outlives it.
+    copy of them, taken only then. Nothing of a step outlives it. Each such
+    record carries its epoch's `model.Scoring`: the centers its log row was
+    measured against, tau, and the dataset's feature transform and names.
     """
     view = dataset.train_view()
     labels = dataset.labels
@@ -293,7 +300,8 @@ def fit(config: TrainConfig, dataset: Dataset, hooks: TrainerHooks | None = None
         # encode reads them in place. Rebuilding the record checks them first:
         # a non-finite parameter raises ModelError in the epoch it appears.
         h_all = model.encode(replace(params), view.features)
-        mi, cmi, extras = _measure(h_all, config, view, labels, epoch)
+        mi, cmi, extras, centers = _measure(h_all, config, view, labels, epoch)
+        scoring = model.Scoring(centers.centers, config.tau, dataset.transform, dataset.feature_names)
         log = EpochLog(
             epoch=epoch,
             l_rec=sums["l_rec"] / nb,
@@ -308,27 +316,55 @@ def fit(config: TrainConfig, dataset: Dataset, hooks: TrainerHooks | None = None
         if hooks.on_epoch:
             hooks.on_epoch(log)
         if hooks.on_params:
-            hooks.on_params(epoch, _copy(params))
+            hooks.on_params(epoch, _copy(params, scoring))
         if epoch % 20 == 0 or epoch == config.max_epochs - 1:
             logger.info(
                 "epoch %d: l_total=%.6f l_rec=%.6f mi_gc=%.6f", epoch, log.l_total, log.l_rec, log.mi_gc
             )
 
-    return _copy(params), logs
+    return _copy(params, scoring), logs
 
 
 def evaluate(params: model.ModelParams, dataset: Dataset, config: TrainConfig) -> metrics.MetricsReport:
-    """Cluster the dataset with the trained encoder and score the partition.
+    """Assign the dataset's rows to clusters with the trained encoder and score the partition.
 
-    Encodes everything, fits fresh centers (seeded from the config), takes
-    the argmax of the soft assignment rows, and assembles the full report.
-    Deterministic: two calls yield identical reports.
+    A record from `fit`, or from a version 2 checkpoint, carries its final
+    centers: each row goes to the argmax of its soft assignment to them, as
+    in the last epoch log, and no k-means runs. The config's k and tau and
+    the dataset's feature transform must then be the ones the model was
+    trained with (`data.apply_transform` maps new raw data), or this raises
+    TrainError. A record without scoring fits fresh centers to the dataset
+    instead, a 10-restart k-means seeded from the config. Deterministic:
+    two calls yield identical reports.
     """
+    scoring = params.scoring
+    if scoring is not None:
+        _check_scoring(scoring, dataset, config)
     h = model.encode(params, dataset.features)
-    if np.all(np.ptp(h, axis=0) == 0.0):
-        # degenerate encoder (e.g. all-zero weights): jitter so clustering can run
-        logger.warning("evaluate: all latent rows identical; applying seeded %g jitter", ad.GUARD_EPS)
-        h = h + np.random.default_rng(config.seed).uniform(0.0, ad.GUARD_EPS, size=h.shape)
-    centers, _ = clustering.kmeans(h, config.k, seed=config.seed, restarts=10)
+    if scoring is not None:
+        centers = clustering.ClusterCenters(scoring.centers)
+    else:
+        if np.all(np.ptp(h, axis=0) == 0.0):
+            # degenerate encoder (e.g. all-zero weights): jitter so clustering can run
+            logger.warning("evaluate: all latent rows identical; applying seeded %g jitter", ad.GUARD_EPS)
+            h = h + np.random.default_rng(config.seed).uniform(0.0, ad.GUARD_EPS, size=h.shape)
+        centers, _ = clustering.kmeans(h, config.k, seed=config.seed, restarts=10)
     assign = clustering.soft_assign(h, centers, config.tau)
     return metrics.full_report(assign.hard(), dataset.groups, dataset.labels, config.f_beta_weight)
+
+
+def _check_scoring(scoring: model.Scoring, dataset: Dataset, config: TrainConfig):
+    """Reject a config or dataset that does not match what the model was trained with."""
+    if config.k != scoring.k:
+        raise TrainError(f"config k={config.k} differs from the {scoring.k} centers the model was trained with")
+    if config.tau != scoring.tau:
+        raise TrainError(f"config tau={config.tau} differs from the tau={scoring.tau} the model was trained with")
+    trained, given = scoring.transform, dataset.transform
+    if trained is None or given is None:
+        same = trained is given
+    else:
+        same = all(np.array_equal(a, b) for a, b in zip(trained, given))
+    if not same:
+        raise TrainError(
+            "the dataset's feature transform differs from the training one: load new data raw and "
+            "map it with data.apply_transform(dataset, params.scoring.transform)")

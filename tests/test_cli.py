@@ -2,6 +2,7 @@
 
 import csv
 import json
+import logging
 import os
 import re
 import subprocess
@@ -11,9 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairmi import cli, data, metrics, model
+from fairmi import cli, clustering, data, metrics, model, trainer
 
-from helpers import traced_peak
+from helpers import traced_peak, v1_blob
 
 SPEC = {
     "classes": 2, "groups": 2, "per_cell_count": 15, "class_sep": 6.0,
@@ -34,6 +35,26 @@ def subprocess_env():
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+LOG_METRICS = ("acc", "nmi", "bal", "mnce", "f_beta")
+
+
+def no_kmeans(*args, **kwargs):
+    raise AssertionError("k-means ran")
+
+
+def rewrite_csv(src, dst, columns=None, keep=lambda row: True):
+    """Copy a CSV with the named columns in the order given, a new one holding 1.0,
+    and only the rows ``keep`` accepts."""
+    with open(src, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    columns = columns or list(rows[0])
+    with open(dst, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([row.get(c, "1.0") for c in columns] for row in rows if keep(row))
+    return dst
 
 
 @pytest.fixture()
@@ -235,6 +256,109 @@ class TestTrainEval:
                       "--config", config, "--out-dir", str(tmp_path / "run")])
         assert rc == 1
         capsys.readouterr()
+
+
+class TestEvalScoring:
+    """``eval`` on a version 2 checkpoint scores rows in the training feature space
+    against the trained centers."""
+
+    @pytest.fixture()
+    def trained(self, synth_csv, tmp_path):
+        config = write_json(tmp_path / "config.json", CONFIG)
+        out_dir = tmp_path / "run"
+        assert cli.run(["train", "--data", str(synth_csv), "--config", config, "--truth-col", "label",
+                        "--out-dir", str(out_dir), "--checkpoint-every", "1"]) == 0
+        return config, out_dir
+
+    @staticmethod
+    def eval_argv(data_csv, config, checkpoint, report, *extra):
+        return ["eval", "--data", str(data_csv), "--config", config, "--checkpoint", str(checkpoint),
+                "--report", str(report), *extra]
+
+    def test_periodic_checkpoints_score_as_their_log_rows(self, synth_csv, trained, tmp_path, monkeypatch):
+        config, out_dir = trained
+        monkeypatch.setattr(clustering, "kmeans", no_kmeans)
+        with open(out_dir / "training_log.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == CONFIG["max_epochs"]
+        for epoch, row in enumerate(rows):
+            report = tmp_path / f"report{epoch}.json"
+            assert cli.run(self.eval_argv(synth_csv, config, out_dir / f"checkpoint_epoch{epoch:04d}.bin",
+                                          report, "--truth-col", "label")) == 0
+            written = json.loads(report.read_text())
+            assert [written[n] for n in LOG_METRICS] == [float(row[n]) for n in LOG_METRICS]
+
+    def test_heldout_rows_score_alike_in_a_subset_file(self, trained, tmp_path, monkeypatch):
+        """A row's cluster does not depend on the other rows of the file it is scored in."""
+        config, out_dir = trained
+        spec = write_json(tmp_path / "heldout_spec.json", {**SPEC, "seed": 7, "per_cell_count": 12})
+        heldout = tmp_path / "heldout.csv"
+        assert cli.run(["synth", "--spec", spec, "--out", str(heldout)]) == 0
+        subset = rewrite_csv(heldout, tmp_path / "subset.csv", keep=lambda row: row["label"] == "0")
+        seen = []
+        original = metrics.full_report
+
+        def full_report(pred, groups, truth=None, beta=1.0):
+            seen.append(np.array(pred))
+            return original(pred, groups, truth, beta)
+
+        monkeypatch.setattr(metrics, "full_report", full_report)
+        for path in (heldout, subset):
+            assert cli.run(self.eval_argv(path, config, out_dir / "checkpoint.bin", tmp_path / "r.json",
+                                          "--truth-col", "label")) == 0
+        labels = data.load_csv(heldout, "group", "label").labels
+        full, part = seen
+        np.testing.assert_array_equal(part, full[labels == 0])
+
+    @pytest.mark.parametrize("columns,truth,message", [
+        # without --truth-col the label column is one feature too many
+        (None, [], "extra 'label'"),
+        (["f0", "f1", "f3", "group", "label"], ["--truth-col", "label"], "missing 'f2'"),
+        (["f0", "f1", "f3", "x", "group"], [], "missing 'f2'; extra 'x'"),
+        (["f1", "f0", "f2", "f3", "group", "label"], ["--truth-col", "label"],
+         "['f1', 'f0', 'f2', 'f3'] is in another order than ['f0', 'f1', 'f2', 'f3']"),
+    ])
+    def test_feature_columns_are_checked_by_name(self, synth_csv, trained, tmp_path, capsys,
+                                                 columns, truth, message):
+        config, out_dir = trained
+        path = rewrite_csv(synth_csv, tmp_path / "cols.csv", columns)
+        report = tmp_path / "r.json"
+        assert cli.run(self.eval_argv(path, config, out_dir / "checkpoint.bin", report, *truth)) == 1
+        assert f"{path}: feature columns differ from the training ones: {message}\n" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_no_standardize_is_refused_for_a_v2_checkpoint(self, synth_csv, trained, tmp_path, capsys):
+        config, out_dir = trained
+        report = tmp_path / "r.json"
+        assert cli.run(self.eval_argv(synth_csv, config, out_dir / "checkpoint.bin", report,
+                                      "--truth-col", "label", "--no-standardize")) == 1
+        assert "--no-standardize" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_a_version_1_checkpoint_is_scored_by_the_refit_path_with_a_warning(
+            self, synth_csv, tmp_path, caplog):
+        params = model.init_params(CONFIG["layer_dims"], 2, seed=3)
+        checkpoint = tmp_path / "v1.bin"
+        checkpoint.write_bytes(v1_blob(params))
+        config = write_json(tmp_path / "config.json", CONFIG)
+        report = tmp_path / "r.json"
+        with caplog.at_level(logging.WARNING):
+            assert cli.run(self.eval_argv(synth_csv, config, checkpoint, report, "--truth-col", "label")) == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert "own statistics" in warnings[0] and "a fresh k-means" in warnings[0]
+        expected = trainer.evaluate(params, data.load_csv(synth_csv, "group", "label"),
+                                    trainer.TrainConfig.from_dict(CONFIG))
+        assert json.loads(report.read_text()) == metrics.report_to_dict(expected)
+
+    def test_a_version_1_checkpoint_names_the_csv_columns_and_its_input_width(
+            self, synth_csv, tmp_path, capsys):
+        checkpoint = tmp_path / "model.bin"
+        model.save_checkpoint(model.init_params(CONFIG["layer_dims"], 2, seed=0), checkpoint)
+        config = write_json(tmp_path / "config.json", CONFIG)
+        assert cli.run(self.eval_argv(synth_csv, config, checkpoint, tmp_path / "r.json")) == 1
+        assert (f"{synth_csv} has 5 feature columns (f0, f1, f2, f3, label) where the checkpoint "
+                "takes 4 inputs") in capsys.readouterr().err
 
 
 class TestMetrics:

@@ -36,6 +36,8 @@ class TestDataset:
     def test_rejects_length_mismatches(self):
         with pytest.raises(data.DataError):
             data.Dataset(features=np.ones((3, 2)), groups=np.array([0, 1]))
+        with pytest.raises(data.DataError, match="1 names for 2 columns"):
+            data.Dataset(features=np.ones((2, 2)), groups=np.array([0, 1]), feature_names=("a",))
         with pytest.raises(data.DataError):
             data.Dataset(
                 features=np.ones((2, 2)), groups=np.array([0, 1]),
@@ -110,6 +112,23 @@ class TestCSV:
         np.testing.assert_allclose(z.mean(), 0.0, atol=1e-12)
         raw = data.load_csv(path, group_column="g", standardize_features=False).features
         np.testing.assert_array_equal(raw.ravel(), [0.0, 2.0, 4.0])
+
+    def test_standardizing_records_the_transform_that_maps_the_raw_file(self, tmp_path):
+        path = self.write(tmp_path, "x,y,g\n0.0,5.0,a\n2.0,5.0,b\n4.5,5.0,a\n")
+        std = data.load_csv(path, group_column="g")
+        mean, scale = std.transform
+        np.testing.assert_array_equal(mean, [6.5 / 3, 5.0])
+        np.testing.assert_array_equal(scale, [np.std([0.0, 2.0, 4.5]), 1.0])  # constant: 1.0
+        raw = data.load_csv(path, group_column="g", standardize_features=False)
+        assert raw.transform is None
+        assert data.apply_transform(raw, None) is raw
+        mapped = data.apply_transform(raw, std.transform)
+        assert mapped.features.tobytes() == std.features.tobytes()
+        assert mapped.transform is std.transform
+        with pytest.raises(data.DataError, match="transformed already"):
+            data.apply_transform(std, std.transform)
+        with pytest.raises(data.DataError, match="the transform is for 1 features, the data has 2"):
+            data.apply_transform(raw, (mean[:1], scale[:1]))
 
     @pytest.mark.parametrize(
         "text,fragment",

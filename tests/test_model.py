@@ -9,11 +9,46 @@ import pytest
 from fairmi import autodiff as ad
 from fairmi import model
 
-from helpers import grad_check
+from helpers import grad_check, v1_blob
 
 
 def tiny_params(layer_dims=(5, 4, 3), groups=2, seed=0):
     return model.init_params(layer_dims, groups, seed)
+
+
+# each corruption test_rejects_corrupt_files makes, with a part of the message that rejects it
+CORRUPTIONS = {
+    "magic": "magic",
+    "version": "version 99",
+    "truncate": "header implies",
+    "trailing": "scoring block implies",
+    "no-scoring-trailing": "header implies",
+    "block-truncate": "scoring block implies",
+    "block-truncate-head": "truncated in its scoring block",
+    "block-k-mismatch": "scoring block implies",
+    "block-k-one": "k >= 2",
+    "block-flags": "0 or 1",
+    "block-nan-center": "centers must be finite",
+    "block-nan-tau": "tau must be a finite number > 0, got nan",
+    "block-zero-tau": "tau must be a finite number > 0, got 0.0",
+    "block-inf-mean": "finite means",
+    "block-zero-std": "stds > 0",
+    "block-names": "not UTF-8",
+}
+
+
+def scored_params(layer_dims=(5, 4, 3), groups=2, k=2, seed=0, transform=True, names=True):
+    """A record with a scoring block of random centers, a random transform and odd names."""
+    p = model.init_params(layer_dims, groups, seed)
+    rng = np.random.default_rng(seed)
+    width = layer_dims[0]
+    scoring = model.Scoring(
+        centers=rng.normal(size=(k, layer_dims[-1])),
+        tau=float(rng.uniform(0.05, 2.0)),
+        transform=(rng.normal(size=width), rng.uniform(0.5, 3.0, size=width)) if transform else None,
+        feature_names=tuple(["höhe", "a,b", ""] + [f"f{i}" for i in range(width)])[:width] if names else None,
+    )
+    return model.ModelParams(p.layer_dims, groups, p.arrays, scoring)
 
 
 def stack(p, index):
@@ -241,23 +276,105 @@ class TestCheckpoint:
         assert int.from_bytes(blob[16:20], "little") == 3
         assert int.from_bytes(blob[20:24], "little") == 1  # group count
 
-    @pytest.mark.parametrize("mangle", ["magic", "version", "truncate", "trailing"])
-    def test_rejects_corrupt_files(self, tmp_path, mangle):
-        p = tiny_params()
+    @pytest.mark.parametrize("dims,groups,k,transform,names", [
+        ((6, 5, 3), 3, 2, True, True),
+        ((5, 3), 1, 4, False, False),
+        ((4, 8, 6, 2), 2, 3, True, False),
+        ((3, 2), 5, 2, False, True),
+    ])
+    def test_v2_round_trip_is_bitwise(self, tmp_path, dims, groups, k, transform, names):
+        p = scored_params(dims, groups, k, seed=sum(dims) + k, transform=transform, names=names)
         path = tmp_path / "model.bin"
         model.save_checkpoint(p, path)
+        loaded = model.load_checkpoint(path)
+        assert (loaded.layer_dims, loaded.group_count) == (p.layer_dims, p.group_count)
+        for a, b in zip(p.arrays.values(), loaded.arrays.values()):
+            assert a.tobytes() == b.tobytes()
+        s, t = p.scoring, loaded.scoring
+        assert t.centers.tobytes() == s.centers.tobytes() and t.tau == s.tau
+        assert t.feature_names == s.feature_names
+        if transform:
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(s.transform, t.transform))
+        else:
+            assert t.transform is None
+        # the weights are stored as version 1 stored them
+        blob = path.read_bytes()
+        assert blob[8:len(v1_blob(p))] == v1_blob(p)[8:]
+        model.save_checkpoint(loaded, tmp_path / "again.bin")
+        assert (tmp_path / "again.bin").read_bytes() == blob
+
+    def test_a_version_1_file_loads_without_scoring(self, tmp_path):
+        p = tiny_params((6, 5, 3), groups=2, seed=4)
+        path = tmp_path / "model.bin"
+        path.write_bytes(v1_blob(p))
+        loaded = model.load_checkpoint(path)
+        assert loaded.scoring is None
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(p.arrays.values(), loaded.arrays.values()))
+        # saved again, it is the version 1 bytes under version 2 with an empty scoring block
+        model.save_checkpoint(loaded, tmp_path / "v2.bin")
+        blob = (tmp_path / "v2.bin").read_bytes()
+        assert blob == v1_blob(p)[:4] + struct.pack("<I", 2) + v1_blob(p)[8:] + struct.pack("<I", 0)
+
+    @pytest.mark.parametrize("mangle", list(CORRUPTIONS))
+    def test_rejects_corrupt_files(self, tmp_path, mangle):
+        p = scored_params((5, 4, 3), groups=2, k=2)
+        path = tmp_path / "model.bin"
+        model.save_checkpoint(p if mangle != "no-scoring-trailing" else tiny_params(), path)
         blob = bytearray(path.read_bytes())
+        block = len(v1_blob(p))  # where the weights end and the scoring block starts
+        centers = block + struct.calcsize("<IdII")
+        row = 8 * p.layer_dims[-1]
+        mean = centers + 2 * row
+        std = mean + 8 * p.layer_dims[0]
+
+        def put(offset, fmt, value):
+            blob[offset: offset + struct.calcsize(fmt)] = struct.pack(fmt, value)
+
         if mangle == "magic":
             blob[:4] = b"NOPE"
         elif mangle == "version":
-            blob[4:8] = (99).to_bytes(4, "little")
+            put(4, "<I", 99)
         elif mangle == "truncate":
-            blob = blob[:-9]
-        else:
+            blob = blob[:block - 9]
+        elif mangle in ("trailing", "no-scoring-trailing"):
             blob += b"\x00" * 8
+        elif mangle == "block-truncate":
+            blob = blob[:-3]
+        elif mangle == "block-truncate-head":
+            blob = blob[:block + 6]
+        elif mangle == "block-k-mismatch":
+            put(block, "<I", 3)
+        elif mangle == "block-k-one":
+            put(block, "<I", 1)
+            del blob[centers + row: centers + 2 * row]
+        elif mangle == "block-flags":
+            put(block + 12, "<I", 2)
+        elif mangle == "block-nan-center":
+            put(centers + 8, "<d", np.nan)
+        elif mangle == "block-nan-tau":
+            put(block + 4, "<d", np.nan)
+        elif mangle == "block-zero-tau":
+            put(block + 4, "<d", 0.0)
+        elif mangle == "block-inf-mean":
+            put(mean, "<d", np.inf)
+        elif mangle == "block-zero-std":
+            put(std + 16, "<d", 0.0)
+        else:  # the first name, "höhe", loses the second byte of its "ö"
+            names = std + 8 * p.layer_dims[0] + 4 * p.layer_dims[0]
+            blob[names + 2] = 0x41
         path.write_bytes(bytes(blob))
-        with pytest.raises(model.ModelError):
+        with pytest.raises(model.ModelError, match=re.escape(CORRUPTIONS[mangle])):
             model.load_checkpoint(path)
+
+    def test_scoring_must_fit_the_layers(self):
+        p = scored_params((5, 4, 3), groups=2)
+        s = p.scoring
+        for scoring, what in ((model.Scoring(s.centers[:, :2], s.tau), "centers"),
+                              (model.Scoring(s.centers, s.tau, (s.transform[0][:4], s.transform[1])),
+                               "transform mean"),
+                              (model.Scoring(s.centers, s.tau, None, s.feature_names[:4]), "feature names")):
+            with pytest.raises(model.ModelError, match=f"scoring {what} have shape"):
+                model.ModelParams(p.layer_dims, p.group_count, p.arrays, scoring)
 
     def test_rejects_non_finite_bias(self, tmp_path):
         p = tiny_params((5, 4, 3), groups=2)

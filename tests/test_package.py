@@ -16,6 +16,7 @@ from fairmi import model
 
 SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = Path(__file__).resolve().parents[1] / "README.md"
 SRC_FILES = sorted(Path(fairmi.__file__).resolve().parent.glob("*.py"))
 
 
@@ -91,3 +92,8 @@ def test_runtime_dependencies_are_exactly_the_imported_third_party_modules():
             imported.update(module.split(".")[0] for module in _imported_modules(node))
     # a relative import's first part is "", the package itself
     assert listed == imported - set(sys.stdlib_module_names) - {""}
+
+
+def test_readme_documents_the_checkpoint_version_the_program_writes():
+    """The checkpoint layout in README and the format cannot drift apart unnoticed."""
+    assert re.findall(r"u32 version \((\d+)\)", README.read_text()) == [str(model.CHECKPOINT_VERSION)]

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairmi import data, model, objectives, trainer
+from fairmi import clustering, data, model, objectives, trainer
 
 from helpers import traced_peak
 
@@ -29,6 +29,13 @@ def small_config(**kw):
     )
     base.update(kw)
     return trainer.TrainConfig(**base)
+
+
+LABEL_METRICS = ("acc", "nmi", "bal", "mnce", "f_beta")
+
+
+def no_kmeans(*args, **kwargs):
+    raise AssertionError("k-means ran")
 
 
 def adam(params, grads, step=1, lr=0.1):
@@ -611,3 +618,49 @@ class TestEvaluate:
         params, _ = trainer.fit(cfg, ds)
         report = trainer.evaluate(params, ds, cfg)
         assert report.acc >= 0.9
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_scores_as_the_last_log_row_with_no_kmeans(self, seed, monkeypatch):
+        """On its training data a fitted record reproduces its last epoch log exactly,
+        from the centers that log row was measured with."""
+        spec = data.SyntheticSpec(classes=3, groups=2, per_cell_count=150, class_sep=8.0,
+                                  group_shift=6.0, dim=16, noise_sd=1.0, seed=seed)
+        ds = data.generate_synthetic(spec)
+        cfg = trainer.TrainConfig(k=3, max_epochs=60, seed=seed)
+        params, logs = trainer.fit(cfg, ds)
+        monkeypatch.setattr(clustering, "kmeans", no_kmeans)
+        report = trainer.evaluate(params, ds, cfg)
+        assert [getattr(report, n) for n in LABEL_METRICS] == [getattr(logs[-1], n) for n in LABEL_METRICS]
+
+    def test_every_params_copy_scores_as_its_epoch_log_row(self, monkeypatch):
+        copies = []
+        cfg = small_config(max_epochs=4)
+        ds = small_dataset()
+        final, logs = trainer.fit(cfg, ds, trainer.TrainerHooks(on_params=lambda e, p: copies.append(p)))
+        assert final.scoring is copies[-1].scoring
+        assert final.scoring.tau == cfg.tau and final.scoring.k == cfg.k
+        assert final.scoring.transform is None and final.scoring.feature_names is None
+        monkeypatch.setattr(clustering, "kmeans", no_kmeans)
+        for p, log in zip(copies, logs):
+            report = trainer.evaluate(p, ds, cfg)
+            assert [getattr(report, n) for n in LABEL_METRICS] == [getattr(log, n) for n in LABEL_METRICS]
+
+    def test_rejects_a_config_or_dataset_the_model_was_not_trained_with(self):
+        ds = small_dataset()
+        cfg = small_config()
+        params, _ = trainer.fit(cfg, ds)
+        for config, match in ((small_config(k=3), "config k=3 differs from the 2 centers"),
+                              (small_config(tau=0.2), "config tau=0.2 differs from the tau=0.1")):
+            with pytest.raises(trainer.TrainError, match=match):
+                trainer.evaluate(params, ds, config)
+        transform = data.feature_transform(ds.features)
+        standardized = data.apply_transform(ds, transform)
+        with pytest.raises(trainer.TrainError, match="feature transform differs"):
+            trainer.evaluate(params, standardized, cfg)
+        params, _ = trainer.fit(cfg, standardized)
+        assert params.scoring.transform is transform
+        shifted = (transform[0] + 1.0, transform[1])
+        for other in (ds, data.apply_transform(ds, shifted)):
+            with pytest.raises(trainer.TrainError, match="feature transform differs"):
+                trainer.evaluate(params, other, cfg)
+        trainer.evaluate(params, data.apply_transform(ds, transform), cfg)
