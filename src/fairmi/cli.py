@@ -115,7 +115,7 @@ def _cmd_train(args):
 
 def _check_feature_columns(path, names, params):
     """Reject feature columns other than the training ones, by name where the checkpoint has names."""
-    trained = params.scoring.feature_names if params.scoring is not None else None
+    trained = params.scoring.feature_names
     if trained is None:
         if len(names) != params.layer_dims[0]:
             raise ValueError(f"{path} has {len(names)} feature columns ({', '.join(names)}) "
@@ -133,21 +133,14 @@ def _check_feature_columns(path, names, params):
 def _cmd_eval(args):
     config = trainer.TrainConfig.from_dict(_read_json(args.config, "config"))
     params = model.load_checkpoint(args.checkpoint)
-    scoring = params.scoring
-    if scoring is None:
-        logging.warning("%s holds no trained centers or feature transform (a version 1 file, or a "
-                        "record that never went through fit): scores come from %s's own statistics "
-                        "(its own standardization unless --no-standardize) and a fresh k-means",
-                        args.checkpoint, args.data)
-    elif args.no_standardize:
-        raise ValueError(f"--no-standardize does not apply: {args.checkpoint} stores how its training "
-                         "features were transformed, and eval applies that to the data")
-    # with scoring, the data is read raw and mapped through the training transform
+    if params.scoring is None:
+        raise ValueError(f"{args.checkpoint} holds no trained centers (a version 1 file, or a record "
+                         "that never went through fit): score a checkpoint that fairmi train wrote")
+    # the data is read raw and mapped through the training transform
     dataset = data.load_csv(args.data, group_column=args.groups_col, label_column=args.truth_col,
-                            standardize_features=scoring is None and not args.no_standardize)
+                            standardize_features=False)
     _check_feature_columns(args.data, dataset.feature_names, params)
-    if scoring is not None:
-        dataset = data.apply_transform(dataset, scoring.transform)
+    dataset = data.apply_transform(dataset, params.scoring.transform)
     report = trainer.evaluate(params, dataset, config)
     metrics.write_report(report, args.report)
     logging.info("wrote report to %s", args.report)
@@ -184,8 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON training config")
         p.add_argument("--groups-col", default="group", help="group column name")
         p.add_argument("--truth-col", default=None, help="optional ground-truth column name")
-        p.add_argument("--no-standardize", action="store_true", help="skip per-column standardization")
         if name == "train":
+            p.add_argument("--no-standardize", action="store_true", help="skip per-column standardization")
             p.add_argument("--out-dir", required=True, help="directory for checkpoint, log, manifest")
             p.add_argument("--checkpoint-every", type=_epoch_count, default=0, metavar="N",
                            help="also write a checkpoint every N epochs (0 disables)")

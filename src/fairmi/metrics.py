@@ -50,11 +50,16 @@ def _present_rows(table, name):
 
 
 def contingency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Counts of each (a id, b id) pair, indexed by id; when that table would hold more than
+    4n + 65,536 cells, by rank among the ids present, which is the same on ids with no gap."""
     a = _labels(a, "a")
     b = _labels(b, "b")
     if a.shape != b.shape:
         raise MetricError("label arrays must have the same length")
     na, nb = int(a.max()) + 1, int(b.max()) + 1
+    if na * nb > 4 * a.size + 65_536:
+        a, b = (np.unique(ids, return_inverse=True)[1] for ids in (a, b))
+        na, nb = int(a.max()) + 1, int(b.max()) + 1
     return np.bincount(a * nb + b, minlength=na * nb).reshape(na, nb)
 
 
@@ -216,10 +221,13 @@ def full_report(pred, groups, truth=None, beta: float = 1.0) -> MetricsReport:
         report_acc = accuracy(pred, truth)
         report_nmi = nmi(pred, truth)
         combined = f_beta(report_nmi, fair, beta)
-    table = contingency(groups, pred)
-    missing = np.flatnonzero(table.sum(axis=1) == 0)
+    top = int(groups.max())
+    if top >= groups.size:  # n rows hold at most n ids, and a count by id could be huge
+        raise MetricError(f"groups: ids reach {top} in {groups.size} rows, so some have no members")
+    missing = np.flatnonzero(np.bincount(groups) == 0)
     if missing.size:
         raise MetricError(f"groups: ids {missing.tolist()} have no members")
+    table = contingency(groups, pred)
     # a hard partition has zero assignment entropy, so I(X;C|G) = H(C) - I(G;C)
     mi_gc = _mutual_information(table / pred.size)
     return MetricsReport(

@@ -74,8 +74,8 @@ class ModelParams:
 
     `arrays` maps every `_layout` name to its array, in checkpoint order:
     each weight is d_in x d_out and each bias d_out. Treated as immutable
-    during evaluation. `scoring` is None on a record that never went
-    through `fit` and on a version 1 checkpoint.
+    during evaluation. `scoring` is None, and the record cannot be scored,
+    when it never went through `fit` or comes from a version 1 checkpoint.
     """
 
     layer_dims: tuple

@@ -326,35 +326,28 @@ def fit(config: TrainConfig, dataset: Dataset, hooks: TrainerHooks | None = None
 
 
 def evaluate(params: model.ModelParams, dataset: Dataset, config: TrainConfig) -> metrics.MetricsReport:
-    """Assign the dataset's rows to clusters with the trained encoder and score the partition.
+    """Assign the dataset's rows to the trained centers and score the partition.
 
-    A record from `fit`, or from a version 2 checkpoint, carries its final
-    centers: each row goes to the argmax of its soft assignment to them, as
-    in the last epoch log, and no k-means runs. The config's k and tau and
-    the dataset's feature transform must then be the ones the model was
-    trained with (`data.apply_transform` maps new raw data), or this raises
-    TrainError. A record without scoring fits fresh centers to the dataset
-    instead, a 10-restart k-means seeded from the config. Deterministic:
-    two calls yield identical reports.
+    The record must come from `fit`, or from a version 2 checkpoint of one:
+    it carries the final centers, and each row goes to the argmax of its
+    soft assignment to them, as in the last epoch log. No k-means runs. The
+    config's k and tau and the dataset's feature transform must be the ones
+    the model was trained with (`data.apply_transform` maps new raw data).
+    Otherwise, or on a record without scoring, this raises TrainError.
+    Deterministic: two calls yield identical reports.
     """
-    scoring = params.scoring
-    if scoring is not None:
-        _check_scoring(scoring, dataset, config)
+    _check_scoring(params.scoring, dataset, config)
     h = model.encode(params, dataset.features)
-    if scoring is not None:
-        centers = clustering.ClusterCenters(scoring.centers)
-    else:
-        if np.all(np.ptp(h, axis=0) == 0.0):
-            # degenerate encoder (e.g. all-zero weights): jitter so clustering can run
-            logger.warning("evaluate: all latent rows identical; applying seeded %g jitter", ad.GUARD_EPS)
-            h = h + np.random.default_rng(config.seed).uniform(0.0, ad.GUARD_EPS, size=h.shape)
-        centers, _ = clustering.kmeans(h, config.k, seed=config.seed, restarts=10)
-    assign = clustering.soft_assign(h, centers, config.tau)
+    assign = clustering.soft_assign(h, clustering.ClusterCenters(params.scoring.centers), config.tau)
     return metrics.full_report(assign.hard(), dataset.groups, dataset.labels, config.f_beta_weight)
 
 
-def _check_scoring(scoring: model.Scoring, dataset: Dataset, config: TrainConfig):
-    """Reject a config or dataset that does not match what the model was trained with."""
+def _check_scoring(scoring: model.Scoring | None, dataset: Dataset, config: TrainConfig):
+    """Reject a record without trained centers, or a config or dataset that does not
+    match what the model was trained with."""
+    if scoring is None:
+        raise TrainError("the model holds no trained centers (a version 1 checkpoint, or a record "
+                         "that never went through fit): score a record that fit returned")
     if config.k != scoring.k:
         raise TrainError(f"config k={config.k} differs from the {scoring.k} centers the model was trained with")
     if config.tau != scoring.tau:

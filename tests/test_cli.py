@@ -327,38 +327,61 @@ class TestEvalScoring:
         assert f"{path}: feature columns differ from the training ones: {message}\n" in capsys.readouterr().err
         assert not report.exists()
 
-    def test_no_standardize_is_refused_for_a_v2_checkpoint(self, synth_csv, trained, tmp_path, capsys):
+    def test_no_standardize_is_a_train_only_flag(self, synth_csv, trained, tmp_path, capsys):
         config, out_dir = trained
         report = tmp_path / "r.json"
         assert cli.run(self.eval_argv(synth_csv, config, out_dir / "checkpoint.bin", report,
-                                      "--truth-col", "label", "--no-standardize")) == 1
+                                      "--truth-col", "label", "--no-standardize")) == 2
         assert "--no-standardize" in capsys.readouterr().err
         assert not report.exists()
 
-    def test_a_version_1_checkpoint_is_scored_by_the_refit_path_with_a_warning(
-            self, synth_csv, tmp_path, caplog):
+    def test_a_model_trained_on_raw_features_scores_as_its_last_log_row(self, synth_csv, tmp_path,
+                                                                         monkeypatch):
+        """The checkpoint stores no transform, and eval reads the file raw."""
+        config = write_json(tmp_path / "config.json", CONFIG)
+        out_dir = tmp_path / "run"
+        assert cli.run(["train", "--data", str(synth_csv), "--config", config, "--truth-col", "label",
+                        "--out-dir", str(out_dir), "--no-standardize"]) == 0
+        assert model.load_checkpoint(out_dir / "checkpoint.bin").scoring.transform is None
+        monkeypatch.setattr(clustering, "kmeans", no_kmeans)
+        report = tmp_path / "r.json"
+        assert cli.run(self.eval_argv(synth_csv, config, out_dir / "checkpoint.bin", report,
+                                      "--truth-col", "label")) == 0
+        with open(out_dir / "training_log.csv", newline="") as fh:
+            last = list(csv.DictReader(fh))[-1]
+        written = json.loads(report.read_text())
+        assert [written[n] for n in LOG_METRICS] == [float(last[n]) for n in LOG_METRICS]
+
+    @pytest.mark.parametrize("kind", ["version_1", "init_params"])
+    def test_a_checkpoint_without_trained_centers_is_refused(self, synth_csv, tmp_path, capsys, caplog,
+                                                             kind):
         params = model.init_params(CONFIG["layer_dims"], 2, seed=3)
-        checkpoint = tmp_path / "v1.bin"
-        checkpoint.write_bytes(v1_blob(params))
+        checkpoint = tmp_path / "model.bin"
+        if kind == "version_1":
+            checkpoint.write_bytes(v1_blob(params))
+        else:
+            model.save_checkpoint(params, checkpoint)
         config = write_json(tmp_path / "config.json", CONFIG)
         report = tmp_path / "r.json"
         with caplog.at_level(logging.WARNING):
-            assert cli.run(self.eval_argv(synth_csv, config, checkpoint, report, "--truth-col", "label")) == 0
-        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
-        assert len(warnings) == 1
-        assert "own statistics" in warnings[0] and "a fresh k-means" in warnings[0]
-        expected = trainer.evaluate(params, data.load_csv(synth_csv, "group", "label"),
-                                    trainer.TrainConfig.from_dict(CONFIG))
-        assert json.loads(report.read_text()) == metrics.report_to_dict(expected)
+            assert cli.run(self.eval_argv(synth_csv, config, checkpoint, report, "--truth-col", "label")) == 1
+        err = capsys.readouterr().err
+        assert f"error: {checkpoint} holds no trained centers" in err and "fairmi train" in err
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+        assert not report.exists()
 
-    def test_a_version_1_checkpoint_names_the_csv_columns_and_its_input_width(
-            self, synth_csv, tmp_path, capsys):
+    def test_a_model_without_feature_names_is_checked_by_input_width(self, synth_csv, tmp_path, capsys):
+        cfg = trainer.TrainConfig.from_dict(CONFIG)
+        params, _ = trainer.fit(cfg, data.generate_synthetic(data.SyntheticSpec(**SPEC)))
+        assert params.scoring.feature_names is None
         checkpoint = tmp_path / "model.bin"
-        model.save_checkpoint(model.init_params(CONFIG["layer_dims"], 2, seed=0), checkpoint)
+        model.save_checkpoint(params, checkpoint)
         config = write_json(tmp_path / "config.json", CONFIG)
-        assert cli.run(self.eval_argv(synth_csv, config, checkpoint, tmp_path / "r.json")) == 1
+        report = tmp_path / "r.json"
+        assert cli.run(self.eval_argv(synth_csv, config, checkpoint, report)) == 1
         assert (f"{synth_csv} has 5 feature columns (f0, f1, f2, f3, label) where the checkpoint "
                 "takes 4 inputs") in capsys.readouterr().err
+        assert not report.exists()
 
 
 class TestMetrics:
@@ -617,8 +640,10 @@ def test_no_command_loads_scipy(synth_csv, tmp_path, command):
 
 def test_metrics_and_eval_score_through_the_metrics_module_attribute(synth_csv, tmp_path, monkeypatch):
     """Both commands call ``metrics.full_report`` by attribute, so a patch of it sees them."""
-    checkpoint = tmp_path / "checkpoint.bin"
-    model.save_checkpoint(model.init_params(CONFIG["layer_dims"], 2, seed=0), checkpoint)
+    config = write_json(tmp_path / "config.json", CONFIG)
+    assert cli.run(["train", "--data", str(synth_csv), "--config", config, "--truth-col", "label",
+                    "--out-dir", str(tmp_path / "run")]) == 0
+    checkpoint = tmp_path / "run" / "checkpoint.bin"
     labels = tmp_path / "labels.csv"
     labels.write_text("pred,group\n0,a\n1,b\n0,b\n1,a\n")
     seen = []
@@ -631,8 +656,7 @@ def test_metrics_and_eval_score_through_the_metrics_module_attribute(synth_csv, 
     monkeypatch.setattr(metrics, "full_report", full_report)
     assert cli.run(["metrics", "--pred", str(labels), "--groups-col", "group",
                     "--report", str(tmp_path / "metrics.json")]) == 0
-    assert cli.run(["eval", "--data", str(synth_csv), "--config",
-                    write_json(tmp_path / "config.json", CONFIG), "--truth-col", "label",
+    assert cli.run(["eval", "--data", str(synth_csv), "--config", config, "--truth-col", "label",
                     "--checkpoint", str(checkpoint), "--report", str(tmp_path / "eval.json")]) == 0
     assert seen == [4, 60]
 

@@ -13,6 +13,8 @@ from fairmi import metrics
 from fairmi.clustering import SoftAssignment
 from fairmi.objectives import conditional_mi, group_cluster_mi
 
+from helpers import traced_peak
+
 LN2 = float(np.log(2.0))
 
 
@@ -363,3 +365,52 @@ class TestFullReport:
         assert a.nmi == pytest.approx(b.nmi, abs=1e-12)
         assert a.bal == pytest.approx(b.bal, abs=1e-12)
         assert a.mnce == pytest.approx(b.mnce, abs=1e-12)
+
+
+class TestSparseIds:
+    """Ids far above the row count are counted over the ids present, not up to the largest."""
+
+    BIG = 10**15
+
+    def dense(self, ids):
+        return np.unique(ids, return_inverse=True)[1]
+
+    def test_sparse_ids_score_as_their_dense_relabelling(self):
+        pred = np.array([0, self.BIG, self.BIG, 7, 0, 7, self.BIG, 0])
+        truth = np.array([5, self.BIG - 1, self.BIG - 1, 5, 5, 2, self.BIG - 1, 2])
+        groups = np.array([0, 1, 0, 1, 0, 1, 1, 0])
+
+        def scores(p, t):
+            return (metrics.accuracy(p, t), metrics.nmi(p, t), metrics.balance(p, groups),
+                    metrics.mnce(p, groups), metrics.full_report(p, groups, t))
+
+        result = []
+        peak = traced_peak(lambda: result.append(scores(pred, truth)))
+        assert result[0] == scores(self.dense(pred), self.dense(truth))
+        assert result[0][-1].k == 3
+        assert peak < 1 << 20
+
+    def test_a_sparse_group_id_is_rejected_without_a_count_by_id(self):
+        def rejected():
+            with pytest.raises(metrics.MetricError, match=r"groups: ids reach 1000000000000000 in 4 rows"):
+                metrics.full_report(np.array([0, 1, 0, 1]), np.array([0, 0, self.BIG, self.BIG]))
+
+        assert traced_peak(rejected) < 1 << 20
+
+    def test_large_tables_of_ids_with_no_gap_are_unchanged(self):
+        """Above the size bound, counting over the ids present is the identity on dense ids."""
+        rng = np.random.default_rng(0)
+        a, b = rng.permutation(300), rng.permutation(300)
+        expected = np.zeros((300, 300), dtype=np.int64)
+        np.add.at(expected, (a, b), 1)
+        np.testing.assert_array_equal(metrics.contingency(a, b), expected)
+
+    def test_tables_within_the_bound_are_indexed_by_id(self, caplog):
+        import logging
+
+        pred = np.array([0, 0, 9, 9])  # ids 1-8 unused: 10 x 2 cells is within 4n + 65,536
+        groups = np.array([0, 1, 0, 1])
+        assert metrics.contingency(pred, groups).shape == (10, 2)
+        with caplog.at_level(logging.WARNING, logger="fairmi.metrics"):
+            metrics.balance(pred, groups)
+        assert "cluster ids [1, 2, 3, 4, 5, 6, 7, 8] are empty" in caplog.text

@@ -1,6 +1,7 @@
 """The package's exports, the names the benchmark relies on, and source-wide
 rules read off the syntax tree."""
 
+import argparse
 import ast
 import importlib
 import math
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import fairmi
-from fairmi import model
+from fairmi import cli, model
 
 SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -97,3 +98,29 @@ def test_runtime_dependencies_are_exactly_the_imported_third_party_modules():
 def test_readme_documents_the_checkpoint_version_the_program_writes():
     """The checkpoint layout in README and the format cannot drift apart unnoticed."""
     assert re.findall(r"u32 version \((\d+)\)", README.read_text()) == [str(model.CHECKPOINT_VERSION)]
+
+
+def _subcommand_options():
+    """Each subcommand's option strings, read off the parser."""
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {name: {opt for action in p._actions for opt in action.option_strings}
+            for name, p in sub.choices.items()}
+
+
+def test_readme_shows_only_options_the_parser_has():
+    """An option on a ``fairmi <subcommand>`` command line in README belongs to that
+    subcommand, and any other option README names to some subcommand, so a flag cannot
+    leave the parser while the docs still show it."""
+    options = _subcommand_options()
+    text = README.read_text()
+    fence = re.compile(r"^```[^\n]*\n(.*?)^```", flags=re.S | re.M)
+    # code lines, with shell continuations joined, then inline code spans outside the fences
+    code = [line for block in fence.findall(text) for line in block.replace("\\\n", " ").splitlines()]
+    code += re.findall(r"`([^`\n]+)`", fence.sub("", text))
+    flag = re.compile(r"(?<![\w-])--[a-z][a-z-]*")
+    shown = [(sub, opt) for piece in code
+             for sub, rest in re.findall(r"\bfairmi (\w+)((?:(?!\bfairmi ).)*)", piece)
+             for opt in flag.findall(rest)]
+    assert ("eval", "--checkpoint") in shown  # the command lines were read
+    assert [(sub, opt) for sub, opt in shown if opt not in options.get(sub, ())] == []
+    assert sorted(set(flag.findall(text)) - set().union(*options.values())) == []
