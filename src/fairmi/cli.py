@@ -83,13 +83,14 @@ def _cmd_train(args):
     periodic = []
     hooks = None
     if args.checkpoint_every > 0:
-        def snapshot(epoch, params, _every=args.checkpoint_every):
+        # the record reads fit's live arrays, so it is written during the call
+        def save_periodic(epoch, params, _every=args.checkpoint_every):
             if (epoch + 1) % _every == 0:
                 path = os.path.join(args.out_dir, f"checkpoint_epoch{epoch:04d}.bin")
                 model.save_checkpoint(params, path)
                 periodic.append(path)
 
-        hooks = trainer.TrainerHooks(on_params=snapshot)
+        hooks = trainer.TrainerHooks(on_params=save_periodic)
     params, logs = trainer.fit(config, dataset, hooks)
 
     ckpt_path = os.path.join(args.out_dir, "checkpoint.bin")
@@ -114,13 +115,8 @@ def _cmd_train(args):
 
 
 def _check_feature_columns(path, names, params):
-    """Reject feature columns other than the training ones, by name where the checkpoint has names."""
+    """Reject feature columns other than the training ones, by name and order."""
     trained = params.scoring.feature_names
-    if trained is None:
-        if len(names) != params.layer_dims[0]:
-            raise ValueError(f"{path} has {len(names)} feature columns ({', '.join(names)}) "
-                             f"where the checkpoint takes {params.layer_dims[0]} inputs")
-        return
     if names == trained:
         return
     problems = [f"{what} {', '.join(map(repr, columns))}" for what, columns in (
@@ -133,9 +129,6 @@ def _check_feature_columns(path, names, params):
 def _cmd_eval(args):
     config = trainer.TrainConfig.from_dict(_read_json(args.config, "config"))
     params = model.load_checkpoint(args.checkpoint)
-    if params.scoring is None:
-        raise ValueError(f"{args.checkpoint} holds no trained centers (a version 1 file, or a record "
-                         "that never went through fit): score a checkpoint that fairmi train wrote")
     # the data is read raw and mapped through the training transform
     dataset = data.load_csv(args.data, group_column=args.groups_col, label_column=args.truth_col,
                             standardize_features=False)

@@ -51,7 +51,7 @@ class Dataset:
     features: np.ndarray
     groups: np.ndarray
     labels: np.ndarray | None = None
-    feature_names: tuple | None = None
+    feature_names: tuple | None = None  # None: f0, f1, ..., as save_csv writes them
     group_names: tuple | None = None
     label_names: tuple | None = None
     # (mean, std) per feature column that turned the file's features into
@@ -69,7 +69,9 @@ class Dataset:
             raise DataError("need exactly one group id per row")
         if self.labels is not None and self.labels.shape != (x.shape[0],):
             raise DataError("need exactly one label per row when labels are present")
-        if self.feature_names is not None and len(self.feature_names) != x.shape[1]:
+        if self.feature_names is None:
+            object.__setattr__(self, "feature_names", tuple(f"f{i}" for i in range(x.shape[1])))
+        if len(self.feature_names) != x.shape[1]:
             raise DataError(f"need one name per feature column: {len(self.feature_names)} names "
                             f"for {x.shape[1]} columns")
         for name, ids in (("groups", g), ("labels", self.labels)):
@@ -315,8 +317,7 @@ def save_csv(dataset: Dataset, path):
     else the dense ids; floats use shortest round-trip formatting. The file
     is UTF-8, as ``read_csv`` expects.
     """
-    names = dataset.feature_names or tuple(f"f{i}" for i in range(dataset.dim))
-    header = list(names) + ["group"] + (["label"] if dataset.labels is not None else [])
+    header = list(dataset.feature_names) + ["group"] + (["label"] if dataset.labels is not None else [])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

@@ -8,10 +8,11 @@ the shared code.
 
 Parameters live in one :class:`ModelParams` record, a dict of arrays keyed
 by their `_layout` names in checkpoint order. The trainer's optimizer updates
-its record's arrays in place, so every record the trainer hands out holds
-copies of them. A record the trainer hands out also carries a
-:class:`Scoring`: the final cluster centers and the training feature
-transform, which a version 2 checkpoint stores after the weights.
+its record's arrays in place, so the record `fit` returns holds copies of
+them. It also carries a :class:`Scoring`: the final cluster centers, the
+training feature transform and the feature names. A checkpoint is such a
+record: it stores the scoring after the weights, and a record without one
+is neither saved nor loaded.
 """
 
 from __future__ import annotations
@@ -41,14 +42,13 @@ class Scoring:
     the training latents the last epoch log was measured with.
     ``transform`` is the (mean, std) pair per input column the training
     features were standardized with, None when they were used raw, and
-    ``feature_names`` the training feature columns in order, None when they
-    had no names.
+    ``feature_names`` the training feature columns in order.
     """
 
     centers: np.ndarray
     tau: float
-    transform: tuple | None = None
-    feature_names: tuple | None = None
+    transform: tuple | None
+    feature_names: tuple
 
     def __post_init__(self):
         c = self.centers
@@ -74,8 +74,9 @@ class ModelParams:
 
     `arrays` maps every `_layout` name to its array, in checkpoint order:
     each weight is d_in x d_out and each bias d_out. Treated as immutable
-    during evaluation. `scoring` is None, and the record cannot be scored,
-    when it never went through `fit` or comes from a version 1 checkpoint.
+    during evaluation. `scoring` is None only on a record that never went
+    through `fit`, such as one from `init_params`: it cannot be scored or
+    saved.
     """
 
     layer_dims: tuple
@@ -103,8 +104,7 @@ class ModelParams:
             shapes = [("centers", s.centers.shape[1:], (dims[-1],))]
             shapes += [(f"transform {part}", np.shape(a), (dims[0],))
                        for part, a in zip(("mean", "std"), s.transform or ())]
-            if s.feature_names is not None:
-                shapes.append(("feature names", (len(s.feature_names),), (dims[0],)))
+            shapes.append(("feature names", (len(s.feature_names),), (dims[0],)))
             for what, got, want in shapes:
                 if got != want:
                     raise ModelError(f"scoring {what} have shape {got} where the layers need {want}")
@@ -216,31 +216,28 @@ def reconstruction_graph(x_node: ad.Node, h_node: ad.Node, nodes: dict, layer_di
 #
 # Layout (all integers u32 little-endian, all floats f64 little-endian):
 #   bytes 0..3   magic "FCMI"
-#   u32          version (currently 2; version 1 files end after the weights)
+#   u32          version, 2
 #   u32          number of encoder layer dims L
 #   L x u32      layer dims, input width first, latent width last
 #   u32          group count T
 #   then each parameter array as raw f64, in `_layout` order:
 #   encoder layer 0 W, encoder layer 0 b, ..., encoder layer L-2 W/b,
 #   branch 0 layer 0 W/b ... branch T-1 last layer W/b (branches mirror dims).
-#   then the scoring block (version 2):
-#   u32          k, the center count; 0 when the record has no scoring, and
-#                then the file ends here
+#   then the scoring block:
+#   u32          k >= 2, the center count
 #   f64          tau
 #   u32          1 when a feature transform follows, else 0
-#   u32          feature name count N: 0 (no names) or the input width
+#   u32          feature name count, equal to the input width
 #   k x latent   centers, row by row
 #   input x 2    the transform's means, then its stds (when present)
-#   N x u32      byte length of each name
+#   input x u32  byte length of each name
 #   the names as UTF-8, back to back
 
 _SCORING_HEAD = "<IdII"
 
 
 def _scoring_bytes(scoring):
-    if scoring is None:
-        return [struct.pack("<I", 0)]
-    names = [name.encode("utf-8") for name in scoring.feature_names or ()]
+    names = [name.encode("utf-8") for name in scoring.feature_names]
     arrays = [scoring.centers, *(scoring.transform or ())]
     return [struct.pack(_SCORING_HEAD, scoring.k, scoring.tau, scoring.transform is not None, len(names)),
             *(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays),
@@ -248,6 +245,9 @@ def _scoring_bytes(scoring):
 
 
 def save_checkpoint(params: ModelParams, path):
+    if params.scoring is None:
+        raise ModelError("the record holds no trained centers (it never went through fit): "
+                         "save a record that fit returned")
     dims = params.layer_dims
     header = struct.pack(
         f"<4sII{len(dims)}II",
@@ -261,7 +261,7 @@ def save_checkpoint(params: ModelParams, path):
 
 
 def load_checkpoint(path) -> ModelParams:
-    """Read a version 1 or 2 checkpoint; a version 1 file gives a record without scoring."""
+    """Read a version 2 checkpoint: the weights and the scoring that `fit` gave them."""
     with open(path, "rb") as fh:
         blob = fh.read()
     head = struct.calcsize("<4sII")
@@ -270,7 +270,7 @@ def load_checkpoint(path) -> ModelParams:
     magic, version, ndims = struct.unpack_from("<4sII", blob, 0)
     if magic != CHECKPOINT_MAGIC:
         raise ModelError(f"bad checkpoint magic {magic!r}")
-    if version not in (1, CHECKPOINT_VERSION):
+    if version != CHECKPOINT_VERSION:
         raise ModelError(f"unsupported checkpoint version {version}")
     off = head
     if len(blob) < off + 4 * (ndims + 1):
@@ -285,7 +285,7 @@ def load_checkpoint(path) -> ModelParams:
     encoder = sum(math.prod(shape) for _, shape in _layout(dims, 0))
     branch = sum(math.prod(shape) for _, shape in _layout(dims, 1)) - encoder
     expected = off + 8 * (encoder + group_count * branch)
-    if len(blob) < expected or (version == 1 and len(blob) > expected):
+    if len(blob) < expected:
         raise ModelError(f"checkpoint holds {len(blob)} bytes where its header implies {expected}")
     arrays = {}
     for name, shape in _layout(dims, group_count):
@@ -293,43 +293,38 @@ def load_checkpoint(path) -> ModelParams:
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
         arrays[name] = arr.reshape(shape).astype(np.float64)
         off += 8 * count
-    scoring = _read_scoring(blob, off, dims) if version == 2 else None
-    return ModelParams(dims, group_count, arrays, scoring)
+    return ModelParams(dims, group_count, arrays, _read_scoring(blob, off, dims))
 
 
 def _read_scoring(blob, off, dims):
     """The scoring block that starts at ``off``, sized against the file before any of it is read."""
-    if len(blob) < off + 4:
-        raise ModelError("checkpoint truncated before its scoring block")
-    if struct.unpack_from("<I", blob, off) == (0,):  # a record without scoring
-        if len(blob) != off + 4:
-            raise ModelError(f"checkpoint holds {len(blob)} bytes where its header implies {off + 4}")
-        return None
     fixed = struct.calcsize(_SCORING_HEAD)
     if len(blob) < off + fixed:
         raise ModelError("checkpoint truncated in its scoring block")
     k, tau, has_transform, n_names = struct.unpack_from(_SCORING_HEAD, blob, off)
-    if has_transform > 1 or n_names not in (0, dims[0]):
+    width = dims[0]
+    if has_transform > 1 or n_names != width:
         raise ModelError(f"scoring block flags a transform as {has_transform} and holds {n_names} "
-                         f"feature names, where 0 or 1 and 0 or {dims[0]} are allowed")
+                         f"feature names, where 0 or 1 and {width} are allowed")
     off += fixed
-    centers, width = k * dims[-1], dims[0]
+    centers = k * dims[-1]
     lengths_at = off + 8 * (centers + 2 * width * has_transform)
-    if len(blob) < lengths_at + 4 * n_names:
+    names_at = lengths_at + 4 * width
+    if len(blob) < names_at:
         raise ModelError(f"checkpoint holds {len(blob)} bytes where its scoring block implies "
-                         f"at least {lengths_at + 4 * n_names}")
-    lengths = struct.unpack_from(f"<{n_names}I", blob, lengths_at)
-    expected = lengths_at + 4 * n_names + sum(lengths)
+                         f"at least {names_at}")
+    lengths = struct.unpack_from(f"<{width}I", blob, lengths_at)
+    expected = names_at + sum(lengths)
     if len(blob) != expected:
         raise ModelError(f"checkpoint holds {len(blob)} bytes where its scoring block implies {expected}")
     values = np.frombuffer(blob, dtype="<f8", count=centers + 2 * width * has_transform, offset=off)
     values = values.astype(np.float64)
     transform = (values[centers:centers + width], values[centers + width:]) if has_transform else None
-    names, off = [], lengths_at + 4 * n_names
+    names, off = [], names_at
     try:
         for length in lengths:
             names.append(blob[off:off + length].decode("utf-8"))
             off += length
     except UnicodeDecodeError as e:
         raise ModelError(f"checkpoint feature name {len(names)} is not UTF-8: {e}") from e
-    return Scoring(values[:centers].reshape(k, dims[-1]), tau, transform, tuple(names) or None)
+    return Scoring(values[:centers].reshape(k, dims[-1]), tau, transform, tuple(names))

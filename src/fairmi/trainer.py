@@ -124,10 +124,10 @@ def write_log_csv(logs, path):
 class TrainerHooks:
     """Optional instrumentation callbacks; None disables a hook."""
 
-    on_centers_refresh: object | None = None  # (epoch, ClusterCenters)
-    on_batch: object | None = None            # (epoch, batch_index, {term: value})
-    on_epoch: object | None = None            # (EpochLog)
-    on_params: object | None = None           # (epoch, ModelParams): a copy taken after the epoch's updates
+    on_epoch: object | None = None   # (EpochLog)
+    # (epoch, ModelParams) after the epoch's updates: a record over the live
+    # arrays, valid only during the call, so a reader that keeps it copies it
+    on_params: object | None = None
 
 
 class AdamState:
@@ -201,12 +201,6 @@ def _batch_graphs(x, groups, layer_dims, n_groups, warmup, centers, cfg):
     return {"l_rec": rec, "l_clu": clu, "l_fair": fair, "l_total": total}
 
 
-def _copy(params: model.ModelParams, scoring: model.Scoring) -> model.ModelParams:
-    """A record of new arrays, which stay as they are while training moves on, and ``scoring``."""
-    return replace(params, arrays={name: value.copy() for name, value in params.arrays.items()},
-                   scoring=scoring)
-
-
 def _measure(h, cfg, view, labels, epoch):
     """End-of-epoch diagnostics on the full-dataset latents; never feeds gradients.
 
@@ -233,10 +227,10 @@ def fit(config: TrainConfig, dataset: Dataset, hooks: TrainerHooks | None = None
 
     Deterministic for a fixed config: data order, center seeding, and every
     update are derived from config.seed. Adam updates one set of arrays in
-    place; the returned record, and each one `hooks.on_params` gets, is a
-    copy of them, taken only then. Nothing of a step outlives it. Each such
-    record carries its epoch's `model.Scoring`: the centers its log row was
-    measured against, tau, and the dataset's feature transform and names.
+    place. The record `hooks.on_params` gets each epoch reads them, and only
+    the returned record is a copy of them. Nothing of a step outlives it.
+    Each record carries its epoch's `model.Scoring`: the centers its log row
+    was measured against, tau, and the dataset's feature transform and names.
     """
     view = dataset.train_view()
     labels = dataset.labels
@@ -269,8 +263,6 @@ def fit(config: TrainConfig, dataset: Dataset, hooks: TrainerHooks | None = None
                 centers, _ = clustering.kmeans(h_all, config.k, seed=(config.seed, epoch, 0xC3))
             except clustering.ClusteringError as e:
                 raise TrainError(f"epoch {epoch}: center refresh failed: {e}") from e
-            if hooks.on_centers_refresh:
-                hooks.on_centers_refresh(epoch, centers)
 
         sums = {"l_rec": 0.0, "l_clu": 0.0, "l_fair": 0.0, "l_total": 0.0}
         batches = minibatches(view, config.batch_size, (config.seed, epoch, 0xBA))
@@ -292,8 +284,6 @@ def fit(config: TrainConfig, dataset: Dataset, hooks: TrainerHooks | None = None
             del grads, x, g
             for name in sums:
                 sums[name] += values.get(name, 0.0)
-            if hooks.on_batch:
-                hooks.on_batch(epoch, b, values)
 
         nb = len(batches)
         # adam_step is done with the live arrays until the next epoch, so the
@@ -316,24 +306,27 @@ def fit(config: TrainConfig, dataset: Dataset, hooks: TrainerHooks | None = None
         if hooks.on_epoch:
             hooks.on_epoch(log)
         if hooks.on_params:
-            hooks.on_params(epoch, _copy(params, scoring))
+            hooks.on_params(epoch, replace(params, scoring=scoring))
         if epoch % 20 == 0 or epoch == config.max_epochs - 1:
             logger.info(
                 "epoch %d: l_total=%.6f l_rec=%.6f mi_gc=%.6f", epoch, log.l_total, log.l_rec, log.mi_gc
             )
 
-    return _copy(params, scoring), logs
+    # the one copy: the arrays handed out stay as they are
+    return replace(params, arrays={name: value.copy() for name, value in params.arrays.items()},
+                   scoring=scoring), logs
 
 
 def evaluate(params: model.ModelParams, dataset: Dataset, config: TrainConfig) -> metrics.MetricsReport:
     """Assign the dataset's rows to the trained centers and score the partition.
 
-    The record must come from `fit`, or from a version 2 checkpoint of one:
-    it carries the final centers, and each row goes to the argmax of its
-    soft assignment to them, as in the last epoch log. No k-means runs. The
+    The record must come from `fit`, or from a checkpoint of one: it
+    carries the final centers, and each row goes to the argmax of its soft
+    assignment to them, as in the last epoch log. No k-means runs. The
     config's k and tau and the dataset's feature transform must be the ones
     the model was trained with (`data.apply_transform` maps new raw data).
-    Otherwise, or on a record without scoring, this raises TrainError.
+    Otherwise, or on a record that never went through `fit`, this raises
+    TrainError.
     Deterministic: two calls yield identical reports.
     """
     _check_scoring(params.scoring, dataset, config)
@@ -346,8 +339,8 @@ def _check_scoring(scoring: model.Scoring | None, dataset: Dataset, config: Trai
     """Reject a record without trained centers, or a config or dataset that does not
     match what the model was trained with."""
     if scoring is None:
-        raise TrainError("the model holds no trained centers (a version 1 checkpoint, or a record "
-                         "that never went through fit): score a record that fit returned")
+        raise TrainError("the model holds no trained centers (it never went through fit, as an "
+                         "init_params record): score a record that fit returned")
     if config.k != scoring.k:
         raise TrainError(f"config k={config.k} differs from the {scoring.k} centers the model was trained with")
     if config.tau != scoring.tau:

@@ -1,5 +1,5 @@
 """Tools shared by the tests: a finite-difference gradient check, a traced peak and a
-version 1 checkpoint writer."""
+writer of a checkpoint's header and weights."""
 
 import struct
 import tracemalloc
@@ -50,8 +50,9 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def v1_blob(params) -> bytes:
-    """A version 1 checkpoint of ``params``' weights, built independently of save_checkpoint."""
+def weights_blob(params, version=2) -> bytes:
+    """A checkpoint's header and weights for ``params``, up to where the scoring block starts,
+    built independently of save_checkpoint."""
     dims = params.layer_dims
-    head = struct.pack(f"<4sII{len(dims)}II", b"FCMI", 1, len(dims), *dims, params.group_count)
+    head = struct.pack(f"<4sII{len(dims)}II", b"FCMI", version, len(dims), *dims, params.group_count)
     return head + b"".join(a.astype("<f8").tobytes() for a in params.arrays.values())

@@ -5,6 +5,7 @@ import json
 import logging
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ import pytest
 
 from fairmi import cli, clustering, data, metrics, model, trainer
 
-from helpers import traced_peak, v1_blob
+from helpers import traced_peak, weights_blob
 
 SPEC = {
     "classes": 2, "groups": 2, "per_cell_count": 15, "class_sep": 6.0,
@@ -358,29 +359,35 @@ class TestEvalScoring:
         params = model.init_params(CONFIG["layer_dims"], 2, seed=3)
         checkpoint = tmp_path / "model.bin"
         if kind == "version_1":
-            checkpoint.write_bytes(v1_blob(params))
-        else:
-            model.save_checkpoint(params, checkpoint)
+            checkpoint.write_bytes(weights_blob(params, version=1))
+            message = "unsupported checkpoint version 1"
+        else:  # the weights and a zero center count, as a record without scoring was once saved
+            checkpoint.write_bytes(weights_blob(params) + struct.pack("<I", 0))
+            message = "checkpoint truncated in its scoring block"
         config = write_json(tmp_path / "config.json", CONFIG)
         report = tmp_path / "r.json"
         with caplog.at_level(logging.WARNING):
             assert cli.run(self.eval_argv(synth_csv, config, checkpoint, report, "--truth-col", "label")) == 1
-        err = capsys.readouterr().err
-        assert f"error: {checkpoint} holds no trained centers" in err and "fairmi train" in err
+        assert f"error: {message}" in capsys.readouterr().err
         assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
         assert not report.exists()
 
-    def test_a_model_without_feature_names_is_checked_by_input_width(self, synth_csv, tmp_path, capsys):
-        cfg = trainer.TrainConfig.from_dict(CONFIG)
-        params, _ = trainer.fit(cfg, data.generate_synthetic(data.SyntheticSpec(**SPEC)))
-        assert params.scoring.feature_names is None
-        checkpoint = tmp_path / "model.bin"
+    def test_a_library_fit_checks_columns_by_their_default_names(self, tmp_path, capsys):
+        """A Dataset built without feature names has f0, f1, ..., which its fit records."""
+        dataset = data.generate_synthetic(data.SyntheticSpec(**SPEC))
+        params, _ = trainer.fit(trainer.TrainConfig.from_dict(CONFIG), dataset)
+        assert params.scoring.feature_names == ("f0", "f1", "f2", "f3")
+        checkpoint, own = tmp_path / "model.bin", tmp_path / "own.csv"
         model.save_checkpoint(params, checkpoint)
+        data.save_csv(dataset, own)
         config = write_json(tmp_path / "config.json", CONFIG)
         report = tmp_path / "r.json"
-        assert cli.run(self.eval_argv(synth_csv, config, checkpoint, report)) == 1
-        assert (f"{synth_csv} has 5 feature columns (f0, f1, f2, f3, label) where the checkpoint "
-                "takes 4 inputs") in capsys.readouterr().err
+        assert cli.run(self.eval_argv(own, config, checkpoint, report, "--truth-col", "label")) == 0
+        report.unlink()
+        reversed_csv = rewrite_csv(own, tmp_path / "reversed.csv", ["f3", "f2", "f1", "f0", "group", "label"])
+        assert cli.run(self.eval_argv(reversed_csv, config, checkpoint, report, "--truth-col", "label")) == 1
+        assert ("['f3', 'f2', 'f1', 'f0'] is in another order than ['f0', 'f1', 'f2', 'f3']"
+                in capsys.readouterr().err)
         assert not report.exists()
 
 

@@ -252,6 +252,8 @@ class TestCSV:
         np.testing.assert_array_equal(back.features, ds.features)
         np.testing.assert_array_equal(back.groups, ds.groups)
         np.testing.assert_array_equal(back.labels, ds.labels)
+        # a Dataset built without names has the ones save_csv writes
+        assert back.feature_names == ds.feature_names == tuple(f"f{i}" for i in range(ds.dim))
 
 
 def csv_reader_reference(text, label_columns):

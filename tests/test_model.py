@@ -9,7 +9,7 @@ import pytest
 from fairmi import autodiff as ad
 from fairmi import model
 
-from helpers import grad_check, v1_blob
+from helpers import grad_check, weights_blob
 
 
 def tiny_params(layer_dims=(5, 4, 3), groups=2, seed=0):
@@ -20,13 +20,16 @@ def tiny_params(layer_dims=(5, 4, 3), groups=2, seed=0):
 CORRUPTIONS = {
     "magic": "magic",
     "version": "version 99",
+    "version-1": "unsupported checkpoint version 1",
     "truncate": "header implies",
     "trailing": "scoring block implies",
-    "no-scoring-trailing": "header implies",
+    "no-scoring": "truncated in its scoring block",
     "block-truncate": "scoring block implies",
     "block-truncate-head": "truncated in its scoring block",
     "block-k-mismatch": "scoring block implies",
     "block-k-one": "k >= 2",
+    "block-k-zero": "k >= 2",
+    "block-no-names": "holds 0 feature names",
     "block-flags": "0 or 1",
     "block-nan-center": "centers must be finite",
     "block-nan-tau": "tau must be a finite number > 0, got nan",
@@ -38,7 +41,8 @@ CORRUPTIONS = {
 
 
 def scored_params(layer_dims=(5, 4, 3), groups=2, k=2, seed=0, transform=True, names=True):
-    """A record with a scoring block of random centers, a random transform and odd names."""
+    """A record with a scoring block of random centers, a random transform (or none), and odd
+    names (or the default ones)."""
     p = model.init_params(layer_dims, groups, seed)
     rng = np.random.default_rng(seed)
     width = layer_dims[0]
@@ -46,7 +50,7 @@ def scored_params(layer_dims=(5, 4, 3), groups=2, k=2, seed=0, transform=True, n
         centers=rng.normal(size=(k, layer_dims[-1])),
         tau=float(rng.uniform(0.05, 2.0)),
         transform=(rng.normal(size=width), rng.uniform(0.5, 3.0, size=width)) if transform else None,
-        feature_names=tuple(["höhe", "a,b", ""] + [f"f{i}" for i in range(width)])[:width] if names else None,
+        feature_names=tuple((["höhe", "a,b", ""] if names else []) + [f"f{i}" for i in range(width)])[:width],
     )
     return model.ModelParams(p.layer_dims, groups, p.arrays, scoring)
 
@@ -254,7 +258,7 @@ class TestGraph:
 
 class TestCheckpoint:
     def test_round_trip_is_bitwise(self, tmp_path):
-        p = tiny_params((6, 5, 3), groups=3, seed=21)
+        p = scored_params((6, 5, 3), groups=3, seed=21)
         path = tmp_path / "model.bin"
         model.save_checkpoint(p, path)
         loaded = model.load_checkpoint(path)
@@ -265,7 +269,7 @@ class TestCheckpoint:
             assert ba.tobytes() == bb.tobytes()
 
     def test_header_layout(self, tmp_path):
-        p = tiny_params((5, 3), groups=1, seed=2)
+        p = scored_params((5, 3), groups=1, seed=2)
         path = tmp_path / "model.bin"
         model.save_checkpoint(p, path)
         blob = path.read_bytes()
@@ -297,31 +301,25 @@ class TestCheckpoint:
             assert all(a.tobytes() == b.tobytes() for a, b in zip(s.transform, t.transform))
         else:
             assert t.transform is None
-        # the weights are stored as version 1 stored them
+        # the header and weights as an independent writer lays them out
         blob = path.read_bytes()
-        assert blob[8:len(v1_blob(p))] == v1_blob(p)[8:]
+        assert blob[:len(weights_blob(p))] == weights_blob(p)
         model.save_checkpoint(loaded, tmp_path / "again.bin")
         assert (tmp_path / "again.bin").read_bytes() == blob
 
-    def test_a_version_1_file_loads_without_scoring(self, tmp_path):
-        p = tiny_params((6, 5, 3), groups=2, seed=4)
+    def test_a_record_without_scoring_is_not_saved(self, tmp_path):
         path = tmp_path / "model.bin"
-        path.write_bytes(v1_blob(p))
-        loaded = model.load_checkpoint(path)
-        assert loaded.scoring is None
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(p.arrays.values(), loaded.arrays.values()))
-        # saved again, it is the version 1 bytes under version 2 with an empty scoring block
-        model.save_checkpoint(loaded, tmp_path / "v2.bin")
-        blob = (tmp_path / "v2.bin").read_bytes()
-        assert blob == v1_blob(p)[:4] + struct.pack("<I", 2) + v1_blob(p)[8:] + struct.pack("<I", 0)
+        with pytest.raises(model.ModelError, match="no trained centers.*save a record that fit returned"):
+            model.save_checkpoint(tiny_params(), path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("mangle", list(CORRUPTIONS))
     def test_rejects_corrupt_files(self, tmp_path, mangle):
         p = scored_params((5, 4, 3), groups=2, k=2)
         path = tmp_path / "model.bin"
-        model.save_checkpoint(p if mangle != "no-scoring-trailing" else tiny_params(), path)
+        model.save_checkpoint(p, path)
         blob = bytearray(path.read_bytes())
-        block = len(v1_blob(p))  # where the weights end and the scoring block starts
+        block = len(weights_blob(p))  # where the weights end and the scoring block starts
         centers = block + struct.calcsize("<IdII")
         row = 8 * p.layer_dims[-1]
         mean = centers + 2 * row
@@ -334,10 +332,14 @@ class TestCheckpoint:
             blob[:4] = b"NOPE"
         elif mangle == "version":
             put(4, "<I", 99)
+        elif mangle == "version-1":  # the weights alone, as version 1 stored them
+            blob = weights_blob(p, version=1)
         elif mangle == "truncate":
             blob = blob[:block - 9]
-        elif mangle in ("trailing", "no-scoring-trailing"):
+        elif mangle == "trailing":
             blob += b"\x00" * 8
+        elif mangle == "no-scoring":  # a zero center count, and the file ends
+            blob = weights_blob(p) + struct.pack("<I", 0)
         elif mangle == "block-truncate":
             blob = blob[:-3]
         elif mangle == "block-truncate-head":
@@ -347,6 +349,11 @@ class TestCheckpoint:
         elif mangle == "block-k-one":
             put(block, "<I", 1)
             del blob[centers + row: centers + 2 * row]
+        elif mangle == "block-k-zero":
+            put(block, "<I", 0)
+            del blob[centers: centers + 2 * row]
+        elif mangle == "block-no-names":
+            put(block + 16, "<I", 0)
         elif mangle == "block-flags":
             put(block + 12, "<I", 2)
         elif mangle == "block-nan-center":
@@ -369,15 +376,15 @@ class TestCheckpoint:
     def test_scoring_must_fit_the_layers(self):
         p = scored_params((5, 4, 3), groups=2)
         s = p.scoring
-        for scoring, what in ((model.Scoring(s.centers[:, :2], s.tau), "centers"),
-                              (model.Scoring(s.centers, s.tau, (s.transform[0][:4], s.transform[1])),
-                               "transform mean"),
+        for scoring, what in ((model.Scoring(s.centers[:, :2], s.tau, None, s.feature_names), "centers"),
+                              (model.Scoring(s.centers, s.tau, (s.transform[0][:4], s.transform[1]),
+                                             s.feature_names), "transform mean"),
                               (model.Scoring(s.centers, s.tau, None, s.feature_names[:4]), "feature names")):
             with pytest.raises(model.ModelError, match=f"scoring {what} have shape"):
                 model.ModelParams(p.layer_dims, p.group_count, p.arrays, scoring)
 
     def test_rejects_non_finite_bias(self, tmp_path):
-        p = tiny_params((5, 4, 3), groups=2)
+        p = scored_params((5, 4, 3), groups=2)
         path = tmp_path / "model.bin"
         model.save_checkpoint(p, path)
         blob = bytearray(path.read_bytes())
@@ -391,13 +398,13 @@ class TestCheckpoint:
     def test_rejects_a_huge_group_count_from_the_header_alone(self, tmp_path):
         """84 bytes claiming 2**32 - 1 groups fail before any per-group work."""
         path = tmp_path / "model.bin"
-        path.write_bytes(struct.pack("<4sII2II", b"FCMI", 1, 2, 2, 1, 2**32 - 1) + bytes(60))
+        path.write_bytes(struct.pack("<4sII2II", b"FCMI", 2, 2, 2, 1, 2**32 - 1) + bytes(60))
         with pytest.raises(model.ModelError, match="header implies"):
             model.load_checkpoint(path)
 
     def test_rejects_zero_width_layer(self, tmp_path):
-        """A v1 file with widths [3, 0, 2] holds only the 2- and 3-wide biases."""
+        """A file with widths [3, 0, 2] holds only the 2- and 3-wide biases."""
         path = tmp_path / "model.bin"
-        path.write_bytes(struct.pack("<4sII3II", b"FCMI", 1, 3, 3, 0, 2, 1) + bytes(8 * (2 + 3)))
+        path.write_bytes(struct.pack("<4sII3II", b"FCMI", 2, 3, 3, 0, 2, 1) + bytes(8 * (2 + 3)))
         with pytest.raises(model.ModelError, match=re.escape("[3, 0, 2]")):
             model.load_checkpoint(path)

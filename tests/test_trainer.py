@@ -38,6 +38,53 @@ def no_kmeans(*args, **kwargs):
     raise AssertionError("k-means ran")
 
 
+def trace_fit(monkeypatch):
+    """Per epoch of the fits that follow, in call order: "refresh" for each center
+    refresh, and each batch's set of loss-graph terms.
+
+    An epoch ends with the diagnostics' k-means, the one with restarts.
+    """
+    per_epoch, ended = {}, [0]
+    kmeans, batch_graphs = clustering.kmeans, trainer._batch_graphs
+
+    def kmeans_spy(*args, **kwargs):
+        if kwargs.get("restarts", 1) > 1:
+            ended[0] += 1
+        else:
+            per_epoch.setdefault(ended[0], []).append("refresh")
+        return kmeans(*args, **kwargs)
+
+    def batch_graphs_spy(*args):
+        roots = batch_graphs(*args)
+        per_epoch.setdefault(ended[0], []).append(set(roots))
+        return roots
+
+    monkeypatch.setattr(clustering, "kmeans", kmeans_spy)
+    monkeypatch.setattr(trainer, "_batch_graphs", batch_graphs_spy)
+    return per_epoch
+
+
+def fit_records(monkeypatch, hooks=None):
+    """Fit 4 epochs; return the arrays Adam updates, every ModelParams record built, and fit's record."""
+    live, records = [], []
+    original_step = trainer.adam_step
+    original_check = model.ModelParams.__post_init__
+
+    def spy(params, *args, **kwargs):
+        live.append(params)
+        return original_step(params, *args, **kwargs)
+
+    def check(record):
+        original_check(record)
+        records.append(record)
+
+    monkeypatch.setattr(trainer, "adam_step", spy)
+    monkeypatch.setattr(model.ModelParams, "__post_init__", check)
+    final, _ = trainer.fit(small_config(max_epochs=4), small_dataset(), hooks)
+    assert live and all(arrays is live[0] for arrays in live)
+    return live[0], records, final
+
+
 def adam(params, grads, step=1, lr=0.1):
     """One in-place step on params from fresh moments; returns the state it used."""
     state = trainer.AdamState(params)
@@ -260,33 +307,25 @@ class TestConfig:
 
 
 class TestFit:
-    def test_warmup_never_builds_cluster_terms(self):
-        seen_terms, refreshes = [], []
-        hooks = trainer.TrainerHooks(
-            on_centers_refresh=lambda epoch, centers: refreshes.append(epoch),
-            on_batch=lambda epoch, b, values: seen_terms.append((epoch, set(values))),
-        )
+    def test_warmup_never_builds_cluster_terms(self, monkeypatch):
+        per_epoch = trace_fit(monkeypatch)
         cfg = small_config(warmup_epochs=3, max_epochs=5)
-        trainer.fit(cfg, small_dataset(), hooks)
-        for epoch, terms in seen_terms:
-            if epoch < 3:
-                assert terms == {"l_rec", "l_total"}
-            else:
-                assert terms == {"l_rec", "l_clu", "l_fair", "l_total"}
-        assert refreshes == [3, 4]  # once per post-warmup epoch
-
-    def test_centers_refresh_precedes_batches(self):
-        order = []
-        hooks = trainer.TrainerHooks(
-            on_centers_refresh=lambda epoch, centers: order.append(("refresh", epoch)),
-            on_batch=lambda epoch, b, values: order.append(("batch", epoch, b)),
-        )
-        cfg = small_config(warmup_epochs=0, max_epochs=2, batch_size=30)
-        trainer.fit(cfg, small_dataset(), hooks)
-        per_epoch = {}
-        for event in order:
-            per_epoch.setdefault(event[1], []).append(event[0])
+        trainer.fit(cfg, small_dataset())
+        assert sorted(per_epoch) == [0, 1, 2, 3, 4]
         for epoch, events in per_epoch.items():
+            terms = [e for e in events if e != "refresh"]
+            want = {"l_rec", "l_total"} if epoch < 3 else {"l_rec", "l_clu", "l_fair", "l_total"}
+            assert terms and all(t == want for t in terms)
+        # once per post-warmup epoch
+        assert [epoch for epoch, events in per_epoch.items() if "refresh" in events] == [3, 4]
+
+    def test_centers_refresh_precedes_batches(self, monkeypatch):
+        per_epoch = trace_fit(monkeypatch)
+        cfg = small_config(warmup_epochs=0, max_epochs=2, batch_size=30)
+        trainer.fit(cfg, small_dataset())
+        assert sorted(per_epoch) == [0, 1]
+        for epoch, events in per_epoch.items():
+            assert len(events) == 1 + 3  # 80 rows in batches of 30
             assert events[0] == "refresh"
             assert events.count("refresh") == 1
 
@@ -353,19 +392,18 @@ class TestFit:
         with pytest.raises(trainer.TrainError):
             trainer.fit(small_config(k=4, layer_dims=None, latent_dim=3), tiny)
 
-    def test_labeled_single_group_rejected_before_training(self):
+    def test_labeled_single_group_rejected_before_training(self, monkeypatch):
         ds = data.generate_synthetic(data.SyntheticSpec(
             classes=2, groups=1, per_cell_count=20, class_sep=6.0,
             group_shift=0.0, dim=5, noise_sd=0.8, seed=0))
-        batches = []
-        hooks = trainer.TrainerHooks(on_batch=lambda *a: batches.append(a))
+        per_epoch = trace_fit(monkeypatch)
         with pytest.raises(trainer.TrainError, match="2 groups"):
-            trainer.fit(small_config(), ds, hooks)
-        assert batches == []
+            trainer.fit(small_config(), ds)
+        assert per_epoch == {}
         # without labels there is no mnce to log, so one group still trains
         unlabeled = data.Dataset(features=ds.features, groups=ds.groups)
-        _, logs = trainer.fit(small_config(max_epochs=3), unlabeled, hooks)
-        assert len(logs) == 3 and batches
+        _, logs = trainer.fit(small_config(max_epochs=3), unlabeled)
+        assert len(logs) == 3 and sorted(per_epoch) == [0, 1, 2]
 
     def test_degenerate_latents_raise_train_error_naming_epoch(self):
         """All-zero features give identical latents; the epoch's diagnostics cannot cluster them."""
@@ -382,40 +420,6 @@ class TestFit:
         assert [e for e, _ in seen] == [0, 1, 2, 3]
         last = seen[-1][1]
         np.testing.assert_array_equal(last.arrays["enc.0.W"], final.arrays["enc.0.W"])
-
-    def test_params_hook_gets_snapshots(self):
-        """What the hook received stays as it was; fit returns the last epoch's copy."""
-        seen = []
-
-        def keep(epoch, p):
-            copies = [a.copy() for layer in p.all_arrays() for a in layer]
-            seen.append((p, copies))
-
-        final, _ = trainer.fit(small_config(max_epochs=4), small_dataset(),
-                               trainer.TrainerHooks(on_params=keep))
-        for p, copies in seen:
-            arrays = [a for layer in p.all_arrays() for a in layer]
-            assert all(np.array_equal(a, c) for a, c in zip(arrays, copies))
-        last = [a for layer in final.all_arrays() for a in layer]
-        assert all(np.array_equal(a, c) for a, c in zip(last, seen[-1][1]))
-        assert not np.array_equal(seen[0][1][0], seen[-1][1][0])
-
-    def test_snapshots_share_no_storage_with_the_live_arrays(self, monkeypatch):
-        live = []
-        original = trainer.adam_step
-
-        def spy(params, *args, **kwargs):
-            live.append(params)
-            return original(params, *args, **kwargs)
-
-        monkeypatch.setattr(trainer, "adam_step", spy)
-        seen = []
-        final, _ = trainer.fit(small_config(max_epochs=3), small_dataset(),
-                               trainer.TrainerHooks(on_params=lambda epoch, p: seen.append(p)))
-        assert live and all(arrays is live[0] for arrays in live)
-        for p in seen + [final]:
-            for name, a in p.arrays.items():
-                assert not np.shares_memory(a, live[0][name]), name
 
     def test_one_group_cluster_mi_per_epoch(self, monkeypatch):
         calls = []
@@ -470,24 +474,20 @@ class TestFit:
 
     def test_without_a_params_hook_fit_copies_the_parameters_once(self, monkeypatch):
         """The copy fit returns is the only one; each epoch's check reads the live arrays."""
-        live, records = [], []
-        original_step = trainer.adam_step
-        original_check = model.ModelParams.__post_init__
-
-        def spy(params, *args, **kwargs):
-            live.append(params)
-            return original_step(params, *args, **kwargs)
-
-        def check(record):
-            original_check(record)
-            records.append(record)
-
-        monkeypatch.setattr(trainer, "adam_step", spy)
-        monkeypatch.setattr(model.ModelParams, "__post_init__", check)
-        final, _ = trainer.fit(small_config(max_epochs=4), small_dataset())
-        copies = [r for r in records if not np.shares_memory(r.arrays["enc.0.W"], live[0]["enc.0.W"])]
+        live, records, final = fit_records(monkeypatch)
+        copies = [r for r in records if not np.shares_memory(r.arrays["enc.0.W"], live["enc.0.W"])]
         assert len(copies) == 1 and copies[0] is final
         assert len(records) == 1 + 4 + 1  # init, one check per epoch, the returned copy
+
+    def test_with_a_params_hook_fit_copies_the_parameters_once(self, monkeypatch):
+        """Each record the hook gets reads the live arrays; only the one fit returns is a copy."""
+        seen = []
+        hooks = trainer.TrainerHooks(on_params=lambda epoch, p: seen.append(p))
+        live, records, final = fit_records(monkeypatch, hooks)
+        assert len(seen) == 4 and all(p.arrays[name] is live[name] for p in seen for name in live)
+        copies = [r for r in records if not np.shares_memory(r.arrays["enc.0.W"], live["enc.0.W"])]
+        assert len(copies) == 1 and copies[0] is final
+        assert len(records) == 1 + 4 + 4 + 1  # init, each epoch's check and hook record, the copy
 
     def test_a_non_finite_parameter_raises_in_the_epoch_it_appears(self, monkeypatch):
         ds = small_dataset()
@@ -617,16 +617,25 @@ class TestEvaluate:
         assert [getattr(report, n) for n in LABEL_METRICS] == [getattr(logs[-1], n) for n in LABEL_METRICS]
 
     def test_every_params_copy_scores_as_its_epoch_log_row(self, monkeypatch):
-        copies = []
+        """Each epoch's record, scored while the hook holds it, gives that epoch's log row."""
+        scorings, reports = [], []
         cfg = small_config(max_epochs=4)
         ds = small_dataset()
-        final, logs = trainer.fit(cfg, ds, trainer.TrainerHooks(on_params=lambda e, p: copies.append(p)))
-        assert final.scoring is copies[-1].scoring
+        evaluate = trainer.evaluate
+
+        def score(epoch, p):
+            scorings.append(p.scoring)
+            with monkeypatch.context() as m:
+                m.setattr(clustering, "kmeans", no_kmeans)
+                reports.append(evaluate(p, ds, cfg))
+
+        final, logs = trainer.fit(cfg, ds, trainer.TrainerHooks(on_params=score))
+        assert final.scoring is scorings[-1]
         assert final.scoring.tau == cfg.tau and final.scoring.k == cfg.k
-        assert final.scoring.transform is None and final.scoring.feature_names is None
-        monkeypatch.setattr(clustering, "kmeans", no_kmeans)
-        for p, log in zip(copies, logs):
-            report = trainer.evaluate(p, ds, cfg)
+        assert final.scoring.transform is None
+        assert final.scoring.feature_names == ("f0", "f1", "f2", "f3", "f4")
+        assert len(reports) == len(logs) == 4
+        for report, log in zip(reports, logs):
             assert [getattr(report, n) for n in LABEL_METRICS] == [getattr(log, n) for n in LABEL_METRICS]
 
     def test_rejects_a_config_or_dataset_the_model_was_not_trained_with(self):
