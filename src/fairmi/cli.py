@@ -114,27 +114,19 @@ def _cmd_train(args):
     return 0
 
 
-def _check_feature_columns(path, names, params):
-    """Reject feature columns other than the training ones, by name and order."""
-    trained = params.scoring.feature_names
-    if names == trained:
-        return
-    problems = [f"{what} {', '.join(map(repr, columns))}" for what, columns in (
-        ("missing", [n for n in trained if n not in names]),
-        ("extra", [n for n in names if n not in trained])) if columns]
-    raise ValueError(f"{path}: feature columns differ from the training ones: "
-                     + ("; ".join(problems) or f"{list(names)} is in another order than {list(trained)}"))
-
-
 def _cmd_eval(args):
     config = trainer.TrainConfig.from_dict(_read_json(args.config, "config"))
-    params = model.load_checkpoint(args.checkpoint)
-    # the data is read raw and mapped through the training transform
+    try:
+        params = model.load_checkpoint(args.checkpoint)
+    except model.ModelError as e:
+        raise model.ModelError(f"{args.checkpoint}: {e}") from e
+    # read raw: evaluate maps the rows through the training transform
     dataset = data.load_csv(args.data, group_column=args.groups_col, label_column=args.truth_col,
                             standardize_features=False)
-    _check_feature_columns(args.data, dataset.feature_names, params)
-    dataset = data.apply_transform(dataset, params.scoring.transform)
-    report = trainer.evaluate(params, dataset, config)
+    try:
+        report = trainer.evaluate(params, dataset, config)
+    except trainer.TrainError as e:
+        raise trainer.TrainError(f"{args.data}: {e}") from e
     metrics.write_report(report, args.report)
     logging.info("wrote report to %s", args.report)
     return 0

@@ -31,24 +31,6 @@ class ClusteringError(ValueError):
 
 
 @dataclass(frozen=True)
-class ClusterCenters:
-    """K x latent_dim center matrix."""
-
-    centers: np.ndarray
-
-    def __post_init__(self):
-        c = self.centers
-        if c.ndim != 2 or c.shape[0] < 2:
-            raise ClusteringError("need a 2-d center matrix with K >= 2")
-        if not np.all(np.isfinite(c)):
-            raise ClusteringError("centers must be finite")
-
-    @property
-    def k(self) -> int:
-        return self.centers.shape[0]
-
-
-@dataclass(frozen=True)
 class SoftAssignment:
     """Row-stochastic N x K assignment matrix plus the temperature that made it.
 
@@ -86,6 +68,16 @@ class SoftAssignment:
 def _check_temperature(tau):
     if not 0.0 < tau < np.inf:
         raise ClusteringError(f"temperature must be a finite number > 0, got {tau}")
+
+
+def _center_directions(centers, tau):
+    """Unit rows of a finite 2-d matrix of K >= 2 centers, once tau is checked."""
+    _check_temperature(tau)
+    if centers.ndim != 2 or centers.shape[0] < 2:
+        raise ClusteringError("need a 2-d center matrix with K >= 2")
+    if not np.all(np.isfinite(centers)):
+        raise ClusteringError("centers must be finite")
+    return ad.unit_rows(centers)[0]
 
 
 def _plus_plus_seed(x_t, k, rng):
@@ -177,7 +169,7 @@ def _lloyd(x, x_t, centers, max_iter, tol):
 
 
 def kmeans(features: np.ndarray, k: int, seed, restarts: int = 1):
-    """Euclidean k-means; returns (ClusterCenters, hard labels).
+    """Euclidean k-means; returns the (k, d) centers and the hard labels, as arrays.
 
     Deterministic for a fixed seed (seed may be an int or a tuple of ints).
     With restarts > 1, restart r is seeded from seed + (r,), all restarts run
@@ -209,22 +201,21 @@ def kmeans(features: np.ndarray, k: int, seed, restarts: int = 1):
     centers, labels, history = _lloyd(x, x_t, centers0, MAX_ITER, TOL)
     final = [h[-1] for h in history]
     best = final.index(min(final))  # the first restart wins a tie
-    return ClusterCenters(centers=centers[best]), labels[best]
+    return centers[best], labels[best]
 
 
-def soft_assign(h: np.ndarray, centers: ClusterCenters, tau: float) -> SoftAssignment:
-    """Temperature softmax over cosine similarities to the centers."""
+def soft_assign(h: np.ndarray, centers: np.ndarray, tau: float) -> SoftAssignment:
+    """Temperature softmax over cosine similarities to the (K, d) centers."""
     h = np.asarray(h, dtype=np.float64)
-    _check_temperature(tau)
-    if h.ndim != 2 or h.shape[1] != centers.centers.shape[1]:
+    dirs = _center_directions(centers, tau)
+    if h.ndim != 2 or h.shape[1] != centers.shape[1]:
         raise ClusteringError("latent width does not match the centers")
-    sims = ad.unit_rows(h)[0] @ ad.unit_rows(centers.centers)[0].T
+    sims = ad.unit_rows(h)[0] @ dirs.T
     return SoftAssignment(probs=ad.softmax(sims / tau), tau=tau)
 
 
-def soft_assign_graph(h_node: ad.Node, centers: ClusterCenters, tau: float) -> ad.Node:
+def soft_assign_graph(h_node: ad.Node, centers: np.ndarray, tau: float) -> ad.Node:
     """Differentiable version of :func:`soft_assign`; centers enter as constants."""
-    _check_temperature(tau)
-    dirs = ad.constant(ad.unit_rows(centers.centers)[0].T)
+    dirs = ad.constant(_center_directions(centers, tau).T)
     sims = ad.matmul(ad.normalize_rows(h_node), dirs)
     return ad.softmax_rows(ad.scale(sims, 1.0 / tau))

@@ -4,7 +4,11 @@ CSV is the interchange format: a header row, one named group column, an
 optional label column, and numeric feature columns in header order. Group
 and label values may be arbitrary strings; they are mapped to dense ids in
 order of first appearance, which keeps repeated loads of the same file
-byte-stable. Features are standardized per column by default.
+byte-stable. Features are standardized per column by default, and the
+``Dataset`` records the (mean, std) it applied as ``transform``; None means
+raw features. ``trainer.evaluate`` maps a raw dataset through a model's
+training transform with the same operations, so data other than the
+training file is scored in the training feature space.
 
 This module owns CSV parsing and its checks: ``load_csv`` and the CLI's
 label-only ``metrics`` input both go through ``read_csv``, which reads a
@@ -31,7 +35,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from itertools import chain, islice
 from operator import itemgetter
 
@@ -136,24 +140,6 @@ def _transformed(features, transform):
 def standardize(features: np.ndarray) -> np.ndarray:
     """Per-column zero mean, unit variance; constant columns become zero."""
     return _transformed(features, feature_transform(features))
-
-
-def apply_transform(dataset: Dataset, transform) -> Dataset:
-    """``dataset``'s raw features mapped through ``transform``, which the result records.
-
-    ``transform`` is a (mean, std) pair from ``feature_transform``, or None
-    for features used raw. New data is scored in a model's training
-    feature space this way: the operations are those of ``standardize``,
-    so the training file itself maps bit for bit onto its training features.
-    """
-    if dataset.transform is not None:
-        raise DataError("features are transformed already; load them raw (standardize_features=False)")
-    if transform is None:
-        return dataset
-    width = len(transform[0])
-    if width != dataset.dim:
-        raise DataError(f"the transform is for {width} features, the data has {dataset.dim}")
-    return replace(dataset, features=_transformed(dataset.features, transform), transform=transform)
 
 
 def _file_line(path, index):

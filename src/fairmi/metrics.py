@@ -147,9 +147,11 @@ def balance(pred: np.ndarray, groups: np.ndarray) -> float:
     The fairlet balance of Chierichetti et al. (NeurIPS 2017): raw counts,
     not fractions scaled by the population mix, so on a 2:1 population a
     cluster that mirrors the population scores 0.5. A cluster missing any
-    group scores 0 and therefore zeroes the minimum.
+    group scores 0 and therefore zeroes the minimum. Group ids need not be
+    dense: only the groups present count.
     """
     counts = _present_rows(contingency(pred, groups), "balance")
+    counts = counts[:, counts.any(axis=0)]  # a gap in the ids would be an all-zero column
     return float((counts.min(axis=1) / counts.max(axis=1)).min())
 
 
@@ -213,6 +215,12 @@ def full_report(pred, groups, truth=None, beta: float = 1.0) -> MetricsReport:
     """
     pred = _labels(pred, "pred")
     groups = _labels(groups, "groups")
+    top = int(groups.max())
+    if top >= groups.size:  # n rows hold at most n ids, and a count by id could be huge
+        raise MetricError(f"groups: ids reach {top} in {groups.size} rows, so some have no members")
+    missing = np.flatnonzero(np.bincount(groups) == 0)
+    if missing.size:
+        raise MetricError(f"groups: ids {missing.tolist()} have no members")
     bal = balance(pred, groups)
     fair = mnce(pred, groups)
     report_acc = report_nmi = combined = None
@@ -221,12 +229,6 @@ def full_report(pred, groups, truth=None, beta: float = 1.0) -> MetricsReport:
         report_acc = accuracy(pred, truth)
         report_nmi = nmi(pred, truth)
         combined = f_beta(report_nmi, fair, beta)
-    top = int(groups.max())
-    if top >= groups.size:  # n rows hold at most n ids, and a count by id could be huge
-        raise MetricError(f"groups: ids reach {top} in {groups.size} rows, so some have no members")
-    missing = np.flatnonzero(np.bincount(groups) == 0)
-    if missing.size:
-        raise MetricError(f"groups: ids {missing.tolist()} have no members")
     table = contingency(groups, pred)
     # a hard partition has zero assignment entropy, so I(X;C|G) = H(C) - I(G;C)
     mi_gc = _mutual_information(table / pred.size)

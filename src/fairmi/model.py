@@ -43,6 +43,8 @@ class Scoring:
     ``transform`` is the (mean, std) pair per input column the training
     features were standardized with, None when they were used raw, and
     ``feature_names`` the training feature columns in order.
+    ``trainer.evaluate`` scores a dataset only when its columns are these
+    names, and maps a raw one through ``transform``.
     """
 
     centers: np.ndarray

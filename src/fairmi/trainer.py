@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import clustering, metrics, model, objectives
-from .data import Dataset, check_ranges, check_scalar_fields, minibatches, record_from_dict
+from .data import Dataset, _transformed, check_ranges, check_scalar_fields, minibatches, record_from_dict
 
 logger = logging.getLogger(__name__)
 
@@ -291,7 +291,7 @@ def fit(config: TrainConfig, dataset: Dataset, hooks: TrainerHooks | None = None
         # a non-finite parameter raises ModelError in the epoch it appears.
         h_all = model.encode(replace(params), view.features)
         mi, cmi, extras, centers = _measure(h_all, config, view, labels, epoch)
-        scoring = model.Scoring(centers.centers, config.tau, dataset.transform, dataset.feature_names)
+        scoring = model.Scoring(centers, config.tau, dataset.transform, dataset.feature_names)
         log = EpochLog(
             epoch=epoch,
             l_rec=sums["l_rec"] / nb,
@@ -320,24 +320,24 @@ def fit(config: TrainConfig, dataset: Dataset, hooks: TrainerHooks | None = None
 def evaluate(params: model.ModelParams, dataset: Dataset, config: TrainConfig) -> metrics.MetricsReport:
     """Assign the dataset's rows to the trained centers and score the partition.
 
-    The record must come from `fit`, or from a checkpoint of one: it
-    carries the final centers, and each row goes to the argmax of its soft
-    assignment to them, as in the last epoch log. No k-means runs. The
-    config's k and tau and the dataset's feature transform must be the ones
-    the model was trained with (`data.apply_transform` maps new raw data).
-    Otherwise, or on a record that never went through `fit`, this raises
-    TrainError.
+    The record must come from `fit`, or from a checkpoint of one: its
+    `scoring` carries the final centers, and each row goes to the argmax of
+    its soft assignment to them, as in the last epoch log. No k-means runs.
+    The config's k and tau, and the dataset's feature names in order, must
+    be the trained ones. A raw dataset (`transform` None) is mapped through
+    the training transform as `load_csv` standardizes, bit for bit; a
+    transformed one must carry the training transform. Otherwise, or on a
+    record that never went through `fit`, this raises TrainError.
     Deterministic: two calls yield identical reports.
     """
-    _check_scoring(params.scoring, dataset, config)
-    h = model.encode(params, dataset.features)
-    assign = clustering.soft_assign(h, clustering.ClusterCenters(params.scoring.centers), config.tau)
+    h = model.encode(params, _scoring_features(params.scoring, dataset, config))
+    assign = clustering.soft_assign(h, params.scoring.centers, params.scoring.tau)
     return metrics.full_report(assign.hard(), dataset.groups, dataset.labels, config.f_beta_weight)
 
 
-def _check_scoring(scoring: model.Scoring | None, dataset: Dataset, config: TrainConfig):
-    """Reject a record without trained centers, or a config or dataset that does not
-    match what the model was trained with."""
+def _scoring_features(scoring: model.Scoring | None, dataset: Dataset, config: TrainConfig):
+    """The dataset's features in the training feature space, once `evaluate`'s checks pass;
+    the names are checked before anything is mapped."""
     if scoring is None:
         raise TrainError("the model holds no trained centers (it never went through fit, as an "
                          "init_params record): score a record that fit returned")
@@ -345,12 +345,17 @@ def _check_scoring(scoring: model.Scoring | None, dataset: Dataset, config: Trai
         raise TrainError(f"config k={config.k} differs from the {scoring.k} centers the model was trained with")
     if config.tau != scoring.tau:
         raise TrainError(f"config tau={config.tau} differs from the tau={scoring.tau} the model was trained with")
+    trained, names = tuple(scoring.feature_names), tuple(dataset.feature_names)
+    if names != trained:
+        problems = [f"{what} {', '.join(map(repr, columns))}" for what, columns in (
+            ("missing", [n for n in trained if n not in names]),
+            ("extra", [n for n in names if n not in trained])) if columns]
+        raise TrainError("feature columns differ from the training ones: "
+                         + ("; ".join(problems) or f"{list(names)} is in another order than {list(trained)}"))
     trained, given = scoring.transform, dataset.transform
-    if trained is None or given is None:
-        same = trained is given
-    else:
-        same = all(np.array_equal(a, b) for a, b in zip(trained, given))
-    if not same:
-        raise TrainError(
-            "the dataset's feature transform differs from the training one: load new data raw and "
-            "map it with data.apply_transform(dataset, params.scoring.transform)")
+    if given is None:
+        return dataset.features if trained is None else _transformed(dataset.features, trained)
+    if trained is None or not all(np.array_equal(a, b) for a, b in zip(trained, given)):
+        raise TrainError("the dataset's feature transform differs from the training one: load new data "
+                         "raw (standardize_features=False), and evaluate maps it")
+    return dataset.features

@@ -368,7 +368,7 @@ class TestEvalScoring:
         report = tmp_path / "r.json"
         with caplog.at_level(logging.WARNING):
             assert cli.run(self.eval_argv(synth_csv, config, checkpoint, report, "--truth-col", "label")) == 1
-        assert f"error: {message}" in capsys.readouterr().err
+        assert f"error: {checkpoint}: {message}" in capsys.readouterr().err
         assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
         assert not report.exists()
 

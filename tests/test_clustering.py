@@ -7,7 +7,7 @@ import pytest
 
 from fairmi import autodiff as ad
 from fairmi import clustering
-from fairmi.clustering import ClusterCenters, SoftAssignment
+from fairmi.clustering import SoftAssignment
 
 
 def plus_plus_seed(x, k, rng):
@@ -86,13 +86,13 @@ class TestKMeans:
         # same partition up to relabeling
         for k in range(3):
             assert np.unique(truth[labels == k]).size == 1
-        assert centers.k == 3
+        assert centers.shape == (3, 2)
 
     def test_k_equals_n_gives_zero_inertia(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(6, 2))
         centers, labels = clustering.kmeans(x, 6, seed=0)
-        d2 = ((x - centers.centers[labels]) ** 2).sum()
+        d2 = ((x - centers[labels]) ** 2).sum()
         np.testing.assert_allclose(d2, 0.0, atol=1e-20)
         assert np.unique(labels).size == 6
 
@@ -101,7 +101,7 @@ class TestKMeans:
         rng = np.random.default_rng(2024)
         x = rng.normal(size=(50, 2))
         centers, labels = clustering.kmeans(x, 3, seed=7)
-        ours = ((x - centers.centers[labels]) ** 2).sum()
+        ours = ((x - centers[labels]) ** 2).sum()
         oracle = min(naive_lloyd(x.copy(), 3, np.random.default_rng(s)) for s in range(10))
         assert ours <= 1.05 * oracle
 
@@ -110,7 +110,7 @@ class TestKMeans:
         x = rng.normal(size=(40, 3))
         c1, l1 = clustering.kmeans(x, 4, seed=11)
         c2, l2 = clustering.kmeans(x, 4, seed=11)
-        assert c1.centers.tobytes() == c2.centers.tobytes()
+        assert c1.tobytes() == c2.tobytes()
         assert np.array_equal(l1, l2)
 
     def test_rejects_degenerate_inputs(self):
@@ -126,7 +126,7 @@ class TestKMeans:
         """Euclidean k-means may put a center at 0; only cosine assignment needs a guard."""
         x = np.array([[1.0, 0], [-1, 0], [1, 0.5], [-1, -0.5], [9, 9], [10, 10], [9, 10], [10, 9]])
         centers, _ = clustering.kmeans(x, 2, seed=seed)
-        assert [0.0, 0.0] in centers.centers.tolist()
+        assert [0.0, 0.0] in centers.tolist()
         with caplog.at_level(logging.WARNING):
             assign = clustering.soft_assign(x, centers, tau=0.1)
         assert [(r.name, r.levelno) for r in caplog.records] == [("fairmi.autodiff", logging.WARNING)]
@@ -199,7 +199,7 @@ class TestKMeans:
         for restarts in (1, 10):
             centers, labels = clustering.kmeans(x, 5, seed=3, restarts=restarts)
             assert np.unique(labels).size == 5
-            np.testing.assert_allclose(centers.centers[labels], x, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(centers[labels], x, rtol=0, atol=1e-12)
 
     def test_centers_are_the_means_of_their_rows(self):
         rng = np.random.default_rng(8)
@@ -208,13 +208,13 @@ class TestKMeans:
             x, _ = blobs(rng, rng.normal(0, 4, size=(k, 3)), per=int(rng.integers(3, 40)), sd=1.0)
             centers, labels = clustering.kmeans(x, k, seed=trial, restarts=int(rng.integers(1, 6)))
             for j in range(k):
-                np.testing.assert_allclose(centers.centers[j], x[labels == j].mean(axis=0),
+                np.testing.assert_allclose(centers[j], x[labels == j].mean(axis=0),
                                            rtol=1e-12, atol=1e-300)
 
 
 class TestSoftAssign:
     def centers2(self):
-        return ClusterCenters(centers=np.array([[1.0, 0.0], [0.0, 1.0]]))
+        return np.array([[1.0, 0.0], [0.0, 1.0]])
 
     def test_similarity_gap_saturates_at_low_temperature(self):
         """Cosine gap of 1 at temperature 0.1 puts ~1 - 4.5e-5 on the near center."""
@@ -264,14 +264,14 @@ class TestSoftAssign:
         rng = np.random.default_rng(22)
         h = rng.normal(size=(12, 3))
         h[4] = 0.0
-        centers = ClusterCenters(centers=rng.normal(size=(3, 3)))
-        want = ad.softmax(ad.unit_rows(h)[0] @ ad.unit_rows(centers.centers)[0].T / 0.2)
+        centers = rng.normal(size=(3, 3))
+        want = ad.softmax(ad.unit_rows(h)[0] @ ad.unit_rows(centers)[0].T / 0.2)
         assert np.array_equal(clustering.soft_assign(h, centers, tau=0.2).probs, want)
 
     def test_graph_matches_numpy_path(self):
         rng = np.random.default_rng(21)
         h = rng.normal(size=(15, 3))
-        centers = ClusterCenters(centers=rng.normal(size=(4, 3)))
+        centers = rng.normal(size=(4, 3))
         numpy_probs = clustering.soft_assign(h, centers, tau=0.1).probs
         h_node = ad.input_node("h", h.shape)
         c_node = clustering.soft_assign_graph(h_node, centers, tau=0.1)
@@ -285,6 +285,21 @@ class TestSoftAssign:
             SoftAssignment(probs=np.array([[1.5, -0.5]]), tau=0.1)
         # one-hot rows are allowed: hard partitions reuse the estimators
         SoftAssignment(probs=np.array([[1.0, 0.0], [0.0, 1.0]]), tau=1.0)
+
+    @pytest.mark.parametrize("centers,message", [
+        (np.array([1.0, 0.0]), "need a 2-d center matrix with K >= 2"),
+        (np.array([[1.0, 0.0]]), "need a 2-d center matrix with K >= 2"),
+        (np.array([[1.0, 0.0], [np.nan, 1.0]]), "centers must be finite"),
+    ], ids=["1-d", "k=1", "non-finite"])
+    @pytest.mark.parametrize("entry", ["soft_assign", "soft_assign_graph"])
+    def test_centers_must_be_a_finite_matrix_of_two_or_more(self, entry, centers, message):
+        h = np.array([[1.0, 0.0], [0.0, 1.0]])
+        calls = {
+            "soft_assign": lambda: clustering.soft_assign(h, centers, tau=0.1),
+            "soft_assign_graph": lambda: clustering.soft_assign_graph(ad.input_node("h", h.shape), centers, 0.1),
+        }
+        with pytest.raises(clustering.ClusteringError, match=f"^{message}$"):
+            calls[entry]()
 
     @pytest.mark.parametrize("tau", [np.nan, np.inf, 0.0, -1.0])
     @pytest.mark.parametrize("entry", ["SoftAssignment", "soft_assign", "soft_assign_graph"])
@@ -303,7 +318,7 @@ class TestSoftAssign:
 
 class TestRestarts:
     def inertia(self, x, centers, labels):
-        return float(((x - centers.centers[labels]) ** 2).sum())
+        return float(((x - centers[labels]) ** 2).sum())
 
     def test_never_worse_than_single_run(self):
         rng = np.random.default_rng(40)
@@ -318,7 +333,7 @@ class TestRestarts:
         x, _ = blobs(rng, [(0, 0), (5, 5)], per=20)
         a = clustering.kmeans(x, 2, seed=7, restarts=5)
         b = clustering.kmeans(x, 2, seed=7, restarts=5)
-        np.testing.assert_array_equal(a[0].centers, b[0].centers)
+        np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
     def test_single_restart_path_unchanged(self):
@@ -327,7 +342,7 @@ class TestRestarts:
         x, _ = blobs(rng, [(0, 0), (5, 5), (0, 5)], per=10)
         a = clustering.kmeans(x, 3, seed=(1, 2, 3))
         b = clustering.kmeans(x, 3, seed=(1, 2, 3), restarts=1)
-        np.testing.assert_array_equal(a[0].centers, b[0].centers)
+        np.testing.assert_array_equal(a[0], b[0])
 
     def test_equals_best_of_single_runs(self, monkeypatch):
         """restarts=R is bitwise the lowest-inertia run among kmeans(seed=base + (r,))."""
@@ -350,7 +365,7 @@ class TestRestarts:
                 finals.append(history[-1])
                 lengths.add(len(history))
             best = finals.index(min(finals))
-            assert centers.centers.tobytes() == singles[best][0].centers.tobytes()
+            assert centers.tobytes() == singles[best][0].tobytes()
             np.testing.assert_array_equal(labels, singles[best][1])
         assert len(lengths) > 1  # restarts converged at different iterations
 

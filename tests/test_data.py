@@ -121,14 +121,6 @@ class TestCSV:
         np.testing.assert_array_equal(scale, [np.std([0.0, 2.0, 4.5]), 1.0])  # constant: 1.0
         raw = data.load_csv(path, group_column="g", standardize_features=False)
         assert raw.transform is None
-        assert data.apply_transform(raw, None) is raw
-        mapped = data.apply_transform(raw, std.transform)
-        assert mapped.features.tobytes() == std.features.tobytes()
-        assert mapped.transform is std.transform
-        with pytest.raises(data.DataError, match="transformed already"):
-            data.apply_transform(std, std.transform)
-        with pytest.raises(data.DataError, match="the transform is for 1 features, the data has 2"):
-            data.apply_transform(raw, (mean[:1], scale[:1]))
 
     @pytest.mark.parametrize(
         "text,fragment",

@@ -312,9 +312,12 @@ class TestFullReport:
         report = metrics.full_report(pred, np.array([0, 0, 0, 1, 1, 1]))
         assert report.k == 3
 
-    def test_group_id_gap_rejected(self):
+    def test_group_id_gap_rejected(self, monkeypatch):
+        """A group id with no members fails before any metric runs."""
+        for name in ("balance", "mnce", "accuracy", "nmi"):
+            monkeypatch.setattr(metrics, name, lambda *args: pytest.fail("a metric ran"))
         with pytest.raises(ValueError, match=r"ids \[1\] have no members"):
-            metrics.full_report(np.array([0, 1, 0, 1]), np.array([0, 0, 2, 2]))
+            metrics.full_report(np.array([0, 1, 0, 1]), np.array([0, 0, 2, 2]), np.array([0, 1, 0, 1]))
 
     def test_json_round_trip_format(self, tmp_path):
         truth = np.array([0, 0, 1, 1])
@@ -389,6 +392,13 @@ class TestSparseIds:
         assert result[0] == scores(self.dense(pred), self.dense(truth))
         assert result[0][-1].k == 3
         assert peak < 1 << 20
+
+    def test_balance_counts_only_the_groups_present(self):
+        """A gap in the group ids, small or large, is no group with zero members."""
+        pred = np.array([0, 0, 1, 1])
+        scores = {(metrics.balance(pred, np.array([0, top, 0, top])), metrics.mnce(pred, np.array([0, top, 0, top])))
+                  for top in (1, 2, self.BIG)}
+        assert scores == {(1.0, 1.0)}
 
     def test_a_sparse_group_id_is_rejected_without_a_count_by_id(self):
         def rejected():

@@ -22,7 +22,7 @@ SRC_FILES = sorted(Path(fairmi.__file__).resolve().parent.glob("*.py"))
 
 
 EXPORTS = [
-    "ClusterCenters", "Dataset", "EpochLog", "MetricsReport", "ModelParams", "SoftAssignment",
+    "Dataset", "EpochLog", "MetricsReport", "ModelParams", "SoftAssignment",
     "SyntheticSpec", "TrainConfig", "accuracy", "balance", "conditional_mi", "encode",
     "evaluate", "f_beta", "fit", "full_report", "generate_synthetic", "group_cluster_mi",
     "init_params", "kmeans", "load_checkpoint", "load_csv", "minibatches", "mnce", "nmi",
@@ -124,3 +124,30 @@ def test_readme_shows_only_options_the_parser_has():
     assert ("eval", "--checkpoint") in shown  # the command lines were read
     assert [(sub, opt) for sub, opt in shown if opt not in options.get(sub, ())] == []
     assert sorted(set(flag.findall(text)) - set().union(*options.values())) == []
+
+
+def _resolves(dotted):
+    """Whether a ``module.attr...`` path names something in the package."""
+    head, *attrs = dotted.split(".")
+    obj = importlib.import_module("fairmi" if head == "fairmi" else f"fairmi.{head}")
+    for attr in attrs:
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+def test_readme_names_only_what_the_package_has():
+    """Each ``module.attr`` README names resolves, and each name README imports from
+    ``fairmi`` is exported, so a name cannot leave the package while the docs still use it."""
+    text = README.read_text()
+    modules = [path.stem for path in SRC_FILES if path.stem != "__init__"]
+    reference = re.compile(rf"(?<![\w./-])(fairmi|{'|'.join(modules)})((?:\.\w+)+)")
+    # the Layout section lists the module files themselves
+    named = [m.group(0) for m in reference.finditer(text) if m.group(2) != ".py"]
+    assert "clustering.TOL" in named  # the references were read
+    assert [dotted for dotted in named if not _resolves(dotted)] == []
+    imported = [name.strip() for line in re.findall(r"^from fairmi import (.+)$", text, flags=re.M)
+                for name in line.split(",")]
+    assert "evaluate" in imported
+    assert sorted(set(imported) - set(fairmi.__all__)) == []

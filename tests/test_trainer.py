@@ -1,9 +1,11 @@
 """Optimizer, config, training loop mechanics, and the evaluate path."""
 
 import os
+import re
 import subprocess
 import sys
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -647,13 +649,51 @@ class TestEvaluate:
             with pytest.raises(trainer.TrainError, match=match):
                 trainer.evaluate(params, ds, config)
         transform = data.feature_transform(ds.features)
-        standardized = data.apply_transform(ds, transform)
+        standardized = replace(ds, features=data.standardize(ds.features), transform=transform)
         with pytest.raises(trainer.TrainError, match="feature transform differs"):
             trainer.evaluate(params, standardized, cfg)
         params, _ = trainer.fit(cfg, standardized)
         assert params.scoring.transform is transform
-        shifted = (transform[0] + 1.0, transform[1])
-        for other in (ds, data.apply_transform(ds, shifted)):
-            with pytest.raises(trainer.TrainError, match="feature transform differs"):
+        shifted = replace(standardized, transform=(transform[0] + 1.0, transform[1]))
+        with pytest.raises(trainer.TrainError, match="feature transform differs from the training one: "
+                                                     r"load new data raw \(standardize_features=False\)"):
+            trainer.evaluate(params, shifted, cfg)
+        # a raw dataset is mapped through the training transform
+        assert trainer.evaluate(params, ds, cfg) == trainer.evaluate(params, standardized, cfg)
+
+    @staticmethod
+    def fit_on_csv(tmp_path):
+        """A fit on a standardized load of a saved synthetic file, and the file."""
+        path = tmp_path / "train.csv"
+        data.save_csv(small_dataset(), path)
+        cfg = small_config()
+        params, _ = trainer.fit(cfg, data.load_csv(path, "group", "label"))
+        return params, cfg, path
+
+    def test_a_raw_load_of_the_training_file_scores_as_its_standardized_load(self, tmp_path):
+        params, cfg, path = self.fit_on_csv(tmp_path)
+        std = data.load_csv(path, "group", "label")
+        raw = data.load_csv(path, "group", "label", standardize_features=False)
+        assert raw.transform is None
+        mapped = trainer._scoring_features(params.scoring, raw, cfg)
+        assert mapped.tobytes() == std.features.tobytes()
+        assert repr(trainer.evaluate(params, raw, cfg)) == repr(trainer.evaluate(params, std, cfg))
+
+    def test_feature_columns_are_checked_by_name_before_mapping(self, tmp_path):
+        params, cfg, path = self.fit_on_csv(tmp_path)
+        rows = path.read_text().splitlines()
+        flipped = tmp_path / "reversed.csv"
+        flipped.write_text("".join(",".join(line.split(",")[4::-1] + line.split(",")[5:]) + "\n"
+                                   for line in rows))
+        raw = data.load_csv(flipped, "group", "label", standardize_features=False)
+        assert raw.feature_names == ("f4", "f3", "f2", "f1", "f0")
+        with pytest.raises(trainer.TrainError, match=re.escape(
+                "feature columns differ from the training ones: ['f4', 'f3', 'f2', 'f1', 'f0'] "
+                "is in another order than ['f0', 'f1', 'f2', 'f3', 'f4']")):
+            trainer.evaluate(params, raw, cfg)
+        for names, message in ((("f0", "f1", "f2", "f3", "x"), "missing 'f4'; extra 'x'"),
+                               (("f0", "f1", "f2", "f3", "f4", "f5"), "extra 'f5'")):
+            # a wrong width is a name mismatch, found before the transform is applied
+            other = data.Dataset(np.ones((raw.n, len(names))), raw.groups, raw.labels, feature_names=names)
+            with pytest.raises(trainer.TrainError, match=f"differ from the training ones: {message}$"):
                 trainer.evaluate(params, other, cfg)
-        trainer.evaluate(params, data.apply_transform(ds, transform), cfg)
