@@ -7,14 +7,15 @@ the expanded form ||x||^2 - 2 x.c + ||c||^2 through BLAS, clamped at 0, and
 the per-cluster sums come from a BLAS product with the one-hot labels.
 Assignments are soft: cosine similarity of each latent row to each center,
 sharpened by a temperature softmax, on the numpy and the graph path alike
-through ``autodiff``'s kernels. Centers are treated as constants by the
-training graph; gradients flow only through the latent rows.
+through ``autodiff``'s kernels. An assignment is a plain (N, K) array whose
+rows sum to one; its row argmax is the hard partition. Centers are treated
+as constants by the training graph; gradients flow only through the latent
+rows.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,49 +31,10 @@ class ClusteringError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SoftAssignment:
-    """Row-stochastic N x K assignment matrix plus the temperature that made it.
-
-    Softmax output keeps every entry strictly inside (0, 1); the container
-    also accepts one-hot matrices.
-    """
-
-    probs: np.ndarray
-    tau: float
-
-    def __post_init__(self):
-        p = self.probs
-        if p.ndim != 2 or p.shape[1] < 1:
-            raise ClusteringError("assignment matrix must be 2-d")
-        _check_temperature(self.tau)
-        if not np.all(np.isfinite(p)):
-            raise ClusteringError("assignment entries must be finite")
-        if np.any(p < 0.0) or np.any(p > 1.0):
-            raise ClusteringError("assignment entries must lie in [0, 1]")
-        if np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-9):
-            raise ClusteringError("assignment rows must sum to 1")
-
-    @property
-    def n(self) -> int:
-        return self.probs.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.probs.shape[1]
-
-    def hard(self) -> np.ndarray:
-        return self.probs.argmax(axis=1)
-
-
-def _check_temperature(tau):
-    if not 0.0 < tau < np.inf:
-        raise ClusteringError(f"temperature must be a finite number > 0, got {tau}")
-
-
 def _center_directions(centers, tau):
     """Unit rows of a finite 2-d matrix of K >= 2 centers, once tau is checked."""
-    _check_temperature(tau)
+    if not 0.0 < tau < np.inf:
+        raise ClusteringError(f"temperature must be a finite number > 0, got {tau}")
     if centers.ndim != 2 or centers.shape[0] < 2:
         raise ClusteringError("need a 2-d center matrix with K >= 2")
     if not np.all(np.isfinite(centers)):
@@ -204,14 +166,17 @@ def kmeans(features: np.ndarray, k: int, seed, restarts: int = 1):
     return centers[best], labels[best]
 
 
-def soft_assign(h: np.ndarray, centers: np.ndarray, tau: float) -> SoftAssignment:
-    """Temperature softmax over cosine similarities to the (K, d) centers."""
+def soft_assign(h: np.ndarray, centers: np.ndarray, tau: float) -> np.ndarray:
+    """Temperature softmax over cosine similarities to the (K, d) centers: an (N, K) array."""
     h = np.asarray(h, dtype=np.float64)
     dirs = _center_directions(centers, tau)
     if h.ndim != 2 or h.shape[1] != centers.shape[1]:
         raise ClusteringError("latent width does not match the centers")
     sims = ad.unit_rows(h)[0] @ dirs.T
-    return SoftAssignment(probs=ad.softmax(sims / tau), tau=tau)
+    probs = ad.softmax(sims / tau)
+    if not np.all(np.isfinite(probs)):  # e.g. tau so small that 1 / tau overflows
+        raise ClusteringError("assignment entries must be finite")
+    return probs
 
 
 def soft_assign_graph(h_node: ad.Node, centers: np.ndarray, tau: float) -> ad.Node:

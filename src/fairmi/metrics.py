@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import _mutual_information, _xlogx
+from .objectives import _entropy, _mutual_information
 
 logger = logging.getLogger(__name__)
 
@@ -61,11 +61,6 @@ def contingency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a, b = (np.unique(ids, return_inverse=True)[1] for ids in (a, b))
         na, nb = int(a.max()) + 1, int(b.max()) + 1
     return np.bincount(a * nb + b, minlength=na * nb).reshape(na, nb)
-
-
-def _entropy_from_counts(counts):
-    # 0.0 - s, not -s: a point mass gives +0.0, never -0.0
-    return float(0.0 - _xlogx(counts / counts.sum()).sum())
 
 
 def _max_matching(table):
@@ -131,8 +126,8 @@ def nmi(pred: np.ndarray, truth: np.ndarray) -> float:
     """
     table = contingency(pred, truth).astype(np.float64)
     n = table.sum()
-    h_pred = _entropy_from_counts(table.sum(axis=1))
-    h_truth = _entropy_from_counts(table.sum(axis=0))
+    h_pred = _entropy(table.sum(axis=1) / n)
+    h_truth = _entropy(table.sum(axis=0) / n)
     if h_pred == 0.0 and h_truth == 0.0:
         return 1.0
     if h_pred == 0.0 or h_truth == 0.0:
@@ -163,10 +158,10 @@ def mnce(pred: np.ndarray, groups: np.ndarray) -> float:
     a single group. Rejects single-group data (the normalizer would be 0).
     """
     table = contingency(pred, groups)
-    h_global = _entropy_from_counts(table.sum(axis=0))
+    h_global = _entropy(table.sum(axis=0) / table.sum())
     if h_global == 0.0:
         raise MetricError("single-group data: normalized conditional entropy is undefined")
-    worst = min(_entropy_from_counts(counts) for counts in _present_rows(table, "mnce"))
+    worst = min(_entropy(counts / counts.sum()) for counts in _present_rows(table, "mnce"))
     return float(worst / h_global)
 
 
@@ -239,7 +234,7 @@ def full_report(pred, groups, truth=None, beta: float = 1.0) -> MetricsReport:
         mnce=fair,
         f_beta=combined,
         mi_gc=mi_gc,
-        cmi_xcg=_entropy_from_counts(table.sum(axis=0)) - mi_gc,
+        cmi_xcg=_entropy(table.sum(axis=0) / pred.size) - mi_gc,
         n=int(pred.size),
         k=int(np.count_nonzero(table.sum(axis=0))),
         t=table.shape[0],

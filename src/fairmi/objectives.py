@@ -1,5 +1,8 @@
 """Training objectives and information estimators over soft assignments.
 
+An assignment is an (N, K) array whose rows sum to one, as
+``clustering.soft_assign`` returns it; one-hot rows score a hard partition.
+
 Three loss terms drive training, each defined once by the graph builder that
 training differentiates:
 
@@ -30,7 +33,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .clustering import SoftAssignment
 
 
 class ObjectiveError(ValueError):
@@ -42,22 +44,24 @@ def _xlogx(p):
     return p * ad.guarded_log(p)
 
 
-def cluster_marginal(assign: SoftAssignment) -> np.ndarray:
-    """Mean soft assignment per cluster: a length-K probability vector."""
-    return assign.probs.mean(axis=0)
+def _entropy(p):
+    """Entropy of a probability array, summed over every cell (nats)."""
+    # 0.0 - s, not -s: a point mass gives +0.0, never -0.0
+    return float(0.0 - _xlogx(p).sum())
 
 
-def cluster_entropy(marginal: np.ndarray) -> float:
-    """Entropy of the cluster marginal (nats)."""
-    p = np.asarray(marginal, dtype=np.float64)
-    if p.ndim != 1 or np.any(p < 0.0) or abs(p.sum() - 1.0) > 1e-9:
-        raise ObjectiveError("marginal must be a probability vector")
-    return float(-_xlogx(p).sum())
-
-
-def assignment_entropy(assign: SoftAssignment) -> float:
-    """Mean entropy of the per-sample assignment rows (nats)."""
-    return float(-_xlogx(assign.probs).sum() / assign.n)
+def _check_assignment(assign):
+    """The (N, K) float array of a row-stochastic assignment; one-hot rows are allowed."""
+    p = np.asarray(assign, dtype=np.float64)
+    if p.ndim != 2 or p.shape[1] < 1:
+        raise ObjectiveError("assignment matrix must be 2-d")
+    if not np.all(np.isfinite(p)):
+        raise ObjectiveError("assignment entries must be finite")
+    if np.any(p < 0.0) or np.any(p > 1.0):
+        raise ObjectiveError("assignment entries must lie in [0, 1]")
+    if np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-9):
+        raise ObjectiveError("assignment rows must sum to 1")
+    return p
 
 
 def _group_counts(groups, n_groups):
@@ -77,11 +81,13 @@ def _group_onehot(groups, n_groups):
 
 
 def _mutual_information(joint):
-    """I(A;B) of a 2-d joint table: sum p log p minus the two marginal terms."""
-    return float(_xlogx(joint).sum() - _xlogx(joint.sum(axis=1)).sum() - _xlogx(joint.sum(axis=0)).sum())
+    """I(A;B) of a 2-d joint table: sum p log p minus the two marginal terms, at least +0.0."""
+    v = float(_xlogx(joint).sum() - _xlogx(joint.sum(axis=1)).sum() - _xlogx(joint.sum(axis=0)).sum())
+    # an independent table cancels to rounding error of either sign; max(v, 0.0) would keep -0.0
+    return v if v > 0.0 else 0.0
 
 
-def group_cluster_mi(assign: SoftAssignment, groups, n_groups: int) -> float:
+def group_cluster_mi(assign: np.ndarray, groups, n_groups: int) -> float:
     """Mutual information between group and cluster under the empirical joint.
 
     This is the fairness penalty: zero exactly when the joint factorizes,
@@ -89,26 +95,26 @@ def group_cluster_mi(assign: SoftAssignment, groups, n_groups: int) -> float:
     Rejects datasets with an empty group; mini-batch training uses the graph
     builder below, which lets a batch-empty group contribute zero instead.
     """
+    p = _check_assignment(assign)
     counts = _group_counts(groups, n_groups)
     if np.any(counts == 0):
         raise ObjectiveError("every group needs at least one member")
     groups = np.asarray(groups)
-    if groups.shape != (assign.n,):
+    if groups.shape != (p.shape[0],):
         raise ObjectiveError("need one group id per assignment row")
-    return _mutual_information(_group_onehot(groups, n_groups) @ assign.probs / assign.n)
+    return _mutual_information(_group_onehot(groups, n_groups) @ p / p.shape[0])
 
 
-def conditional_mi(assign: SoftAssignment, mi_gc: float) -> float:
+def conditional_mi(assign: np.ndarray, mi_gc: float) -> float:
     """Cluster information not explained by the groups.
 
-    Computed as cluster entropy minus mean assignment entropy minus
-    ``mi_gc``, the group-cluster mutual information of the same assignment
-    (``group_cluster_mi``), which the caller has already computed; the
-    decomposition is exact by construction.
+    Computed as H(C) - H(C|X) - ``mi_gc``: the entropy of the column mean,
+    minus the mean row entropy, minus the group-cluster mutual information
+    of the same assignment (``group_cluster_mi``), which the caller has
+    already computed; the decomposition is exact by construction.
     """
-    h_c = cluster_entropy(cluster_marginal(assign))
-    h_cx = assignment_entropy(assign)
-    return float(h_c - h_cx - mi_gc)
+    p = _check_assignment(assign)
+    return float(_entropy(p.mean(axis=0)) - _entropy(p) / p.shape[0] - mi_gc)
 
 
 # ---------------------------------------------------------------------------

@@ -217,7 +217,7 @@ def _measure(h, cfg, view, labels, epoch):
     cmi = objectives.conditional_mi(assign, mi)
     extras = {}
     if labels is not None:
-        report = metrics.full_report(assign.hard(), view.groups, labels, cfg.f_beta_weight)
+        report = metrics.full_report(assign.argmax(axis=1), view.groups, labels, cfg.f_beta_weight)
         extras = {name: getattr(report, name) for name in ("acc", "nmi", "bal", "mnce", "f_beta")}
     return mi, cmi, extras, centers
 
@@ -332,7 +332,7 @@ def evaluate(params: model.ModelParams, dataset: Dataset, config: TrainConfig) -
     """
     h = model.encode(params, _scoring_features(params.scoring, dataset, config))
     assign = clustering.soft_assign(h, params.scoring.centers, params.scoring.tau)
-    return metrics.full_report(assign.hard(), dataset.groups, dataset.labels, config.f_beta_weight)
+    return metrics.full_report(assign.argmax(axis=1), dataset.groups, dataset.labels, config.f_beta_weight)
 
 
 def _scoring_features(scoring: model.Scoring | None, dataset: Dataset, config: TrainConfig):

@@ -1,5 +1,5 @@
-"""Tools shared by the tests: a finite-difference gradient check, a traced peak and a
-writer of a checkpoint's header and weights."""
+"""Tools shared by the tests: a finite-difference gradient check, a reference entropy, a
+traced peak and a writer of a checkpoint's header and weights."""
 
 import struct
 import tracemalloc
@@ -7,6 +7,13 @@ import tracemalloc
 import numpy as np
 
 from fairmi.autodiff import GraphError
+
+
+def entropy(p) -> float:
+    """Entropy in nats of a probability array, summed over its non-zero cells."""
+    p = np.asarray(p, dtype=np.float64)
+    p = p[p > 0]
+    return float(-(p * np.log(p)).sum())
 
 
 def grad_check(scalar_fn, point: np.ndarray, step: float) -> float:

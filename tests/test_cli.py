@@ -416,6 +416,17 @@ class TestMetrics:
         assert report["acc"] == 1.0
         assert report["n"] == 6 and report["k"] == 2 and report["t"] == 2
 
+    def test_a_perfectly_fair_partition_reports_zero_leakage(self, tmp_path):
+        """4 clusters of 18 rows, groups cycling g0, g1, g2: I(G;C) is 0.0, never -0.0."""
+        path = tmp_path / "fair.csv"
+        path.write_text("pred,group\n" + "".join(f"{i // 18},g{i % 3}\n" for i in range(72)))
+        report_path = tmp_path / "report.json"
+        rc = cli.run(["metrics", "--pred", str(path), "--groups-col", "group", "--report", str(report_path)])
+        assert rc == 0
+        assert '"mi_gc": 0.0,' in report_path.read_text()
+        report = metrics.full_report(np.arange(72) // 18, np.arange(72) % 3)
+        assert report.mi_gc == 0.0 and not np.signbit(report.mi_gc)
+
     def test_custom_pred_column_and_beta(self, tmp_path):
         path = tmp_path / "labels.csv"
         path.write_text("mine,g\n0,a\n0,b\n1,a\n1,b\n")

@@ -7,7 +7,6 @@ import pytest
 
 from fairmi import autodiff as ad
 from fairmi import clustering
-from fairmi.clustering import SoftAssignment
 
 
 def plus_plus_seed(x, k, rng):
@@ -131,8 +130,8 @@ class TestKMeans:
             assign = clustering.soft_assign(x, centers, tau=0.1)
         assert [(r.name, r.levelno) for r in caplog.records] == [("fairmi.autodiff", logging.WARNING)]
         assert "unit_rows" in caplog.text
-        assert np.all(np.isfinite(assign.probs))
-        np.testing.assert_allclose(assign.probs.sum(axis=1), 1.0, atol=1e-12)
+        assert np.all(np.isfinite(assign))
+        np.testing.assert_allclose(assign.sum(axis=1), 1.0, atol=1e-12)
 
     def test_inertia_non_increasing_across_iterations(self):
         rng = np.random.default_rng(17)
@@ -219,28 +218,28 @@ class TestSoftAssign:
     def test_similarity_gap_saturates_at_low_temperature(self):
         """Cosine gap of 1 at temperature 0.1 puts ~1 - 4.5e-5 on the near center."""
         assign = clustering.soft_assign(np.array([[2.0, 0.0]]), self.centers2(), tau=0.1)
-        np.testing.assert_allclose(assign.probs[0, 0], 0.9999546021312976, atol=1e-9)
-        np.testing.assert_allclose(assign.probs[0, 1], 4.539786870243442e-05, atol=1e-12)
+        np.testing.assert_allclose(assign[0, 0], 0.9999546021312976, atol=1e-9)
+        np.testing.assert_allclose(assign[0, 1], 4.539786870243442e-05, atol=1e-12)
 
     def test_equidistant_point_is_uniform(self):
         assign = clustering.soft_assign(np.array([[1.0, 1.0]]), self.centers2(), tau=0.1)
-        np.testing.assert_allclose(assign.probs[0], 0.5, atol=1e-12)
+        np.testing.assert_allclose(assign[0], 0.5, atol=1e-12)
 
     def test_huge_temperature_flattens_everything(self):
         rng = np.random.default_rng(1)
         assign = clustering.soft_assign(rng.normal(size=(5, 2)), self.centers2(), tau=1e9)
-        np.testing.assert_allclose(assign.probs, 0.5, atol=1e-9)
+        np.testing.assert_allclose(assign, 0.5, atol=1e-9)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(9)
         assign = clustering.soft_assign(rng.normal(size=(50, 2)), self.centers2(), tau=0.1)
-        np.testing.assert_allclose(assign.probs.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(assign.sum(axis=1), 1.0, atol=1e-12)
 
     def test_argmax_independent_of_temperature(self):
         rng = np.random.default_rng(14)
         h = rng.normal(size=(40, 2))
-        hard1 = clustering.soft_assign(h, self.centers2(), tau=0.1).hard()
-        hard2 = clustering.soft_assign(h, self.centers2(), tau=3.0).hard()
+        hard1 = clustering.soft_assign(h, self.centers2(), tau=0.1).argmax(axis=1)
+        hard2 = clustering.soft_assign(h, self.centers2(), tau=3.0).argmax(axis=1)
         assert np.array_equal(hard1, hard2)
 
     def test_row_scaling_leaves_assignment_unchanged(self):
@@ -250,15 +249,15 @@ class TestSoftAssign:
         scaled = h * rng.uniform(0.1, 10.0, size=(20, 1))
         a1 = clustering.soft_assign(h, self.centers2(), tau=0.5)
         a2 = clustering.soft_assign(scaled, self.centers2(), tau=0.5)
-        np.testing.assert_allclose(a1.probs, a2.probs, atol=1e-12)
+        np.testing.assert_allclose(a1, a2, atol=1e-12)
 
     def test_zero_norm_row_jitters_and_warns(self, caplog):
         h = np.array([[0.0, 0.0], [1.0, 0.0]])
         with caplog.at_level(logging.WARNING):
             assign = clustering.soft_assign(h, self.centers2(), tau=0.1)
         assert "zero-norm" in caplog.text
-        np.testing.assert_allclose(assign.probs.sum(axis=1), 1.0, atol=1e-12)
-        assert np.all(np.isfinite(assign.probs))
+        np.testing.assert_allclose(assign.sum(axis=1), 1.0, atol=1e-12)
+        assert np.all(np.isfinite(assign))
 
     def test_probs_are_the_autodiff_kernel_composition(self):
         rng = np.random.default_rng(22)
@@ -266,25 +265,29 @@ class TestSoftAssign:
         h[4] = 0.0
         centers = rng.normal(size=(3, 3))
         want = ad.softmax(ad.unit_rows(h)[0] @ ad.unit_rows(centers)[0].T / 0.2)
-        assert np.array_equal(clustering.soft_assign(h, centers, tau=0.2).probs, want)
+        assert np.array_equal(clustering.soft_assign(h, centers, tau=0.2), want)
 
     def test_graph_matches_numpy_path(self):
         rng = np.random.default_rng(21)
         h = rng.normal(size=(15, 3))
         centers = rng.normal(size=(4, 3))
-        numpy_probs = clustering.soft_assign(h, centers, tau=0.1).probs
+        numpy_probs = clustering.soft_assign(h, centers, tau=0.1)
         h_node = ad.input_node("h", h.shape)
         c_node = clustering.soft_assign_graph(h_node, centers, tau=0.1)
         graph_probs = ad.forward(c_node, {"h": h})
         np.testing.assert_allclose(graph_probs, numpy_probs, atol=1e-14)
 
-    def test_container_validation(self):
-        with pytest.raises(clustering.ClusteringError):
-            SoftAssignment(probs=np.array([[0.5, 0.4]]), tau=0.1)  # rows must sum to 1
-        with pytest.raises(clustering.ClusteringError):
-            SoftAssignment(probs=np.array([[1.5, -0.5]]), tau=0.1)
-        # one-hot rows are allowed: hard partitions reuse the estimators
-        SoftAssignment(probs=np.array([[1.0, 0.0], [0.0, 1.0]]), tau=1.0)
+    def test_returns_a_plain_array(self):
+        h = np.array([[2.0, 0.0], [0.0, 3.0], [1.0, 1.0]])
+        assign = clustering.soft_assign(h, self.centers2(), tau=0.1)
+        assert type(assign) is np.ndarray and assign.shape == (3, 2) and assign.dtype == np.float64
+
+    def test_temperature_whose_inverse_overflows_is_refused(self):
+        """tau = 1e-310 passes the temperature check, but 1 / tau overflows to inf."""
+        h = np.array([[1.0, 0.0], [0.0, 1.0]])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(clustering.ClusteringError, match="^assignment entries must be finite$"):
+            clustering.soft_assign(h, self.centers2(), tau=1e-310)
 
     @pytest.mark.parametrize("centers,message", [
         (np.array([1.0, 0.0]), "need a 2-d center matrix with K >= 2"),
@@ -302,11 +305,10 @@ class TestSoftAssign:
             calls[entry]()
 
     @pytest.mark.parametrize("tau", [np.nan, np.inf, 0.0, -1.0])
-    @pytest.mark.parametrize("entry", ["SoftAssignment", "soft_assign", "soft_assign_graph"])
+    @pytest.mark.parametrize("entry", ["soft_assign", "soft_assign_graph"])
     def test_temperature_must_be_finite_and_positive(self, entry, tau):
         h = np.array([[1.0, 0.0], [0.0, 1.0]])
         calls = {
-            "SoftAssignment": lambda: SoftAssignment(probs=np.full((2, 2), 0.5), tau=tau),
             "soft_assign": lambda: clustering.soft_assign(h, self.centers2(), tau=tau),
             "soft_assign_graph": lambda: clustering.soft_assign_graph(
                 ad.input_node("h", h.shape), self.centers2(), tau=tau),

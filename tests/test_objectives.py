@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from fairmi import autodiff as ad
 from fairmi import model
 from fairmi import objectives as obj
-from fairmi.clustering import SoftAssignment
+
+from helpers import entropy
 
 LN2 = float(np.log(2.0))
 
@@ -16,13 +17,13 @@ LN2 = float(np.log(2.0))
 def random_assignment(rng, n, k):
     logits = rng.normal(size=(n, k)) * 2.0
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return SoftAssignment(probs=e / e.sum(axis=1, keepdims=True), tau=1.0)
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def one_hot(labels, k):
     probs = np.zeros((len(labels), k))
     probs[np.arange(len(labels)), labels] = 1.0
-    return SoftAssignment(probs=probs, tau=1.0)
+    return probs
 
 
 def oracle_mi(probs, groups, n_groups):
@@ -86,45 +87,64 @@ class TestReconstruction:
 
 
 class TestEntropies:
-    def test_cluster_entropy_reference_values(self):
-        np.testing.assert_allclose(obj.cluster_entropy(np.array([0.5, 0.5])), LN2, atol=1e-12)
+    def test_entropy_reference_values(self):
+        np.testing.assert_allclose(obj._entropy(np.array([0.5, 0.5])), LN2, atol=1e-12)
         np.testing.assert_allclose(
-            obj.cluster_entropy(np.array([0.5, 0.25, 0.25])), 1.0397207708399179, atol=1e-9
+            obj._entropy(np.array([0.5, 0.25, 0.25])), 1.0397207708399179, atol=1e-9
         )
-        assert obj.cluster_entropy(np.array([1.0, 0.0])) == 0.0  # 0 log 0 is 0
+
+    def test_point_mass_is_positive_zero(self):
+        value = obj._entropy(np.array([1.0, 0.0]))  # 0 log 0 is 0
+        assert value == 0.0 and not np.signbit(value)
 
     def test_uniform_maximizes_entropy(self):
         rng = np.random.default_rng(3)
         for k in (2, 3, 5):
             p = rng.dirichlet(np.ones(k))
-            assert obj.cluster_entropy(p) <= np.log(k) + 1e-12
+            assert obj._entropy(p) <= np.log(k) + 1e-12
 
-    def test_assignment_entropy_oracle(self):
+    def test_sums_every_cell_of_an_assignment(self):
+        """H(C|X) is the entropy of the whole array over n, the mean of the row entropies."""
         rng = np.random.default_rng(4)
         assign = random_assignment(rng, 9, 3)
         expected = 0.0
-        for row in assign.probs:
+        for row in assign:
             expected += -(row * np.log(row)).sum() / 9
-        np.testing.assert_allclose(obj.assignment_entropy(assign), expected, atol=1e-12)
-
-    def test_marginal_is_column_mean(self):
-        rng = np.random.default_rng(5)
-        assign = random_assignment(rng, 20, 4)
-        np.testing.assert_allclose(
-            obj.cluster_marginal(assign), assign.probs.mean(axis=0), atol=0
-        )
+        np.testing.assert_allclose(obj._entropy(assign) / 9, expected, atol=1e-12)
 
     def test_xlogx_of_zero_is_exactly_zero(self):
         assert obj._xlogx(np.array([0.0]))[0] == 0.0
 
-    def test_rejects_non_probability_marginal(self):
-        with pytest.raises(obj.ObjectiveError):
-            obj.cluster_entropy(np.array([0.7, 0.7]))
+
+BAD_ASSIGNMENTS = {
+    "1-d": (np.array([0.5, 0.5]), "assignment matrix must be 2-d"),
+    "non-finite": (np.array([[np.nan, 1.0], [0.5, 0.5]]), "assignment entries must be finite"),
+    "out-of-range": (np.array([[1.5, -0.5], [0.5, 0.5]]), r"assignment entries must lie in \[0, 1\]"),
+    "rows-off-one": (np.array([[0.5, 0.4], [0.5, 0.5]]), "assignment rows must sum to 1"),
+}
+ESTIMATORS = {
+    "group_cluster_mi": lambda assign: obj.group_cluster_mi(assign, np.array([0, 1]), 2),
+    "conditional_mi": lambda assign: obj.conditional_mi(assign, 0.0),
+}
+
+
+class TestAssignmentChecks:
+    @pytest.mark.parametrize("case", BAD_ASSIGNMENTS)
+    @pytest.mark.parametrize("entry", ESTIMATORS)
+    def test_estimators_reject_a_bad_matrix(self, entry, case):
+        assign, message = BAD_ASSIGNMENTS[case]
+        with pytest.raises(obj.ObjectiveError, match=f"^{message}$"):
+            ESTIMATORS[entry](assign)
+
+    @pytest.mark.parametrize("entry", ESTIMATORS)
+    def test_one_hot_rows_are_accepted(self, entry):
+        # hard partitions reuse the estimators
+        assert np.isfinite(ESTIMATORS[entry](np.array([[1.0, 0.0], [0.0, 1.0]])))
 
 
 def clustering_loss_value(assign):
-    c = ad.input_node("c", assign.probs.shape)
-    return float(ad.forward(obj.clustering_loss_graph(c, assign.n), {"c": assign.probs}))
+    c = ad.input_node("c", assign.shape)
+    return float(ad.forward(obj.clustering_loss_graph(c, assign.shape[0]), {"c": assign}))
 
 
 class TestClusteringLoss:
@@ -133,7 +153,7 @@ class TestClusteringLoss:
         np.testing.assert_allclose(clustering_loss_value(assign), -LN2, atol=1e-12)
 
     def test_uniform_rows_score_zero(self):
-        assign = SoftAssignment(probs=np.full((6, 3), 1 / 3), tau=1.0)
+        assign = np.full((6, 3), 1 / 3)
         np.testing.assert_allclose(clustering_loss_value(assign), 0.0, atol=1e-12)
 
     def test_collapsed_one_hot_scores_zero(self):
@@ -143,7 +163,7 @@ class TestClusteringLoss:
     def test_decomposes_into_entropies(self):
         rng = np.random.default_rng(6)
         assign = random_assignment(rng, 15, 4)
-        expected = -obj.cluster_entropy(obj.cluster_marginal(assign)) + obj.assignment_entropy(assign)
+        expected = -entropy(assign.mean(axis=0)) + entropy(assign) / 15
         np.testing.assert_allclose(clustering_loss_value(assign), expected, atol=1e-12)
 
     @given(st.integers(0, 2 ** 32 - 1))
@@ -152,7 +172,7 @@ class TestClusteringLoss:
         rng = np.random.default_rng(seed)
         assign = random_assignment(rng, 12, 3)
         perm = rng.permutation(12)
-        shuffled = SoftAssignment(probs=assign.probs[perm], tau=1.0)
+        shuffled = assign[perm]
         np.testing.assert_allclose(
             clustering_loss_value(assign), clustering_loss_value(shuffled), atol=1e-12
         )
@@ -160,8 +180,7 @@ class TestClusteringLoss:
 
 class TestGroupClusterMI:
     def test_identical_rows_across_groups_factorize(self):
-        probs = np.tile(np.array([0.7, 0.3]), (8, 1))
-        assign = SoftAssignment(probs=probs, tau=1.0)
+        assign = np.tile(np.array([0.7, 0.3]), (8, 1))
         groups = np.array([0, 1] * 4)
         np.testing.assert_allclose(obj.group_cluster_mi(assign, groups, 2), 0.0, atol=1e-12)
 
@@ -180,7 +199,7 @@ class TestGroupClusterMI:
             assign = random_assignment(rng, n, k)
             np.testing.assert_allclose(
                 obj.group_cluster_mi(assign, groups, t),
-                oracle_mi(assign.probs, groups, t),
+                oracle_mi(assign, groups, t),
                 atol=1e-12,
             )
 
@@ -196,7 +215,17 @@ class TestGroupClusterMI:
             assign = random_assignment(rng, 10, 3)
             groups = rng.integers(0, 2, size=10)
             groups[:2] = [0, 1]
-            assert obj.group_cluster_mi(assign, groups, 2) >= -1e-15
+            value = obj.group_cluster_mi(assign, groups, 2)
+            assert value >= 0.0 and not np.signbit(value)
+
+    def test_proportional_partitions_never_read_below_zero(self):
+        """Every cluster holds each group equally often, so I(G;C) is zero up to rounding,
+        and the rounding never shows as a negative value or -0.0."""
+        for k in range(2, 6):
+            for t in range(2, 5):
+                pred = np.arange(k * 12) // 12
+                value = obj.group_cluster_mi(one_hot(pred, k), np.arange(k * 12) % t, t)
+                assert 0.0 <= value < 1e-15 and not np.signbit(value), (k, t, value)
 
     def test_mi_of_joint_table_matches_log_ratio(self):
         """The shared helper equals sum p log(p / (p_a p_b)) over non-zero cells."""
@@ -245,17 +274,28 @@ class TestConditionalMI:
             groups[:t] = np.arange(t)
             assign = random_assignment(rng, n, k)
             mi = obj.group_cluster_mi(assign, groups, t)
-            lhs = obj.conditional_mi(assign, mi) + mi + obj.assignment_entropy(assign)
-            rhs = obj.cluster_entropy(obj.cluster_marginal(assign))
-            np.testing.assert_allclose(lhs, rhs, atol=1e-9)
+            lhs = obj.conditional_mi(assign, mi) + mi + entropy(assign) / n
+            np.testing.assert_allclose(lhs, entropy(assign.mean(axis=0)), atol=1e-9)
 
     def test_hard_partition_value(self):
         # one-hot rows: assignment entropy 0, so the estimate is H(C) - leakage
         groups = np.array([0, 1, 0, 1])
         assign = one_hot([0, 1, 1, 0], 2)
         mi = obj.group_cluster_mi(assign, groups, 2)
-        expected = obj.cluster_entropy(obj.cluster_marginal(assign)) - mi
+        expected = entropy(assign.mean(axis=0)) - mi
         np.testing.assert_allclose(obj.conditional_mi(assign, mi), expected, atol=1e-12)
+
+    def test_is_minus_the_clustering_loss_plus_leakage(self):
+        """The graph's H(C|X) - H(C) and the numpy H(C) - H(C|X) check each other."""
+        rng = np.random.default_rng(16)
+        for _ in range(25):
+            n, k, t = int(rng.integers(4, 40)), int(rng.integers(2, 6)), int(rng.integers(2, 4))
+            groups = rng.integers(0, t, size=n)
+            groups[:t] = np.arange(t)
+            assign = random_assignment(rng, n, k)
+            mi = obj.group_cluster_mi(assign, groups, t)
+            loss = float(ad.forward(obj.clustering_loss_graph(ad.constant(assign), n), {}))
+            np.testing.assert_allclose(loss, -(obj.conditional_mi(assign, mi) + mi), rtol=0, atol=1e-12)
 
 
 class TestGraphBuilders:
@@ -271,18 +311,18 @@ class TestGraphBuilders:
 
     def test_clustering_loss_graph_matches(self):
         assign, _, _ = self._random_case(12)
-        c = ad.input_node("c", assign.probs.shape)
-        root = obj.clustering_loss_graph(c, assign.n)
-        got = ad.forward(root, {"c": assign.probs})
-        p, probs = assign.probs.mean(axis=0), assign.probs
-        expected = (p * np.log(p)).sum() - (probs * np.log(probs)).sum() / assign.n
+        c = ad.input_node("c", assign.shape)
+        root = obj.clustering_loss_graph(c, assign.shape[0])
+        got = ad.forward(root, {"c": assign})
+        p = assign.mean(axis=0)
+        expected = (p * np.log(p)).sum() - (assign * np.log(assign)).sum() / assign.shape[0]
         np.testing.assert_allclose(float(got), expected, atol=1e-12)
 
     def test_group_mi_graph_matches(self):
         assign, groups, t = self._random_case(13)
-        c = ad.input_node("c", assign.probs.shape)
+        c = ad.input_node("c", assign.shape)
         root = obj.group_cluster_mi_graph(c, groups, t)
-        got = ad.forward(root, {"c": assign.probs})
+        got = ad.forward(root, {"c": assign})
         np.testing.assert_allclose(float(got), obj.group_cluster_mi(assign, groups, t), atol=1e-12)
 
     def test_group_mi_graph_allows_batch_empty_group(self):
@@ -290,26 +330,26 @@ class TestGraphBuilders:
         rng = np.random.default_rng(14)
         assign = random_assignment(rng, 6, 3)
         groups = np.zeros(6, dtype=np.int64)  # group 1 of 2 missing
-        c = ad.input_node("c", assign.probs.shape)
+        c = ad.input_node("c", assign.shape)
         root = obj.group_cluster_mi_graph(c, groups, 2)
-        got = float(ad.forward(root, {"c": assign.probs}))
+        got = float(ad.forward(root, {"c": assign}))
         np.testing.assert_allclose(got, 0.0, atol=1e-12)  # single group: no leakage possible
 
     def test_total_graph_recomposes(self):
         assign, groups, t = self._random_case(15)
         rng = np.random.default_rng(15)
-        x = rng.normal(size=(assign.n, 5))
-        x_rec = rng.normal(size=(assign.n, 5))
-        c = ad.input_node("c", assign.probs.shape)
+        x = rng.normal(size=(assign.shape[0], 5))
+        x_rec = rng.normal(size=(assign.shape[0], 5))
+        c = ad.input_node("c", assign.shape)
         a = ad.input_node("a", x.shape)
         b = ad.input_node("b", x.shape)
-        rec = ad.scale(ad.sum_all(ad.square(ad.subtract(a, b))), 1.0 / assign.n)
-        clu = obj.clustering_loss_graph(c, assign.n)
+        rec = ad.scale(ad.sum_all(ad.square(ad.subtract(a, b))), 1.0 / assign.shape[0])
+        clu = obj.clustering_loss_graph(c, assign.shape[0])
         fair = obj.group_cluster_mi_graph(c, groups, t)
         root = obj.total_loss_graph(rec, clu, fair, alpha=0.04, beta_fair=0.2)
-        got = float(ad.forward(root, {"c": assign.probs, "a": x, "b": x_rec}))
-        p, probs = assign.probs.mean(axis=0), assign.probs
-        l_rec = ((x - x_rec) ** 2).sum() / assign.n
-        l_clu = (p * np.log(p)).sum() - (probs * np.log(probs)).sum() / assign.n
+        got = float(ad.forward(root, {"c": assign, "a": x, "b": x_rec}))
+        p = assign.mean(axis=0)
+        l_rec = ((x - x_rec) ** 2).sum() / assign.shape[0]
+        l_clu = (p * np.log(p)).sum() - (assign * np.log(assign)).sum() / assign.shape[0]
         expected = l_rec + 0.04 * l_clu + 0.2 * obj.group_cluster_mi(assign, groups, t)
         np.testing.assert_allclose(got, expected, atol=1e-12)

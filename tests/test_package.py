@@ -22,8 +22,8 @@ SRC_FILES = sorted(Path(fairmi.__file__).resolve().parent.glob("*.py"))
 
 
 EXPORTS = [
-    "Dataset", "EpochLog", "MetricsReport", "ModelParams", "SoftAssignment",
-    "SyntheticSpec", "TrainConfig", "accuracy", "balance", "conditional_mi", "encode",
+    "Dataset", "EpochLog", "MetricsReport", "ModelParams", "SyntheticSpec",
+    "TrainConfig", "accuracy", "balance", "conditional_mi", "encode",
     "evaluate", "f_beta", "fit", "full_report", "generate_synthetic", "group_cluster_mi",
     "init_params", "kmeans", "load_checkpoint", "load_csv", "minibatches", "mnce", "nmi",
     "save_checkpoint", "soft_assign",

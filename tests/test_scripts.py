@@ -8,12 +8,15 @@ import pytest
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-@pytest.mark.parametrize("script,argv", [
-    ("sweep_fairness_weight.py", ["--seeds", "1", "--betas", "0.0", "--epochs", "12"]),
+@pytest.mark.parametrize("geometry,betas,epochs", [
+    ("group-dominated", "0.0", "12"),
     # 21 epochs: one past the default 20 warmup epochs, so the cluster terms run
-    ("run_synthetic_ablation.py", ["--seeds", "1", "--betas", "0.2,0.0", "--epochs", "21"]),
-])
-def test_script_runs(script, argv, capsys):
-    main = runpy.run_path(str(SCRIPTS / script))["main"]
-    assert main(argv) == 0
-    assert "mnce" in capsys.readouterr().out
+    ("canonical", "0.2,0.0", "21"),
+], ids=["group-dominated", "canonical"])
+def test_fairness_sweep_runs(geometry, betas, epochs, capsys):
+    main = runpy.run_path(str(SCRIPTS / "fairness_sweep.py"))["main"]
+    assert main(["--geometry", geometry, "--seeds", "1", "--betas", betas, "--epochs", epochs]) == 0
+    out = capsys.readouterr().out
+    assert "mnce" in out
+    # the delta line is printed only when exactly two weights are given
+    assert ("mean mnce delta" in out) == ("," in betas)
