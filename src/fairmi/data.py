@@ -26,8 +26,8 @@ and 265 ms with 196 (7.8 ms) at 2048. A whole ``fairmi metrics`` call on
 the file (16 alternating calls each) took 279, 320 and 329 ms. At 8192 rows
 a read also runs a full collection (55 ms of GC).
 
-Ground-truth labels ride along for evaluation only: the trainer receives a
-view without them.
+Ground-truth labels ride along for evaluation only: in training, only the
+end-of-epoch diagnostics read them, and a test holds ``fit`` to that.
 """
 
 from __future__ import annotations
@@ -102,30 +102,9 @@ class Dataset:
     def n_groups(self) -> int:
         return int(self.groups.max()) + 1
 
-    def train_view(self) -> "TrainView":
-        """Label-free view handed to the trainer's loss path."""
-        return TrainView(features=self.features, groups=self.groups)
-
-
-@dataclass(frozen=True)
-class TrainView:
-    features: np.ndarray
-    groups: np.ndarray
-
-    def __len__(self):
-        return self.features.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def n_groups(self) -> int:
-        return int(self.groups.max()) + 1
-
 
 def feature_transform(features: np.ndarray) -> tuple:
-    """Per-column (mean, std) that ``standardize`` uses; a constant column's std is 1.0."""
+    """Per-column (mean, std) that ``load_csv`` standardizes with; a constant column's std is 1.0."""
     std = features.std(axis=0)
     return features.mean(axis=0), np.where(std == 0.0, 1.0, std)
 
@@ -135,11 +114,6 @@ def _transformed(features, transform):
     out = features - mean
     out /= std
     return out
-
-
-def standardize(features: np.ndarray) -> np.ndarray:
-    """Per-column zero mean, unit variance; constant columns become zero."""
-    return _transformed(features, feature_transform(features))
 
 
 def _file_line(path, index):
@@ -384,10 +358,8 @@ class SyntheticSpec:
 
     def __post_init__(self):
         check_scalar_fields(self, DataError)
-        if self.seed < 0:
-            raise DataError(f"seed must be non-negative, got {self.seed}")
         check_ranges(self, DataError,
-                     at_least=(("classes", 1), ("groups", 1), ("per_cell_count", 1), ("noise_sd", 0)),
+                     at_least=(("seed", 0), ("classes", 1), ("groups", 1), ("per_cell_count", 1), ("noise_sd", 0)),
                      above=(("class_sep", 0),))
         needed = (self.classes - 1) + (1 if self.groups >= 2 else 0)
         if self.dim < max(needed, 1):

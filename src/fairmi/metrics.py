@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import _entropy, _mutual_information
+from .objectives import _at_least_zero, _entropy, _mutual_information
 
 logger = logging.getLogger(__name__)
 
@@ -234,7 +234,7 @@ def full_report(pred, groups, truth=None, beta: float = 1.0) -> MetricsReport:
         mnce=fair,
         f_beta=combined,
         mi_gc=mi_gc,
-        cmi_xcg=_entropy(table.sum(axis=0) / pred.size) - mi_gc,
+        cmi_xcg=_at_least_zero(_entropy(table.sum(axis=0) / pred.size) - mi_gc),
         n=int(pred.size),
         k=int(np.count_nonzero(table.sum(axis=0))),
         t=table.shape[0],

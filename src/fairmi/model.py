@@ -60,6 +60,8 @@ class Scoring:
             raise ModelError("scoring centers must be finite")
         if not 0.0 < self.tau < math.inf:
             raise ModelError(f"scoring tau must be a finite number > 0, got {self.tau}")
+        if not math.isfinite(1.0 / float(self.tau)):
+            raise ModelError(f"scoring tau must be large enough that 1 / tau is finite, got {self.tau}")
         if self.transform is not None:
             mean, std = self.transform
             if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std)) and np.all(std > 0.0)):

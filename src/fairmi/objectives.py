@@ -80,11 +80,15 @@ def _group_onehot(groups, n_groups):
     return onehot
 
 
+def _at_least_zero(v):
+    """Information quantity ``v``, as +0.0 where rounding of either sign leaves it at or below 0."""
+    return v if v > 0.0 else 0.0  # max(v, 0.0) would keep -0.0
+
+
 def _mutual_information(joint):
     """I(A;B) of a 2-d joint table: sum p log p minus the two marginal terms, at least +0.0."""
     v = float(_xlogx(joint).sum() - _xlogx(joint.sum(axis=1)).sum() - _xlogx(joint.sum(axis=0)).sum())
-    # an independent table cancels to rounding error of either sign; max(v, 0.0) would keep -0.0
-    return v if v > 0.0 else 0.0
+    return _at_least_zero(v)
 
 
 def group_cluster_mi(assign: np.ndarray, groups, n_groups: int) -> float:
@@ -111,10 +115,10 @@ def conditional_mi(assign: np.ndarray, mi_gc: float) -> float:
     Computed as H(C) - H(C|X) - ``mi_gc``: the entropy of the column mean,
     minus the mean row entropy, minus the group-cluster mutual information
     of the same assignment (``group_cluster_mi``), which the caller has
-    already computed; the decomposition is exact by construction.
+    already computed; the decomposition is exact by construction. At least +0.0.
     """
     p = _check_assignment(assign)
-    return float(_entropy(p.mean(axis=0)) - _entropy(p) / p.shape[0] - mi_gc)
+    return _at_least_zero(float(_entropy(p.mean(axis=0)) - _entropy(p) / p.shape[0] - mi_gc))
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,15 @@ seeded mini-batches minimizing reconstruction + alpha * clustering loss +
 beta_fair * group leakage with Adam. Centers are constants within an epoch;
 gradients reach the encoder only through the soft assignments.
 
-Ground-truth labels never touch the loss path: the loop works on a
-label-free view and only the per-epoch diagnostics (computed outside the
-gradient path) look at labels when they exist.
+Ground-truth labels never touch the loss path: only the end-of-epoch
+diagnostics (computed outside the gradient path) read them, and a test
+holds ``fit`` to that: labels given, permuted or absent train alike.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import numbers
 from dataclasses import dataclass, fields, replace
 
@@ -54,13 +55,13 @@ class TrainConfig:
 
     def __post_init__(self):
         check_scalar_fields(self, TrainError)
-        if self.seed < 0:
-            raise TrainError(f"seed must be non-negative, got {self.seed}")
         # max_epochs is checked before warmup_epochs is compared with it
         check_ranges(self, TrainError,
-                     at_least=(("k", 2), ("latent_dim", 1), ("max_epochs", 1), ("warmup_epochs", 0),
+                     at_least=(("seed", 0), ("k", 2), ("latent_dim", 1), ("max_epochs", 1), ("warmup_epochs", 0),
                                ("batch_size", 1), ("alpha", 0), ("beta_fair", 0), ("f_beta_weight", 0)),
                      above=(("learning_rate", 0), ("tau", 0)))
+        if not math.isfinite(1.0 / float(self.tau)):
+            raise TrainError(f"tau must be large enough that 1 / tau is finite, got {self.tau}")
         if self.warmup_epochs > self.max_epochs:
             raise TrainError(f"warmup_epochs ({self.warmup_epochs}) must not exceed "
                              f"max_epochs ({self.max_epochs})")
@@ -148,9 +149,8 @@ class AdamState:
                         for name, value in params.items()}
 
 
-def adam_step(params: dict, grads: dict, state: AdamState, step: int,
-              lr: float, beta1: float = ADAM_BETA1, beta2: float = ADAM_BETA2, eps: float = ADAM_EPS):
-    """One bias-corrected Adam update, written in place into params and state.
+def adam_step(params: dict, grads: dict, state: AdamState, step: int, lr: float):
+    """One bias-corrected Adam update with the ``ADAM_*`` constants, written in place into params and state.
 
     A parameter missing from ``grads`` takes a zero gradient, so its moments
     still decay. Every gradient is checked before anything is written: a
@@ -161,38 +161,38 @@ def adam_step(params: dict, grads: dict, state: AdamState, step: int,
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise TrainError(f"non-finite gradient for {name}")
-    bc1 = 1.0 - beta1 ** step
-    bc2 = 1.0 - beta2 ** step
+    bc1 = 1.0 - ADAM_BETA1 ** step
+    bc2 = 1.0 - ADAM_BETA2 ** step
     for name, value in params.items():
         g = grads.get(name, 0.0)
         m, v = state.m[name], state.v[name]
         s, t = state.scratch[name]
         # m = beta1 * m + (1 - beta1) * g
-        m *= beta1
-        np.multiply(g, 1.0 - beta1, out=s)
+        m *= ADAM_BETA1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=s)
         m += s
         # v = beta2 * v + (1 - beta2) * (g * g)
-        v *= beta2
+        v *= ADAM_BETA2
         np.multiply(g, g, out=s)
-        s *= 1.0 - beta2
+        s *= 1.0 - ADAM_BETA2
         v += s
         # value -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
         np.divide(m, bc1, out=s)
         s *= lr
         np.divide(v, bc2, out=t)
         np.sqrt(t, out=t)
-        t += eps
+        t += ADAM_EPS
         s /= t
         value -= s
 
 
-def _batch_graphs(x, groups, layer_dims, n_groups, warmup, centers, cfg):
-    """Build the loss graphs for one batch, keyed by log column name."""
+def _batch_graphs(x, groups, layer_dims, n_groups, centers, cfg):
+    """Build the loss graphs for one batch, keyed by log column name; reconstruction only without centers."""
     nodes = model.param_input_nodes(layer_dims, n_groups)
     x_node = ad.input_node("x", x.shape)
     h = model.encoder_graph(x_node, nodes, layer_dims)
     rec = model.reconstruction_graph(x_node, h, nodes, layer_dims, groups)
-    if warmup:
+    if centers is None:
         return {"l_rec": rec, "l_total": rec}
     c = clustering.soft_assign_graph(h, centers, cfg.tau)
     clu = objectives.clustering_loss_graph(c, x.shape[0])
@@ -201,7 +201,7 @@ def _batch_graphs(x, groups, layer_dims, n_groups, warmup, centers, cfg):
     return {"l_rec": rec, "l_clu": clu, "l_fair": fair, "l_total": total}
 
 
-def _measure(h, cfg, view, labels, epoch):
+def _measure(h, cfg, dataset, epoch):
     """End-of-epoch diagnostics on the full-dataset latents; never feeds gradients.
 
     Returns mi_gc, cmi_xcg, the label metrics (empty without labels) and
@@ -213,11 +213,11 @@ def _measure(h, cfg, view, labels, epoch):
     except clustering.ClusteringError as e:
         raise TrainError(f"epoch {epoch}: diagnostics clustering failed: {e}") from e
     assign = clustering.soft_assign(h, centers, cfg.tau)
-    mi = objectives.group_cluster_mi(assign, view.groups, view.n_groups)
+    mi = objectives.group_cluster_mi(assign, dataset.groups, dataset.n_groups)
     cmi = objectives.conditional_mi(assign, mi)
     extras = {}
-    if labels is not None:
-        report = metrics.full_report(assign.argmax(axis=1), view.groups, labels, cfg.f_beta_weight)
+    if dataset.labels is not None:
+        report = metrics.full_report(assign.argmax(axis=1), dataset.groups, dataset.labels, cfg.f_beta_weight)
         extras = {name: getattr(report, name) for name in ("acc", "nmi", "bal", "mnce", "f_beta")}
     return mi, cmi, extras, centers
 
@@ -232,44 +232,41 @@ def fit(config: TrainConfig, dataset: Dataset, hooks: TrainerHooks | None = None
     Each record carries its epoch's `model.Scoring`: the centers its log row
     was measured against, tau, and the dataset's feature transform and names.
     """
-    view = dataset.train_view()
-    labels = dataset.labels
-    layer_dims = config.resolve_layer_dims(view.features.shape[1])
-    if view.n < config.k:
-        raise TrainError(f"need at least k={config.k} samples, got {view.n}")
-    if labels is not None and view.n_groups < 2:
+    layer_dims = config.resolve_layer_dims(dataset.dim)
+    if dataset.n < config.k:
+        raise TrainError(f"need at least k={config.k} samples, got {dataset.n}")
+    if dataset.labels is not None and dataset.n_groups < 2:
         raise TrainError("labeled data needs >= 2 groups: the epoch log's mnce is undefined for one")
     hooks = hooks or TrainerHooks()
 
     # fit's own arrays, which adam_step updates in place
-    params = model.init_params(layer_dims, view.n_groups, config.seed)
+    params = model.init_params(layer_dims, dataset.n_groups, config.seed)
     state = AdamState(params.arrays)
     step = 0
     logs: list[EpochLog] = []
     logger.info(
         "training: n=%d dim=%d groups=%d k=%d layers=%s epochs=%d (warmup %d)",
-        view.n, view.features.shape[1], view.n_groups, config.k,
+        dataset.n, dataset.dim, dataset.n_groups, config.k,
         list(layer_dims), config.max_epochs, config.warmup_epochs,
     )
 
     # latents of the current parameters; after each epoch the diagnostics'
     # encode replaces them, and the next center refresh reuses it
-    h_all = model.encode(params, view.features)
+    h_all = model.encode(params, dataset.features)
     for epoch in range(config.max_epochs):
-        warmup = epoch < config.warmup_epochs
-        centers = None
-        if not warmup:
+        centers = None  # warmup: reconstruction only
+        if epoch >= config.warmup_epochs:
             try:
                 centers, _ = clustering.kmeans(h_all, config.k, seed=(config.seed, epoch, 0xC3))
             except clustering.ClusteringError as e:
                 raise TrainError(f"epoch {epoch}: center refresh failed: {e}") from e
 
         sums = {"l_rec": 0.0, "l_clu": 0.0, "l_fair": 0.0, "l_total": 0.0}
-        batches = minibatches(view, config.batch_size, (config.seed, epoch, 0xBA))
+        batches = minibatches(dataset, config.batch_size, (config.seed, epoch, 0xBA))
         for b, idx in enumerate(batches):
-            x = view.features[idx]
-            g = view.groups[idx]
-            roots = _batch_graphs(x, g, layer_dims, view.n_groups, warmup, centers, config)
+            x = dataset.features[idx]
+            g = dataset.groups[idx]
+            roots = _batch_graphs(x, g, layer_dims, dataset.n_groups, centers, config)
             ad.forward(roots["l_total"], {**params.arrays, "x": x})
             values = {name: float(node.value) for name, node in roots.items()}
             if not np.isfinite(values["l_total"]):
@@ -289,8 +286,8 @@ def fit(config: TrainConfig, dataset: Dataset, hooks: TrainerHooks | None = None
         # adam_step is done with the live arrays until the next epoch, so the
         # encode reads them in place. Rebuilding the record checks them first:
         # a non-finite parameter raises ModelError in the epoch it appears.
-        h_all = model.encode(replace(params), view.features)
-        mi, cmi, extras, centers = _measure(h_all, config, view, labels, epoch)
+        h_all = model.encode(replace(params), dataset.features)
+        mi, cmi, extras, centers = _measure(h_all, config, dataset, epoch)
         scoring = model.Scoring(centers, config.tau, dataset.transform, dataset.feature_names)
         log = EpochLog(
             epoch=epoch,

@@ -98,8 +98,7 @@ def test_criterion_1_gradient_fidelity():
 
         cfg = trainer.TrainConfig(k=k, latent_dim=latent, layer_dims=layer_dims,
                                   max_epochs=1, warmup_epochs=0, seed=trial)
-        roots = trainer._batch_graphs(x, groups, layer_dims, t_groups,
-                                      warmup=False, centers=centers, cfg=cfg)
+        roots = trainer._batch_graphs(x, groups, layer_dims, t_groups, centers=centers, cfg=cfg)
         for name in ("l_rec", "l_clu", "l_fair", "l_total"):
             fn, point = _flat_loss_fn(roots[name], params, x)
             err = grad_check(fn, point, step=1e-5)

@@ -90,7 +90,7 @@ class TestSynth:
             ({"per_cell_count": 10.0}, "per_cell_count must be an integer, got 10.0"),
             ({"class_sep": float("inf")}, "class_sep must be a finite number, got inf"),
             ({"noise_sd": "1"}, "noise_sd must be a finite number, got '1'"),
-            ({"seed": -1}, "seed must be non-negative, got -1"),
+            ({"seed": -1}, "seed must be >= 0, got -1"),
         ],
     )
     def test_bad_spec_field_is_named_before_writing(self, tmp_path, capsys, change, fragment):
@@ -240,7 +240,8 @@ class TestTrainEval:
             ({"k": 2.0}, "k must be an integer, got 2.0"),
             ({"tau": float("nan")}, "tau must be a finite number, got nan"),
             ({"learning_rate": float("inf")}, "learning_rate must be a finite number, got inf"),
-            ({"seed": -1}, "seed must be non-negative, got -1"),
+            ({"tau": 1e-310}, "tau must be large enough that 1 / tau is finite, got 1e-310"),
+            ({"seed": -1}, "seed must be >= 0, got -1"),
         ],
     )
     def test_bad_config_field_is_named_before_training(self, synth_csv, tmp_path, capsys, change, fragment):
@@ -426,6 +427,17 @@ class TestMetrics:
         assert '"mi_gc": 0.0,' in report_path.read_text()
         report = metrics.full_report(np.arange(72) // 18, np.arange(72) % 3)
         assert report.mi_gc == 0.0 and not np.signbit(report.mi_gc)
+
+    def test_a_partition_equal_to_the_groups_reports_zero_conditional_information(self, tmp_path):
+        """90 rows, cluster i % 4 and group g{i % 4}: I(X;C|G) is 0.0, never -0.0."""
+        path = tmp_path / "grouped.csv"
+        path.write_text("pred,group\n" + "".join(f"{i % 4},g{i % 4}\n" for i in range(90)))
+        report_path = tmp_path / "report.json"
+        rc = cli.run(["metrics", "--pred", str(path), "--groups-col", "group", "--report", str(report_path)])
+        assert rc == 0
+        assert '"cmi_xcg": 0.0,' in report_path.read_text()
+        report = metrics.full_report(np.arange(90) % 4, np.arange(90) % 4)
+        assert report.cmi_xcg == 0.0 and not np.signbit(report.cmi_xcg)
 
     def test_custom_pred_column_and_beta(self, tmp_path):
         path = tmp_path / "labels.csv"

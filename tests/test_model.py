@@ -34,6 +34,7 @@ CORRUPTIONS = {
     "block-nan-center": "centers must be finite",
     "block-nan-tau": "tau must be a finite number > 0, got nan",
     "block-zero-tau": "tau must be a finite number > 0, got 0.0",
+    "block-tiny-tau": "tau must be large enough that 1 / tau is finite, got 1e-310",
     "block-inf-mean": "finite means",
     "block-zero-std": "stds > 0",
     "block-names": "not UTF-8",
@@ -362,6 +363,8 @@ class TestCheckpoint:
             put(block + 4, "<d", np.nan)
         elif mangle == "block-zero-tau":
             put(block + 4, "<d", 0.0)
+        elif mangle == "block-tiny-tau":
+            put(block + 4, "<d", 1e-310)
         elif mangle == "block-inf-mean":
             put(mean, "<d", np.inf)
         elif mangle == "block-zero-std":

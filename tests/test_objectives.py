@@ -297,6 +297,16 @@ class TestConditionalMI:
             loss = float(ad.forward(obj.clustering_loss_graph(ad.constant(assign), n), {}))
             np.testing.assert_allclose(loss, -(obj.conditional_mi(assign, mi) + mi), rtol=0, atol=1e-12)
 
+    def test_partitions_equal_to_the_groups_never_read_below_zero(self):
+        """The groups explain such a partition fully, so I(X;C|G) is zero up to rounding,
+        and the rounding never shows as a negative value or -0.0."""
+        for k in range(2, 7):
+            for n in (90, *range(30, 1001, 70)):
+                groups = np.arange(n) % k
+                assign = one_hot(groups, k)
+                value = obj.conditional_mi(assign, obj.group_cluster_mi(assign, groups, k))
+                assert 0.0 <= value < 1e-15 and not np.signbit(value), (k, n, value)
+
 
 class TestGraphBuilders:
     """The differentiable paths must agree with numpy references."""

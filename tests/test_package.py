@@ -19,6 +19,9 @@ SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC_FILES = sorted(Path(fairmi.__file__).resolve().parent.glob("*.py"))
+# the program: the package, the benchmark and the scripts, but not the tests
+PROGRAM_FILES = SRC_FILES + sorted(path for folder in ("perfbench", "scripts")
+                                   for path in (Path(__file__).resolve().parents[1] / folder).glob("*.py"))
 
 
 EXPORTS = [
@@ -93,6 +96,42 @@ def test_runtime_dependencies_are_exactly_the_imported_third_party_modules():
             imported.update(module.split(".")[0] for module in _imported_modules(node))
     # a relative import's first part is "", the package itself
     assert listed == imported - set(sys.stdlib_module_names) - {""}
+
+
+def _names_used(node):
+    """Every name, attribute and imported name ``node`` mentions, and each string constant
+    that is an identifier, as the benchmark's span table names functions."""
+    used = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            used.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            used.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            used.add(sub.name.split(".")[-1])
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) and sub.value.isidentifier():
+            used.add(sub.value)
+    return used
+
+
+def test_every_public_function_and_class_has_a_user_outside_the_tests():
+    """A public module-level function or class of src is used by another top-level statement
+    of the package, the benchmark or the scripts, is the console script's entry point, or is
+    exported; a test alone does not keep code alive."""
+    tomllib = pytest.importorskip("tomllib")
+    entry_points = {target.split(":")[1]
+                    for target in tomllib.loads(PYPROJECT.read_text())["project"]["scripts"].values()}
+    defined, used = [], set()
+    for path in PROGRAM_FILES:
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            is_def = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            if is_def and path in SRC_FILES and not node.name.startswith("_"):
+                defined.append((path.stem, node.name))
+            # a definition's mentions of itself do not count
+            used |= _names_used(node) - ({node.name} if is_def else set())
+    assert len(defined) > 50  # the definitions were read
+    kept = used | entry_points | set(fairmi.__all__)
+    assert [f"{module}.{name}" for module, name in defined if name not in kept] == []
 
 
 def test_readme_documents_the_checkpoint_version_the_program_writes():

@@ -109,7 +109,7 @@ class TestAdam:
 
     def test_ten_step_recurrence_matches_reference(self):
         """Textbook recurrence with bias correction, in the same order of operations."""
-        lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
+        lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8  # the module's defaults
         rng = np.random.default_rng(0)
         w = rng.normal(size=4)
         ref_w, m, v = w.copy(), np.zeros(4), np.zeros(4)
@@ -120,7 +120,7 @@ class TestAdam:
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * (g * g)
             ref_w = ref_w - lr * (m / (1 - b1 ** step)) / (np.sqrt(v / (1 - b2 ** step)) + eps)
-            trainer.adam_step(params, {"w": g.copy()}, state, step, lr, b1, b2, eps)
+            trainer.adam_step(params, {"w": g.copy()}, state, step, lr)
             assert np.array_equal(params["w"], ref_w)
             assert np.array_equal(state.m["w"], m) and np.array_equal(state.v["w"], v)
         assert params["w"] is w  # updated in place
@@ -256,7 +256,7 @@ class TestConfig:
             ({"k": 3, "learning_rate": float("inf")}, "learning_rate must be a finite number"),
             ({"k": 3, "alpha": "0.1"}, "alpha must be a finite number, got '0.1'"),
             ({"k": 3, "beta_fair": False}, "beta_fair must be a finite number"),
-            ({"k": 3, "seed": -1}, "seed must be non-negative, got -1"),
+            ({"k": 3, "seed": -1}, "seed must be >= 0, got -1"),
             ({"k": 3, "latent_dim": 3, "layer_dims": [4, 6.0, 3]}, "layer_dims must be a list of integers"),
             ({"k": 3, "latent_dim": 3, "layer_dims": 3}, "layer_dims must be a list of integers, got 3"),
         ],
@@ -279,6 +279,8 @@ class TestConfig:
             ({"k": 1}, "k must be >= 2, got 1"),
             ({"k": np.int64(1)}, "k must be >= 2, got 1"),
             ({"k": 3, "tau": np.float64(-1.0)}, "tau must be > 0, got -1.0"),
+            ({"k": 3, "tau": 1e-310}, "tau must be large enough that 1 / tau is finite, got 1e-310"),
+            ({"k": 3, "tau": np.float64(1e-310)}, "tau must be large enough that 1 / tau is finite, got 1e-310"),
             ({"k": 3, "latent_dim": 0}, "latent_dim must be >= 1, got 0"),
             ({"k": 3, "batch_size": 0}, "batch_size must be >= 1, got 0"),
             ({"k": 3, "latent_dim": 3, "layer_dims": [4, 0, 3]},
@@ -296,6 +298,9 @@ class TestConfig:
         cfg = trainer.TrainConfig.from_dict({"k": np.int64(3), "tau": 1, "learning_rate": np.float64(1e-3),
                                              "seed": 0})
         assert cfg.k == 3 and cfg.tau == 1
+
+    def test_tiny_tau_with_a_finite_inverse_is_accepted(self):
+        assert trainer.TrainConfig(k=3, tau=1e-300).tau == 1e-300
 
     def test_default_layer_dims_resolution(self):
         cfg = trainer.TrainConfig(k=2, latent_dim=16)
@@ -355,6 +360,31 @@ class TestFit:
         _, logs = trainer.fit(cfg, small_dataset())
         for log in logs:
             np.testing.assert_allclose(log.l_total, log.l_rec, atol=1e-12)
+
+    def test_labels_never_steer_training(self):
+        """Labels as given, permuted or absent give the same parameters and centers after every
+        epoch, and the same losses and information columns; only the label metrics differ."""
+        ds = small_dataset()
+        permuted = np.random.default_rng(3).permutation(ds.labels)
+        assert not np.array_equal(permuted, ds.labels)
+
+        def state(params):
+            return [a.tobytes() for a in params.arrays.values()] + [params.scoring.centers.tobytes()]
+
+        runs = []
+        for labels in (ds.labels, permuted, None):
+            epochs = []
+            hooks = trainer.TrainerHooks(on_params=lambda _, params, epochs=epochs: epochs.append(state(params)))
+            final, logs = trainer.fit(small_config(), replace(ds, labels=labels), hooks)
+            assert epochs[-1] == state(final)
+            columns = {name: [getattr(log, name) for log in logs]
+                       for name in ("l_rec", "l_clu", "l_fair", "l_total", "mi_gc", "cmi_xcg")}
+            runs.append((epochs, columns, [log.acc for log in logs]))
+        (epochs, columns, acc), *others = runs
+        assert len(epochs) == 5 and all(a is not None for a in acc)
+        for other_epochs, other_columns, _ in others:
+            assert other_epochs == epochs and other_columns == columns
+        assert runs[1][2] != acc and all(a is None for a in runs[2][2])  # the labels were read
 
     def test_same_seed_reproduces_params_and_logs(self):
         cfg = small_config()
@@ -649,7 +679,7 @@ class TestEvaluate:
             with pytest.raises(trainer.TrainError, match=match):
                 trainer.evaluate(params, ds, config)
         transform = data.feature_transform(ds.features)
-        standardized = replace(ds, features=data.standardize(ds.features), transform=transform)
+        standardized = replace(ds, features=data._transformed(ds.features, transform), transform=transform)
         with pytest.raises(trainer.TrainError, match="feature transform differs"):
             trainer.evaluate(params, standardized, cfg)
         params, _ = trainer.fit(cfg, standardized)
