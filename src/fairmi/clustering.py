@@ -173,7 +173,7 @@ def soft_assign(h: np.ndarray, centers: np.ndarray, tau: float) -> np.ndarray:
     if h.ndim != 2 or h.shape[1] != centers.shape[1]:
         raise ClusteringError("latent width does not match the centers")
     sims = ad.unit_rows(h)[0] @ dirs.T
-    probs = ad.softmax(sims / tau)
+    probs = ad.softmax(sims * (1.0 / tau))  # the graph path's scale, so both assign bit for bit
     if not np.all(np.isfinite(probs)):  # e.g. tau so small that 1 / tau overflows
         raise ClusteringError("assignment entries must be finite")
     return probs

@@ -6,6 +6,11 @@ within-cluster group ratio) and the normalized conditional entropy of the
 groups given the cluster (worst cluster again). A harmonic combination lets
 one number trade the two sides off.
 
+Every metric is a function of a count table: ``accuracy`` and ``nmi`` read
+the cluster x class table, ``balance`` and ``mnce`` the cluster x group one,
+and ``contingency`` is the one place label arrays become counts, so
+``full_report`` counts each pair of labelings once.
+
 NMI normalization: mutual information divided by the square root of the
 product of the two label entropies (the geometric-mean convention). Counting
 estimators throughout; all entropies in nats.
@@ -38,6 +43,18 @@ def _labels(a, name):
     if arr.min() < 0:
         raise MetricError(f"{name} must be non-negative ids")
     return arr.astype(np.int64, copy=False)
+
+
+def _counts(table, name):
+    """The 2-d table of non-negative integer counts with a positive total that ``name`` scores."""
+    table = np.asarray(table)
+    if table.ndim != 2:
+        raise MetricError(f"{name}: table must be a 2-d count table, got {table.ndim}-d")
+    if not np.issubdtype(table.dtype, np.integer):
+        raise MetricError(f"{name}: table must hold integer counts, got {table.dtype}")
+    if table.size == 0 or table.min() < 0 or table.sum() == 0:
+        raise MetricError(f"{name}: table must hold non-negative counts with a positive total")
+    return table
 
 
 def _present_rows(table, name):
@@ -111,20 +128,20 @@ def _max_matching(table):
     return (col_of, rows) if transposed else (rows, col_of)
 
 
-def accuracy(pred: np.ndarray, truth: np.ndarray) -> float:
-    """Fraction correct under the best one-to-one cluster-class matching."""
-    table = contingency(pred, truth)
+def accuracy(table: np.ndarray) -> float:
+    """Fraction correct under the best one-to-one matching in a cluster x class table."""
+    table = _counts(table, "accuracy")
     rows, cols = _max_matching(table)
-    return float(table[rows, cols].sum() / np.asarray(pred).size)
+    return float(table[rows, cols].sum() / table.sum())
 
 
-def nmi(pred: np.ndarray, truth: np.ndarray) -> float:
-    """Normalized mutual information, geometric-mean normalization.
+def nmi(table: np.ndarray) -> float:
+    """Normalized mutual information of a cluster x class table, geometric-mean normalization.
 
     Two constant labelings are a perfect match (1.0); one constant labeling
     against a varying one shares no information (0.0).
     """
-    table = contingency(pred, truth).astype(np.float64)
+    table = _counts(table, "nmi").astype(np.float64)
     n = table.sum()
     h_pred = _entropy(table.sum(axis=1) / n)
     h_truth = _entropy(table.sum(axis=0) / n)
@@ -136,8 +153,8 @@ def nmi(pred: np.ndarray, truth: np.ndarray) -> float:
     return float(min(max(value, 0.0), 1.0))
 
 
-def balance(pred: np.ndarray, groups: np.ndarray) -> float:
-    """Worst within-cluster ratio of smallest to largest group count.
+def balance(table: np.ndarray) -> float:
+    """Worst within-cluster ratio of smallest to largest group count in a cluster x group table.
 
     The fairlet balance of Chierichetti et al. (NeurIPS 2017): raw counts,
     not fractions scaled by the population mix, so on a 2:1 population a
@@ -145,19 +162,19 @@ def balance(pred: np.ndarray, groups: np.ndarray) -> float:
     group scores 0 and therefore zeroes the minimum. Group ids need not be
     dense: only the groups present count.
     """
-    counts = _present_rows(contingency(pred, groups), "balance")
+    counts = _present_rows(_counts(table, "balance"), "balance")
     counts = counts[:, counts.any(axis=0)]  # a gap in the ids would be an all-zero column
     return float((counts.min(axis=1) / counts.max(axis=1)).min())
 
 
-def mnce(pred: np.ndarray, groups: np.ndarray) -> float:
-    """Worst-cluster conditional group entropy, normalized by the global one.
+def mnce(table: np.ndarray) -> float:
+    """Worst-cluster conditional group entropy of a cluster x group table, over the global one.
 
     1.0 means every cluster reproduces the overall group mix exactly (the
     partition is independent of the groups); 0.0 means some cluster contains
     a single group. Rejects single-group data (the normalizer would be 0).
     """
-    table = contingency(pred, groups)
+    table = _counts(table, "mnce")
     h_global = _entropy(table.sum(axis=0) / table.sum())
     if h_global == 0.0:
         raise MetricError("single-group data: normalized conditional entropy is undefined")
@@ -216,15 +233,19 @@ def full_report(pred, groups, truth=None, beta: float = 1.0) -> MetricsReport:
     missing = np.flatnonzero(np.bincount(groups) == 0)
     if missing.size:
         raise MetricError(f"groups: ids {missing.tolist()} have no members")
-    bal = balance(pred, groups)
-    fair = mnce(pred, groups)
+    by_group = contingency(pred, groups)
+    # balance and mnce skip empty clusters; drop them here so the warning is logged once
+    present = _present_rows(by_group, "full_report")
+    bal = balance(present)
+    fair = mnce(present)
     report_acc = report_nmi = combined = None
     if truth is not None:
-        truth = _labels(truth, "truth")
-        report_acc = accuracy(pred, truth)
-        report_nmi = nmi(pred, truth)
+        by_class = contingency(pred, _labels(truth, "truth"))
+        report_acc = accuracy(by_class)
+        report_nmi = nmi(by_class)
         combined = f_beta(report_nmi, fair, beta)
-    table = contingency(groups, pred)
+    # groups x clusters in C order: the element order of the sums fixes mi_gc's bits
+    table = np.ascontiguousarray(by_group.T)
     # a hard partition has zero assignment entropy, so I(X;C|G) = H(C) - I(G;C)
     mi_gc = _mutual_information(table / pred.size)
     return MetricsReport(

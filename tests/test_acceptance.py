@@ -132,12 +132,12 @@ def test_criterion_2_counting_oracle_equivalence():
 
         expected_nmi = counting_mi(pred, truth) / np.sqrt(
             counting_entropy(pred) * counting_entropy(truth))
-        worst = max(worst, abs(metrics.nmi(pred, truth) - expected_nmi))
+        worst = max(worst, abs(metrics.nmi(metrics.contingency(pred, truth)) - expected_nmi))
 
         hg = counting_entropy(groups)
         expected_mnce = min(
             counting_entropy(groups[pred == c]) for c in np.unique(pred)) / hg
-        worst = max(worst, abs(metrics.mnce(pred, groups) - expected_mnce))
+        worst = max(worst, abs(metrics.mnce(metrics.contingency(pred, groups)) - expected_mnce))
     ok = worst < 1e-10
     assert _verdict(2, ok, f"max abs deviation {worst:.3e} over 100 labelings")
 
@@ -162,12 +162,12 @@ def test_criterion_3_proportional_partition_property():
                 pred.extend([c] * count)
                 groups.extend([g] * count)
         pred, groups = np.asarray(pred), np.asarray(groups)
-        value = metrics.mnce(pred, groups)
+        value = metrics.mnce(metrics.contingency(pred, groups))
         worst_one = max(worst_one, abs(value - 1.0))
 
         # converse direction on this and a perturbed partition
         for cand in (pred, rng.permutation(pred)):
-            if abs(metrics.mnce(cand, groups) - 1.0) <= 1e-9:
+            if abs(metrics.mnce(metrics.contingency(cand, groups)) - 1.0) <= 1e-9:
                 converse_checked += 1
                 hg = counting_entropy(groups)
                 for c in np.unique(cand):
@@ -236,7 +236,7 @@ def test_criterion_6_accuracy_equals_exhaustive_search():
         n = int(rng.integers(4, 40))
         pred = rng.integers(0, int(rng.integers(1, 7)), size=n)
         truth = rng.integers(0, int(rng.integers(1, 7)), size=n)
-        if metrics.accuracy(pred, truth) != _brute_force_accuracy(pred, truth):
+        if metrics.accuracy(metrics.contingency(pred, truth)) != _brute_force_accuracy(pred, truth):
             mismatches += 1
     ok = mismatches == 0
     assert _verdict(6, ok, f"{mismatches} mismatches over 50 instances")

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -54,12 +55,12 @@ class TestAccuracy:
     def test_perfect_after_relabeling(self):
         truth = np.array([0, 0, 1, 1, 2, 2])
         pred = np.array([2, 2, 0, 0, 1, 1])
-        assert metrics.accuracy(pred, truth) == 1.0
+        assert metrics.accuracy(metrics.contingency(pred, truth)) == 1.0
 
     def test_partial_match(self):
         truth = np.array([0, 0, 1, 1])
         pred = np.array([0, 1, 1, 1])
-        assert metrics.accuracy(pred, truth) == 0.75
+        assert metrics.accuracy(metrics.contingency(pred, truth)) == 0.75
 
     def test_matches_brute_force_on_random_cases(self):
         rng = np.random.default_rng(0)
@@ -68,12 +69,12 @@ class TestAccuracy:
             kp, kt = int(rng.integers(1, 7)), int(rng.integers(1, 7))
             pred = rng.integers(0, kp, size=n)
             truth = rng.integers(0, kt, size=n)
-            assert metrics.accuracy(pred, truth) == brute_force_accuracy(pred, truth)
+            assert metrics.accuracy(metrics.contingency(pred, truth)) == brute_force_accuracy(pred, truth)
 
     def test_rectangular_contingency(self):
         pred = np.array([0, 1, 2, 3])
         truth = np.array([0, 0, 1, 1])
-        assert metrics.accuracy(pred, truth) == 0.5
+        assert metrics.accuracy(metrics.contingency(pred, truth)) == 0.5
 
     @given(st.integers(1, 12), st.integers(1, 12), st.data())
     @settings(max_examples=300, deadline=None)
@@ -86,23 +87,25 @@ class TestAccuracy:
         pred = np.repeat(flat // cols, table.ravel())
         truth = np.repeat(flat % cols, table.ravel())
         matched_rows, matched_cols = linear_sum_assignment(-table)
-        assert metrics.accuracy(pred, truth) == table[matched_rows, matched_cols].sum() / pred.size
+        assert metrics.accuracy(metrics.contingency(pred, truth)) == (
+            table[matched_rows, matched_cols].sum() / pred.size)
 
 
 class TestNMI:
     def test_identical_partitions_score_one(self):
         labels = np.array([0, 1, 2, 0, 1, 2])
         relabeled = np.array([2, 0, 1, 2, 0, 1])
-        assert metrics.nmi(labels, relabeled) == pytest.approx(1.0, abs=1e-12)
+        assert metrics.nmi(metrics.contingency(labels, relabeled)) == pytest.approx(1.0, abs=1e-12)
 
     def test_independent_partitions_score_zero(self):
-        assert metrics.nmi(np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])) == pytest.approx(0.0, abs=1e-12)
+        independent = metrics.contingency(np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]))
+        assert metrics.nmi(independent) == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_vs_varying_is_zero_both_constant_is_one(self):
         varying = np.array([0, 1, 0, 1])
         constant = np.zeros(4, dtype=np.int64)
-        assert metrics.nmi(constant, varying) == 0.0
-        assert metrics.nmi(constant, constant.copy()) == 1.0
+        assert metrics.nmi(metrics.contingency(constant, varying)) == 0.0
+        assert metrics.nmi(metrics.contingency(constant, constant.copy())) == 1.0
 
     def test_matches_counting_oracle(self):
         rng = np.random.default_rng(1)
@@ -114,7 +117,7 @@ class TestNMI:
             if ha == 0.0 or hb == 0.0:
                 continue
             expected = counting_mi(a, b) / np.sqrt(ha * hb)
-            np.testing.assert_allclose(metrics.nmi(a, b), expected, atol=1e-10)
+            np.testing.assert_allclose(metrics.nmi(metrics.contingency(a, b)), expected, atol=1e-10)
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -122,9 +125,9 @@ class TestNMI:
         rng = np.random.default_rng(seed)
         a = rng.integers(0, 3, size=20)
         b = rng.integers(0, 4, size=20)
-        v = metrics.nmi(a, b)
+        v = metrics.nmi(metrics.contingency(a, b))
         assert 0.0 <= v <= 1.0
-        assert v == pytest.approx(metrics.nmi(b, a), abs=1e-12)
+        assert v == pytest.approx(metrics.nmi(metrics.contingency(b, a)), abs=1e-12)
 
 
 class TestBalance:
@@ -132,40 +135,40 @@ class TestBalance:
         """Counts (3, 4, 18, 20) inside one cluster give 3/20."""
         groups = np.repeat([0, 1, 2, 3], [3, 4, 18, 20])
         pred = np.zeros_like(groups)
-        np.testing.assert_allclose(metrics.balance(pred, groups), 3 / 20, atol=1e-12)
+        np.testing.assert_allclose(metrics.balance(metrics.contingency(pred, groups)), 3 / 20, atol=1e-12)
 
     def test_perfectly_mixed_is_one(self):
         pred = np.array([0, 0, 1, 1, 0, 0, 1, 1])
         groups = np.array([0, 1, 0, 1, 0, 1, 0, 1])
-        assert metrics.balance(pred, groups) == 1.0
+        assert metrics.balance(metrics.contingency(pred, groups)) == 1.0
 
     def test_cluster_missing_a_group_scores_zero(self):
         pred = np.array([0, 0, 1, 1])
         groups = np.array([0, 1, 0, 0])  # cluster 1 has no group-1 member
-        assert metrics.balance(pred, groups) == 0.0
+        assert metrics.balance(metrics.contingency(pred, groups)) == 0.0
 
     def test_unequal_groups_compare_raw_counts(self):
         """A 2:1 population mirrored in every cluster scores 0.5, not 1."""
         pred = np.repeat([0, 1], 6)
         groups = np.array([0, 0, 0, 0, 1, 1] * 2)
-        assert metrics.balance(pred, groups) == 0.5
+        assert metrics.balance(metrics.contingency(pred, groups)) == 0.5
 
     def test_minimum_over_clusters(self):
         pred = np.repeat([0, 1], [8, 4])
         groups = np.array([0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 1])  # cluster 1 is 3:1
-        np.testing.assert_allclose(metrics.balance(pred, groups), 1 / 3, atol=1e-12)
+        np.testing.assert_allclose(metrics.balance(metrics.contingency(pred, groups)), 1 / 3, atol=1e-12)
 
 
 class TestMNCE:
     def test_proportional_partition_scores_one(self):
         pred = np.array([0, 0, 1, 1, 1, 1])
         groups = np.array([0, 1, 0, 1, 0, 1])
-        np.testing.assert_allclose(metrics.mnce(pred, groups), 1.0, atol=1e-12)
+        np.testing.assert_allclose(metrics.mnce(metrics.contingency(pred, groups)), 1.0, atol=1e-12)
 
     def test_single_group_cluster_scores_zero(self):
         pred = np.array([0, 0, 1, 1])
         groups = np.array([0, 0, 0, 1])
-        value = metrics.mnce(pred, groups)
+        value = metrics.mnce(metrics.contingency(pred, groups))
         assert value == 0.0 and np.copysign(1.0, value) == 1.0  # +0.0, not -0.0
 
     def test_reference_two_cluster_case(self):
@@ -175,8 +178,9 @@ class TestMNCE:
         h1 = LN2
         h2 = -(0.75 * np.log(0.75) + 0.25 * np.log(0.25))
         hg = -((4 / 6) * np.log(4 / 6) + (2 / 6) * np.log(2 / 6))
-        np.testing.assert_allclose(metrics.mnce(pred, groups), min(h1, h2) / hg, atol=1e-12)
-        np.testing.assert_allclose(metrics.mnce(pred, groups), 0.8834599355410605, atol=1e-6)
+        value = metrics.mnce(metrics.contingency(pred, groups))
+        np.testing.assert_allclose(value, min(h1, h2) / hg, atol=1e-12)
+        np.testing.assert_allclose(value, 0.8834599355410605, atol=1e-6)
 
     def test_matches_counting_oracle(self):
         rng = np.random.default_rng(2)
@@ -188,11 +192,11 @@ class TestMNCE:
                 continue
             worst = min(counting_entropy(groups[pred == k]) for k in np.unique(pred))
             expected = worst / counting_entropy(groups)
-            np.testing.assert_allclose(metrics.mnce(pred, groups), expected, atol=1e-10)
+            np.testing.assert_allclose(metrics.mnce(metrics.contingency(pred, groups)), expected, atol=1e-10)
 
     def test_single_group_dataset_rejected(self):
         with pytest.raises(metrics.MetricError):
-            metrics.mnce(np.array([0, 1]), np.array([0, 0]))
+            metrics.mnce(metrics.contingency(np.array([0, 1]), np.array([0, 0])))
 
     def test_gap_in_cluster_ids_warns(self, caplog):
         import logging
@@ -200,7 +204,7 @@ class TestMNCE:
         pred = np.array([0, 0, 2, 2])  # id 1 unused
         groups = np.array([0, 1, 0, 1])
         with caplog.at_level(logging.WARNING):
-            v = metrics.mnce(pred, groups)
+            v = metrics.mnce(metrics.contingency(pred, groups))
         assert "empt" in caplog.text
         np.testing.assert_allclose(v, 1.0, atol=1e-12)
 
@@ -210,10 +214,28 @@ class TestMNCE:
         pred = np.array([0, 0, 2, 2, 5, 5])  # ids 1, 3 and 4 unused
         groups = np.array([0, 1, 0, 1, 0, 1])
         with caplog.at_level(logging.WARNING, logger="fairmi.metrics"):
-            assert metrics.balance(pred, groups) == 1.0
+            assert metrics.balance(metrics.contingency(pred, groups)) == 1.0
         assert [r.getMessage() for r in caplog.records] == [
             "balance: cluster ids [1, 3, 4] are empty and excluded"
         ]
+
+
+class TestCountTables:
+    """The four metrics read a 2-d table of non-negative integer counts with a positive total."""
+
+    @pytest.mark.parametrize("table,message", [
+        (np.array([1, 2, 3]), "table must be a 2-d count table, got 1-d"),
+        (np.ones((2, 2, 2), dtype=np.int64), "table must be a 2-d count table, got 3-d"),
+        (np.array([[1.0, 2.0], [3.0, 4.0]]), "table must hold integer counts, got float64"),
+        (np.array([[True, False], [False, True]]), "table must hold integer counts, got bool"),
+        (np.array([[1, -1], [2, 3]]), "table must hold non-negative counts with a positive total"),
+        (np.zeros((2, 2), dtype=np.int64), "table must hold non-negative counts with a positive total"),
+        (np.zeros((0, 2), dtype=np.int64), "table must hold non-negative counts with a positive total"),
+    ], ids=["1-d", "3-d", "float", "bool", "negative", "all-zero", "no-rows"])
+    @pytest.mark.parametrize("name", ["accuracy", "nmi", "balance", "mnce"])
+    def test_malformed_table_is_refused_with_the_metric_named(self, name, table, message):
+        with pytest.raises(metrics.MetricError, match=f"^{name}: {re.escape(message)}$"):
+            getattr(metrics, name)(table)
 
 
 class TestFBeta:
@@ -310,6 +332,39 @@ class TestFullReport:
         report = metrics.full_report(pred, np.array([0, 0, 0, 1, 1, 1]))
         assert report.k == 3
 
+    @pytest.mark.parametrize("with_truth", [True, False], ids=["truth", "no-truth"])
+    def test_counts_each_pair_of_labelings_once(self, monkeypatch, with_truth):
+        """One cluster x group table, one cluster x class table, and each metric read once."""
+        calls = []
+
+        def counted(name, original):
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+            return wrapper
+
+        for name in ("contingency", "accuracy", "nmi", "balance", "mnce"):
+            monkeypatch.setattr(metrics, name, counted(name, getattr(metrics, name)))
+        truth = np.array([0, 0, 1, 1, 2, 2]) if with_truth else None
+        metrics.full_report(np.array([0, 0, 1, 1, 2, 2]), np.array([0, 1, 0, 1, 0, 1]), truth)
+        expected = {"contingency": 2, "accuracy": 1, "nmi": 1, "balance": 1, "mnce": 1}
+        if not with_truth:
+            expected.update(contingency=1, accuracy=0, nmi=0)
+        assert {name: calls.count(name) for name in expected} == expected
+
+    def test_an_empty_cluster_is_reported_once(self, caplog):
+        import logging
+
+        pred = np.array([0, 0, 2, 2, 0, 2])  # id 1 unused
+        groups = np.array([0, 1, 0, 1, 1, 0])
+        with caplog.at_level(logging.WARNING, logger="fairmi.metrics"):
+            report = metrics.full_report(pred, groups)
+        assert [r.getMessage() for r in caplog.records] == [
+            "full_report: cluster ids [1] are empty and excluded"
+        ]
+        assert (report.bal, report.k) == (0.5, 2)
+        assert report.mnce == metrics.mnce(metrics.contingency(pred, groups))
+
     def test_group_id_gap_rejected(self, monkeypatch):
         """A group id with no members fails before any metric runs."""
         for name in ("balance", "mnce", "accuracy", "nmi"):
@@ -382,8 +437,9 @@ class TestSparseIds:
         groups = np.array([0, 1, 0, 1, 0, 1, 1, 0])
 
         def scores(p, t):
-            return (metrics.accuracy(p, t), metrics.nmi(p, t), metrics.balance(p, groups),
-                    metrics.mnce(p, groups), metrics.full_report(p, groups, t))
+            by_class, by_group = metrics.contingency(p, t), metrics.contingency(p, groups)
+            return (metrics.accuracy(by_class), metrics.nmi(by_class), metrics.balance(by_group),
+                    metrics.mnce(by_group), metrics.full_report(p, groups, t))
 
         result = []
         peak = traced_peak(lambda: result.append(scores(pred, truth)))
@@ -394,8 +450,8 @@ class TestSparseIds:
     def test_balance_counts_only_the_groups_present(self):
         """A gap in the group ids, small or large, is no group with zero members."""
         pred = np.array([0, 0, 1, 1])
-        scores = {(metrics.balance(pred, np.array([0, top, 0, top])), metrics.mnce(pred, np.array([0, top, 0, top])))
-                  for top in (1, 2, self.BIG)}
+        tables = [metrics.contingency(pred, np.array([0, top, 0, top])) for top in (1, 2, self.BIG)]
+        scores = {(metrics.balance(table), metrics.mnce(table)) for table in tables}
         assert scores == {(1.0, 1.0)}
 
     def test_a_sparse_group_id_is_rejected_without_a_count_by_id(self):
@@ -420,5 +476,5 @@ class TestSparseIds:
         groups = np.array([0, 1, 0, 1])
         assert metrics.contingency(pred, groups).shape == (10, 2)
         with caplog.at_level(logging.WARNING, logger="fairmi.metrics"):
-            metrics.balance(pred, groups)
+            metrics.balance(metrics.contingency(pred, groups))
         assert "cluster ids [1, 2, 3, 4, 5, 6, 7, 8] are empty" in caplog.text

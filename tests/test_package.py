@@ -10,6 +10,7 @@ import runpy
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fairmi
@@ -26,7 +27,7 @@ PROGRAM_FILES = SRC_FILES + sorted(path for folder in ("perfbench", "scripts")
 
 EXPORTS = [
     "Dataset", "EpochLog", "MetricsReport", "ModelParams", "SyntheticSpec",
-    "TrainConfig", "accuracy", "balance", "conditional_mi", "encode",
+    "TrainConfig", "accuracy", "balance", "conditional_mi", "contingency", "encode",
     "evaluate", "f_beta", "fit", "full_report", "generate_synthetic", "group_cluster_mi",
     "init_params", "kmeans", "load_checkpoint", "load_csv", "minibatches", "mnce", "nmi",
     "save_checkpoint", "soft_assign",
@@ -46,6 +47,20 @@ def test_every_benchmark_span_names_a_function():
     for module_name, func_name, *_ in runpy.run_path(str(SPANS_PY))["SPANS"]:
         module = importlib.import_module(f"fairmi.{module_name}")
         assert callable(getattr(module, func_name, None)), f"{module_name}.{func_name}"
+
+
+def test_a_traced_report_records_every_metrics_span():
+    """full_report reaches each metric through the module, where the benchmark's wrappers sit."""
+    spans = runpy.run_path(str(SPANS_PY))
+    keys = {key for module_name, _, key, _ in spans["SPANS"] if module_name == "metrics"}
+    tracer = spans["Tracer"]()
+    tracer.install()
+    try:
+        ids = np.array([0, 0, 1, 1])
+        tracer.modules["metrics"].full_report(ids, np.array([0, 1, 0, 1]), ids)
+    finally:
+        tracer.uninstall()
+    assert keys and keys <= tracer.seen(), sorted(keys - tracer.seen())
 
 
 def test_all_arrays_pairs_count_every_layout_parameter():
