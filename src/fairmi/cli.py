@@ -15,8 +15,12 @@ import json
 import logging
 import math
 import os
+import platform
 import sys
+import time
 from dataclasses import asdict
+
+import numpy as np
 
 from . import __version__, data, metrics, model, trainer
 
@@ -33,6 +37,13 @@ def _read_json(path, what):
     if not isinstance(raw, dict):
         raise ValueError(f"{what} file {path} must hold a JSON object of named fields")
     return raw
+
+
+def _environment():
+    """The interpreter, numpy and BLAS a run used; the BLAS as numpy's build reports it."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")}}
 
 
 def _sha256(path):
@@ -91,7 +102,9 @@ def _cmd_train(args):
                 periodic.append(path)
 
         hooks = trainer.TrainerHooks(on_params=save_periodic)
+    start = time.perf_counter()
     params, logs = trainer.fit(config, dataset, hooks)
+    train_seconds = time.perf_counter() - start
 
     ckpt_path = os.path.join(args.out_dir, "checkpoint.bin")
     log_path = os.path.join(args.out_dir, "training_log.csv")
@@ -106,6 +119,8 @@ def _cmd_train(args):
                     "dim": dataset.dim, "groups": dataset.n_groups},
         "artifacts": {"checkpoint": ckpt_path, "training_log": log_path,
                       "periodic_checkpoints": periodic},
+        "environment": _environment(),
+        "train_seconds": train_seconds,
     }
     with open(manifest_path, "w") as fh:
         json.dump(manifest, fh, indent=2)

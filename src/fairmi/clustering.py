@@ -1,8 +1,10 @@
 """Center computation and cluster assignment.
 
 Centers come from plain Euclidean k-means (k-means++ seeding, Lloyd updates,
-deterministic per seed). All restarts of one call run as one batched Lloyd
-pass, and a restart ends exactly as it would alone. Squared distances use
+deterministic per seed). A call may also start from given centers, as
+training does from the centers of the epoch before. All runs of one call,
+the given start and the seeded restarts, go through one batched Lloyd pass,
+and each ends exactly as it would alone. Squared distances use
 the expanded form ||x||^2 - 2 x.c + ||c||^2 through BLAS, clamped at 0, and
 the per-cluster sums come from a BLAS product with the one-hot labels.
 Assignments are soft: cosine similarity of each latent row to each center,
@@ -130,15 +132,16 @@ def _lloyd(x, x_t, centers, max_iter, tol):
     return centers, labels, history
 
 
-def kmeans(features: np.ndarray, k: int, seed, restarts: int = 1):
+def kmeans(features: np.ndarray, k: int, seed, restarts: int = 1, init=None):
     """Euclidean k-means; returns the (k, d) centers and the hard labels, as arrays.
 
     Deterministic for a fixed seed (seed may be an int or a tuple of ints).
-    With restarts > 1, restart r is seeded from seed + (r,), all restarts run
-    as one batched Lloyd pass, and the lowest-inertia solution wins (the
-    first restart on a tie), bit for bit the result of the best
-    single-restart call; use this where a stray local minimum would corrupt
-    a reported metric.
+    With restarts > 1, restart r is seeded from seed + (r,). ``init``, a
+    finite (k, d) array, adds a run started from those centers ahead of the
+    seeded restarts, as a warm start. All runs go through one batched Lloyd
+    pass, and the lowest-inertia solution wins (``init``, then the first
+    restart, on a tie), bit for bit the result of the best run made alone;
+    use restarts where a stray local minimum would corrupt a reported metric.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
@@ -153,16 +156,24 @@ def kmeans(features: np.ndarray, k: int, seed, restarts: int = 1):
         raise ClusteringError("all points identical: clustering is degenerate")
     if restarts < 1:
         raise ClusteringError("restarts must be >= 1")
+    starts = []
+    if init is not None:
+        start = np.asarray(init, dtype=np.float64)
+        if start.shape != (k, x.shape[1]):
+            raise ClusteringError(f"init must have shape ({k}, {x.shape[1]}), got {start.shape}")
+        if not np.all(np.isfinite(start)):
+            raise ClusteringError(f"init must be a finite ({k}, {x.shape[1]}) array")
+        starts.append(start)
     if restarts == 1:
         seeds = [seed]
     else:
         base = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
         seeds = [base + (r,) for r in range(restarts)]
     x_t = np.ascontiguousarray(x.T)
-    centers0 = np.stack([_plus_plus_seed(x_t, k, np.random.default_rng(s)) for s in seeds])
-    centers, labels, history = _lloyd(x, x_t, centers0, MAX_ITER, TOL)
+    starts += [_plus_plus_seed(x_t, k, np.random.default_rng(s)) for s in seeds]
+    centers, labels, history = _lloyd(x, x_t, np.stack(starts), MAX_ITER, TOL)
     final = [h[-1] for h in history]
-    best = final.index(min(final))  # the first restart wins a tie
+    best = final.index(min(final))  # the first run wins a tie
     return centers[best], labels[best]
 
 

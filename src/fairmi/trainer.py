@@ -1,10 +1,12 @@
 """Training loop and evaluation for the fair-clustering autoencoder.
 
-Each run starts with a reconstruction-only warmup, then alternates per
-epoch: encode everything, refresh cluster centers with k-means, then sweep
-seeded mini-batches minimizing reconstruction + alpha * clustering loss +
-beta_fair * group leakage with Adam. Centers are constants within an epoch;
-gradients reach the encoder only through the soft assignments.
+Each run starts with a reconstruction-only warmup, then sweeps seeded
+mini-batches per epoch minimizing reconstruction + alpha * clustering loss +
+beta_fair * group leakage with Adam. One set of centers serves training,
+the epoch log and scoring: a best-of-10 k-means of the initial latents, then
+at the end of each epoch a k-means started from the last centers beside one
+fresh restart. An epoch trains against the centers measured last, as
+constants; gradients reach the encoder only through the soft assignments.
 
 Ground-truth labels never touch the loss path: only the end-of-epoch
 diagnostics (computed outside the gradient path) read them, and a test
@@ -201,15 +203,16 @@ def _batch_graphs(x, groups, layer_dims, n_groups, centers, cfg):
     return {"l_rec": rec, "l_clu": clu, "l_fair": fair, "l_total": total}
 
 
-def _measure(h, cfg, dataset, epoch):
-    """End-of-epoch diagnostics on the full-dataset latents; never feeds gradients.
+def _measure(h, cfg, dataset, epoch, centers):
+    """End-of-epoch centers and diagnostics on the full-dataset latents; never feeds gradients.
 
-    Returns mi_gc, cmi_xcg, the label metrics (empty without labels) and
-    the centers they were measured against.
+    The k-means starts from ``centers``, the last measured ones, beside one
+    fresh k-means++ restart, the way out of a poor optimum; the lower
+    inertia wins. Returns mi_gc, cmi_xcg, the label metrics (empty without
+    labels) and the new centers they were measured against.
     """
-    # measurement must not wobble between local minima, hence the restarts
     try:
-        centers, _ = clustering.kmeans(h, cfg.k, seed=(cfg.seed, epoch, 0xD1A6), restarts=10)
+        centers, _ = clustering.kmeans(h, cfg.k, seed=(cfg.seed, epoch, 0xD1A6), init=centers)
     except clustering.ClusteringError as e:
         raise TrainError(f"epoch {epoch}: diagnostics clustering failed: {e}") from e
     assign = clustering.soft_assign(h, centers, cfg.tau)
@@ -250,23 +253,21 @@ def fit(config: TrainConfig, dataset: Dataset, hooks: TrainerHooks | None = None
         list(layer_dims), config.max_epochs, config.warmup_epochs,
     )
 
-    # latents of the current parameters; after each epoch the diagnostics'
-    # encode replaces them, and the next center refresh reuses it
-    h_all = model.encode(params, dataset.features)
+    # the initial centers, the only ones with restarts: each measurement
+    # after an epoch starts from the last centers
+    try:
+        centers, _ = clustering.kmeans(model.encode(params, dataset.features), config.k,
+                                       seed=(config.seed, 0x1A17), restarts=10)
+    except clustering.ClusteringError as e:
+        raise TrainError(f"epoch 0: initial clustering failed: {e}") from e
     for epoch in range(config.max_epochs):
-        centers = None  # warmup: reconstruction only
-        if epoch >= config.warmup_epochs:
-            try:
-                centers, _ = clustering.kmeans(h_all, config.k, seed=(config.seed, epoch, 0xC3))
-            except clustering.ClusteringError as e:
-                raise TrainError(f"epoch {epoch}: center refresh failed: {e}") from e
-
+        train_centers = centers if epoch >= config.warmup_epochs else None  # warmup: reconstruction only
         sums = {"l_rec": 0.0, "l_clu": 0.0, "l_fair": 0.0, "l_total": 0.0}
         batches = minibatches(dataset, config.batch_size, (config.seed, epoch, 0xBA))
         for b, idx in enumerate(batches):
             x = dataset.features[idx]
             g = dataset.groups[idx]
-            roots = _batch_graphs(x, g, layer_dims, dataset.n_groups, centers, config)
+            roots = _batch_graphs(x, g, layer_dims, dataset.n_groups, train_centers, config)
             ad.forward(roots["l_total"], {**params.arrays, "x": x})
             values = {name: float(node.value) for name, node in roots.items()}
             if not np.isfinite(values["l_total"]):
@@ -287,7 +288,7 @@ def fit(config: TrainConfig, dataset: Dataset, hooks: TrainerHooks | None = None
         # encode reads them in place. Rebuilding the record checks them first:
         # a non-finite parameter raises ModelError in the epoch it appears.
         h_all = model.encode(replace(params), dataset.features)
-        mi, cmi, extras, centers = _measure(h_all, config, dataset, epoch)
+        mi, cmi, extras, centers = _measure(h_all, config, dataset, epoch, centers)
         scoring = model.Scoring(centers, config.tau, dataset.transform, dataset.feature_names)
         log = EpochLog(
             epoch=epoch,

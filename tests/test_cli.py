@@ -4,6 +4,7 @@ import csv
 import json
 import logging
 import os
+import platform
 import re
 import struct
 import subprocess
@@ -138,6 +139,11 @@ class TestTrainEval:
         assert manifest["config"]["k"] == 2
         assert manifest["dataset"]["n"] == 60
         assert len(manifest["dataset"]["sha256"]) == 64
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert manifest["environment"] == {
+            "python": platform.python_version(), "numpy": np.__version__,
+            "blas": {"name": blas["name"], "version": blas["version"]}}
+        assert isinstance(manifest["train_seconds"], float) and manifest["train_seconds"] > 0
 
         log_lines = (out_dir / "training_log.csv").read_text().splitlines()
         assert log_lines[0].split(",")[0] == "epoch"

@@ -382,3 +382,72 @@ class TestRestarts:
         x, _ = blobs(rng, [(0, 0), (5, 5)], per=10)
         with pytest.raises(clustering.ClusteringError):
             clustering.kmeans(x, 2, seed=0, restarts=0)
+
+
+class TestWarmStart:
+    def test_equals_best_of_init_and_single_runs(self, monkeypatch):
+        """init plus R restarts is bitwise the lowest-inertia run among the init-only
+        Lloyd run and the R seeded single runs, init winning a tie."""
+        rng = np.random.default_rng(46)
+        won = set()
+        for trial in range(16):
+            tol = 1e-6 if trial % 2 else 0.5
+            monkeypatch.setattr(clustering, "TOL", tol)
+            k = int(rng.integers(2, 6))
+            x, _ = blobs(rng, rng.normal(0, 3, size=(k + 1, 2)), per=25, sd=1.5)
+            init = x[rng.choice(len(x), size=k, replace=False)] + rng.normal(0, 0.5, size=(k, 2))
+            restarts = int(rng.integers(1, 5))
+            seeds = [(trial, 7)] if restarts == 1 else [(trial, 7, r) for r in range(restarts)]
+            centers, labels = clustering.kmeans(x, k, seed=(trial, 7), restarts=restarts, init=init)
+            runs = [lloyd(x, init[None], max_iter=100, tol=tol)]
+            runs += [lloyd(x, plus_plus_seed(x, k, np.random.default_rng(s))[None], max_iter=100, tol=tol)
+                     for s in seeds]
+            finals = [history[0][-1] for _, _, history in runs]
+            best = finals.index(min(finals))
+            won.add(best == 0)
+            assert centers.tobytes() == runs[best][0][0].tobytes()
+            np.testing.assert_array_equal(labels, runs[best][1][0])
+            if best:
+                assert centers.tobytes() == clustering.kmeans(x, k, seed=seeds[best - 1])[0].tobytes()
+        assert won == {True, False}  # both the warm run and a fresh restart won somewhere
+
+    def test_a_converged_init_comes_back_bit_equal(self):
+        rng = np.random.default_rng(47)
+        x, _ = blobs(rng, [(0, 0), (6, 0), (0, 6)], per=20)
+        centers, labels = clustering.kmeans(x, 3, seed=3, restarts=5)
+        again, again_labels = clustering.kmeans(x, 3, seed=11, init=centers)
+        assert again.tobytes() == centers.tobytes()
+        np.testing.assert_array_equal(again_labels, labels)
+
+    def test_init_wins_a_tie(self):
+        """The seeded run reaches the init's optimum with its clusters in another order."""
+        rng = np.random.default_rng(48)
+        x, _ = blobs(rng, [(0, 0), (6, 0), (0, 6)], per=20)
+        seeded, _ = clustering.kmeans(x, 3, seed=5)
+        init = seeded[[2, 0, 1]]
+        finals = [lloyd(x, c[None], max_iter=100, tol=1e-6)[2][0][-1]
+                  for c in (init, plus_plus_seed(x, 3, np.random.default_rng(5)))]
+        assert finals[0] == finals[1]
+        centers, _ = clustering.kmeans(x, 3, seed=5, init=init)
+        assert centers.tobytes() == init.tobytes()
+
+    def test_init_is_not_written(self):
+        rng = np.random.default_rng(49)
+        x, _ = blobs(rng, [(0, 0), (6, 0)], per=10)
+        init = np.array([[1.0, 1.0], [5.0, -1.0]])
+        kept = init.copy()
+        clustering.kmeans(x, 2, seed=0, init=init)
+        np.testing.assert_array_equal(init, kept)
+
+    @pytest.mark.parametrize("init,message", [
+        (np.zeros((2, 2)), r"init must have shape \(3, 2\), got \(2, 2\)"),
+        (np.zeros((3, 3)), r"init must have shape \(3, 2\), got \(3, 3\)"),
+        (np.zeros(6), r"init must have shape \(3, 2\), got \(6,\)"),
+        (np.array([[0.0, 0.0], [1.0, np.nan], [2.0, 2.0]]), r"init must be a finite \(3, 2\) array"),
+        (np.array([[0.0, 0.0], [1.0, 1.0], [np.inf, 2.0]]), r"init must be a finite \(3, 2\) array"),
+    ])
+    def test_bad_init_rejected_naming_the_expected_shape(self, init, message):
+        rng = np.random.default_rng(50)
+        x, _ = blobs(rng, [(0, 0), (6, 0), (0, 6)], per=10)
+        with pytest.raises(clustering.ClusteringError, match=message):
+            clustering.kmeans(x, 3, seed=0, init=init)

@@ -41,19 +41,23 @@ def no_kmeans(*args, **kwargs):
 
 
 def trace_fit(monkeypatch):
-    """Per epoch of the fits that follow, in call order: "refresh" for each center
-    refresh, and each batch's set of loss-graph terms.
+    """Per epoch of the fits that follow, in call order: each batch's set of
+    loss-graph terms, "initial" for the k-means with restarts and no start
+    that opens a fit, and "measure" for each k-means started from given centers.
 
-    An epoch ends with the diagnostics' k-means, the one with restarts.
+    An epoch ends with its "measure".
     """
     per_epoch, ended = {}, [0]
     kmeans, batch_graphs = clustering.kmeans, trainer._batch_graphs
 
     def kmeans_spy(*args, **kwargs):
-        if kwargs.get("restarts", 1) > 1:
-            ended[0] += 1
+        if kwargs.get("init") is None:
+            assert kwargs.get("restarts", 1) > 1
+            per_epoch.setdefault(ended[0], []).append("initial")
         else:
-            per_epoch.setdefault(ended[0], []).append("refresh")
+            assert kwargs.get("restarts", 1) == 1
+            per_epoch.setdefault(ended[0], []).append("measure")
+            ended[0] += 1
         return kmeans(*args, **kwargs)
 
     def batch_graphs_spy(*args):
@@ -320,21 +324,65 @@ class TestFit:
         trainer.fit(cfg, small_dataset())
         assert sorted(per_epoch) == [0, 1, 2, 3, 4]
         for epoch, events in per_epoch.items():
-            terms = [e for e in events if e != "refresh"]
+            terms = [e for e in events if not isinstance(e, str)]
             want = {"l_rec", "l_total"} if epoch < 3 else {"l_rec", "l_clu", "l_fair", "l_total"}
             assert terms and all(t == want for t in terms)
-        # once per post-warmup epoch
-        assert [epoch for epoch, events in per_epoch.items() if "refresh" in events] == [3, 4]
+            # warmup epochs measure too, so the first trained epoch has centers
+            assert [e for e in events if isinstance(e, str)] == ["initial"] * (epoch == 0) + ["measure"]
 
     def test_centers_refresh_precedes_batches(self, monkeypatch):
         per_epoch = trace_fit(monkeypatch)
         cfg = small_config(warmup_epochs=0, max_epochs=2, batch_size=30)
         trainer.fit(cfg, small_dataset())
         assert sorted(per_epoch) == [0, 1]
-        for epoch, events in per_epoch.items():
-            assert len(events) == 1 + 3  # 80 rows in batches of 30
-            assert events[0] == "refresh"
-            assert events.count("refresh") == 1
+        terms = [{"l_rec", "l_clu", "l_fair", "l_total"}] * 3  # 80 rows in batches of 30
+        # epoch 1 trains against the centers epoch 0 ended with
+        assert per_epoch[0] == ["initial", *terms, "measure"]
+        assert per_epoch[1] == [*terms, "measure"]
+
+    @pytest.mark.parametrize("warmup", [0, 2])
+    def test_each_epoch_trains_against_the_centers_measured_last(self, monkeypatch, warmup):
+        """Epoch e's loss graphs and its measurement start from the Scoring.centers
+        on_params carried for epoch e-1, or from the initial centers at epoch 0."""
+        initial, starts, pulled, measured = [], [], [], []
+        kmeans, graph = clustering.kmeans, clustering.soft_assign_graph
+
+        def kmeans_spy(*args, **kwargs):
+            result = kmeans(*args, **kwargs)
+            if kwargs.get("init") is None:
+                initial.append(result[0].copy())
+            else:
+                starts.append(np.array(kwargs["init"]))
+            return result
+
+        def graph_spy(h, centers, tau):
+            pulled.append((len(measured), centers.copy()))
+            return graph(h, centers, tau)
+
+        monkeypatch.setattr(clustering, "kmeans", kmeans_spy)
+        monkeypatch.setattr(clustering, "soft_assign_graph", graph_spy)
+        hooks = trainer.TrainerHooks(on_params=lambda _, p: measured.append(p.scoring.centers.copy()))
+        final, _ = trainer.fit(small_config(warmup_epochs=warmup, max_epochs=4), small_dataset(), hooks)
+        assert len(initial) == 1 and len(measured) == 4
+        last = initial + measured[:-1]  # the centers measured last before each epoch
+        assert [c.tobytes() for c in starts] == [c.tobytes() for c in last]
+        assert sorted({epoch for epoch, _ in pulled}) == list(range(warmup, 4))
+        for epoch, centers in pulled:
+            assert centers.tobytes() == last[epoch].tobytes()
+        assert final.scoring.centers.tobytes() == measured[-1].tobytes()
+
+    @pytest.mark.parametrize("warmup,epochs", [(0, 1), (0, 3), (2, 5), (5, 5)])
+    def test_a_fit_runs_one_kmeans_per_epoch_plus_one(self, monkeypatch, warmup, epochs):
+        calls = []
+        kmeans = clustering.kmeans
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("restarts", 1))
+            return kmeans(*args, **kwargs)
+
+        monkeypatch.setattr(clustering, "kmeans", counted)
+        trainer.fit(small_config(warmup_epochs=warmup, max_epochs=epochs), small_dataset())
+        assert calls == [10] + [1] * epochs  # 1 + epochs calls, only the initial one with restarts
 
     def test_warmup_loss_decreases(self):
         cfg = small_config(warmup_epochs=8, max_epochs=8, learning_rate=5e-3)
@@ -588,8 +636,8 @@ class TestLogCSV:
     def test_byte_identical_across_blas_thread_counts(self, tmp_path):
         """The log must not depend on how many threads BLAS splits a product over."""
         # 6,000 rows and a 16-wide latent put the batch products and the
-        # k-means products of the refresh and the diagnostics above
-        # OpenBLAS's single-thread size cut
+        # k-means products of the initial centers and of each epoch's
+        # measurement above OpenBLAS's single-thread size cut
         script = (
             "import sys\n"
             "from fairmi import data, trainer\n"
