@@ -2,9 +2,9 @@
 
 Centers come from plain Euclidean k-means (k-means++ seeding, Lloyd updates,
 deterministic per seed). A call may also start from given centers, as
-training does from the centers of the epoch before. All runs of one call,
-the given start and the seeded restarts, go through one batched Lloyd pass,
-and each ends exactly as it would alone. Squared distances use
+training does from the centers of the epoch before. The runs of one call,
+the given start and then the seeded restarts, go one at a time, and the
+lowest inertia wins. Squared distances use
 the expanded form ||x||^2 - 2 x.c + ||c||^2 through BLAS, clamped at 0, and
 the per-cluster sums come from a BLAS product with the one-hot labels.
 Assignments are soft: cosine similarity of each latent row to each center,
@@ -18,6 +18,7 @@ rows.
 from __future__ import annotations
 
 import logging
+import numbers
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from . import autodiff as ad
 logger = logging.getLogger(__name__)
 
 MAX_ITER = 100  # Lloyd iterations per kmeans call
-TOL = 1e-6  # a restart stops once no center moves this far
+TOL = 1e-6  # a run stops once no center moves this far
 
 
 class ClusteringError(ValueError):
@@ -69,67 +70,59 @@ def _plus_plus_seed(x_t, k, rng):
     return centers
 
 
-def _reseed_empty(x, restart, centers, labels, point_d2):
-    """Move each empty cluster of one restart onto its farthest point, in place."""
-    for k in range(centers.shape[0]):
-        if not np.any(labels == k):
-            far = int(point_d2.argmax())
-            centers[k] = x[far]
-            labels[far] = k
-            point_d2[far] = -1.0
-            logger.debug("kmeans: restart %d re-seeded empty cluster %d to point %d", restart, k, far)
-    np.maximum(point_d2, 0.0, out=point_d2)
+def _reseed_empty(x, centers, labels, point_d2, counts):
+    """Move each empty cluster onto the farthest point of a cluster that keeps a member, in place."""
+    for k in np.flatnonzero(counts == 0):
+        far = int(np.where(counts[labels] > 1, point_d2, -1.0).argmax())
+        counts[labels[far]] -= 1
+        counts[k] = 1
+        centers[k] = x[far]
+        labels[far] = k
+        point_d2[far] = 0.0
+        logger.debug("kmeans: re-seeded empty cluster %d to point %d", k, far)
 
 
-def _lloyd(x, x_t, centers, max_iter, tol):
-    """Lloyd updates of R restarts at once; returns (centers, labels, inertia histories).
+def _lloyd(x, x_t, x_sq, centers, max_iter, tol):
+    """One Lloyd run from the (k, d) start ``centers``; returns (centers, labels, inertia).
 
-    ``x_t`` is ``x`` transposed into a contiguous (d, n) array, as
-    ``kmeans`` builds it for the seeding too. ``centers`` holds the (R, k,
-    d) initial centers; the result is the (R, k, d) final centers, the
-    (R, n) labels and one inertia list per restart, recorded after each
-    assignment step. A restart is frozen once its centers move less than
-    ``tol``, and ends exactly as it would alone: its products keep their
-    single-restart shapes. An empty cluster is re-seeded to the point
-    currently farthest from its assigned center.
+    ``x_t`` is ``x`` transposed into a contiguous (d, n) array and ``x_sq``
+    the squared norms of its rows, as ``kmeans`` builds them once per call.
+    The run stops once no center moves ``tol``. The labels and the inertia
+    come from the last assignment step, and the centers are the means of
+    those labels' rows. An empty cluster is re-seeded by ``_reseed_empty``.
     """
     centers = centers.copy()
-    n_restarts, k, _ = centers.shape
-    x_sq = (x * x).sum(axis=1)
+    k = centers.shape[0]
     clusters = np.arange(k)[:, None]
-    labels = np.empty((n_restarts, x.shape[0]), dtype=np.intp)
-    history = [[] for _ in range(n_restarts)]
-    active = np.arange(n_restarts)
     for _ in range(max_iter):
-        c = centers[active]
-        # (A, k, n) squared distances ||c||^2 - 2 c.x + ||x||^2, one
-        # (k, d) x (d, n) product per active restart; scaling by -2 is exact
-        d2 = np.matmul(c * -2.0, x_t)
+        # (k, n) squared distances ||c||^2 - 2 c.x + ||x||^2; scaling by -2 is exact
+        d2 = (centers * -2.0) @ x_t
         d2 += x_sq
-        d2 += (c * c).sum(axis=2)[:, :, None]
-        nearest = d2.min(axis=1)
+        d2 += (centers * centers).sum(axis=1)[:, None]
+        nearest = d2.min(axis=0)
         # the lowest-index nearest center wins a tie: the last write is the lowest j
-        lab = np.full(nearest.shape, k - 1, dtype=np.intp)
+        labels = np.full(nearest.shape, k - 1, dtype=np.intp)
         for j in range(k - 2, -1, -1):
-            np.putmask(lab, d2[:, j] == nearest, j)
+            np.putmask(labels, d2[j] == nearest, j)
         point_d2 = np.maximum(nearest, 0.0)
-        members = (lab[:, None, :] == clusters).astype(np.float64)
-        counts = members.sum(axis=2)
-        for a in np.flatnonzero((counts == 0).any(axis=1)):
-            _reseed_empty(x, active[a], c[a], lab[a], point_d2[a])
-            members[a] = lab[a] == clusters
-            counts[a] = members[a].sum(axis=1)
-        for r, inertia in zip(active, point_d2.sum(axis=1)):
-            history[r].append(float(inertia))
-        # per-cluster sums: one (k, n) x (n, d) product per active restart
-        new_centers = np.matmul(members, x) / counts[:, :, None]
-        shift = np.sqrt(((new_centers - c) ** 2).sum(axis=2)).max(axis=1)
-        centers[active] = new_centers
-        labels[active] = lab
-        active = active[~(shift < tol)]
-        if active.size == 0:
+        counts = np.bincount(labels, minlength=k)
+        if not counts.all():
+            _reseed_empty(x, centers, labels, point_d2, counts)
+        # per-cluster sums: one (k, n) x (n, d) product with the one-hot labels
+        members = (labels == clusters).astype(np.float64)
+        new_centers = (members @ x) / counts[:, None]
+        shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
+        centers = new_centers
+        if shift < tol:
             break
-    return centers, labels, history
+    return centers, labels, float(point_d2.sum())
+
+
+def _check_count(name, value, least):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ClusteringError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ClusteringError(f"{name} must be >= {least}, got {value}")
 
 
 def kmeans(features: np.ndarray, k: int, seed, restarts: int = 1, init=None):
@@ -138,24 +131,21 @@ def kmeans(features: np.ndarray, k: int, seed, restarts: int = 1, init=None):
     Deterministic for a fixed seed (seed may be an int or a tuple of ints).
     With restarts > 1, restart r is seeded from seed + (r,). ``init``, a
     finite (k, d) array, adds a run started from those centers ahead of the
-    seeded restarts, as a warm start. All runs go through one batched Lloyd
-    pass, and the lowest-inertia solution wins (``init``, then the first
-    restart, on a tie), bit for bit the result of the best run made alone;
+    seeded restarts, as a warm start. The runs go one at a time, and the
+    lowest-inertia one wins (``init``, then the first restart, on a tie);
     use restarts where a stray local minimum would corrupt a reported metric.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise ClusteringError("features must be 2-d")
-    if k < 2:
-        raise ClusteringError("k must be >= 2")
+    _check_count("k", k, 2)
+    _check_count("restarts", restarts, 1)
     if x.shape[0] < k:
         raise ClusteringError(f"need at least k={k} points, got {x.shape[0]}")
     if not np.all(np.isfinite(x)):
         raise ClusteringError("features must be finite")
     if np.all(np.ptp(x, axis=0) == 0.0):
         raise ClusteringError("all points identical: clustering is degenerate")
-    if restarts < 1:
-        raise ClusteringError("restarts must be >= 1")
     starts = []
     if init is not None:
         start = np.asarray(init, dtype=np.float64)
@@ -170,11 +160,11 @@ def kmeans(features: np.ndarray, k: int, seed, restarts: int = 1, init=None):
         base = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
         seeds = [base + (r,) for r in range(restarts)]
     x_t = np.ascontiguousarray(x.T)
+    x_sq = (x * x).sum(axis=1)
     starts += [_plus_plus_seed(x_t, k, np.random.default_rng(s)) for s in seeds]
-    centers, labels, history = _lloyd(x, x_t, np.stack(starts), MAX_ITER, TOL)
-    final = [h[-1] for h in history]
-    best = final.index(min(final))  # the first run wins a tie
-    return centers[best], labels[best]
+    runs = (_lloyd(x, x_t, x_sq, start, MAX_ITER, TOL) for start in starts)
+    centers, labels, _ = min(runs, key=lambda run: run[2])  # the first run wins a tie
+    return centers, labels
 
 
 def soft_assign(h: np.ndarray, centers: np.ndarray, tau: float) -> np.ndarray:

@@ -1,9 +1,12 @@
 """k-means, cosine similarity, and temperature softmax assignments."""
 
 import logging
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairmi import autodiff as ad
 from fairmi import clustering
@@ -14,7 +17,7 @@ def plus_plus_seed(x, k, rng):
 
 
 def lloyd(x, centers, **kw):
-    return clustering._lloyd(x, np.ascontiguousarray(x.T), centers, **kw)
+    return clustering._lloyd(x, np.ascontiguousarray(x.T), (x * x).sum(axis=1), centers, **kw)
 
 
 def blobs(rng, centers, per=30, sd=0.3):
@@ -117,8 +120,14 @@ class TestKMeans:
             clustering.kmeans(np.zeros((3, 2)) + 1.0, 2, seed=0)  # identical points
         with pytest.raises(clustering.ClusteringError):
             clustering.kmeans(np.random.default_rng(0).normal(size=(3, 2)), 4, seed=0)  # n < k
-        with pytest.raises(clustering.ClusteringError):
-            clustering.kmeans(np.random.default_rng(0).normal(size=(9, 2)), 1, seed=0)
+        x = np.random.default_rng(0).normal(size=(9, 2))
+        for k, message in [(1, "k must be >= 2, got 1"),
+                           (np.int64(1), "k must be >= 2, got 1"),
+                           (2.0, "k must be an integer, got 2.0"),
+                           (True, "k must be an integer, got True"),
+                           ("2", "k must be an integer, got '2'")]:
+            with pytest.raises(clustering.ClusteringError, match=f"^{message}$"):
+                clustering.kmeans(x, k, seed=0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_center_at_the_origin_is_a_valid_solution(self, seed, caplog):
@@ -137,42 +146,59 @@ class TestKMeans:
         rng = np.random.default_rng(17)
         for trial in range(10):
             x = rng.normal(size=(60, 2))
-            seeds = np.stack([plus_plus_seed(x, 4, np.random.default_rng((trial, r)))
-                              for r in range(3)])
-            _, _, histories = lloyd(x, seeds, max_iter=50, tol=0.0)
-            for history in histories:
-                diffs = np.diff(history)
-                assert np.all(diffs <= 1e-9), history
+            for r in range(3):
+                start = plus_plus_seed(x, 4, np.random.default_rng((trial, r)))
+                history = [lloyd(x, start, max_iter=m, tol=0.0)[2] for m in range(1, 31)]
+                assert np.all(np.diff(history) <= 1e-9), history
 
     def test_empty_cluster_reseeds_to_farthest_point(self):
         # a center parked far away captures nothing on the first assignment
         rng = np.random.default_rng(4)
         x = rng.normal(size=(30, 2))
         bad = np.vstack([x[:2], [1e6, 1e6]])
-        centers, labels, _ = lloyd(x, bad[None], max_iter=30, tol=1e-9)
-        assert np.unique(labels[0]).size == 3  # nothing stays empty
-        assert np.all(np.abs(centers[0]) < 1e3)  # the runaway center was replaced
+        centers, labels, _ = lloyd(x, bad, max_iter=30, tol=1e-9)
+        assert np.unique(labels).size == 3  # nothing stays empty
+        assert np.all(np.abs(centers) < 1e3)  # the runaway center was replaced
 
-    def test_reseed_in_one_restart_leaves_the_others_alone(self, caplog):
-        rng = np.random.default_rng(4)
-        x = rng.normal(size=(30, 2))
-        good = x[[0, 10, 20]]
-        bad = np.vstack([x[:2], [1e6, 1e6]])
-        with caplog.at_level(logging.DEBUG, logger="fairmi.clustering"):
-            batch = lloyd(x, np.stack([good, bad, good]), max_iter=30, tol=1e-9)
-        reseeds = [r.getMessage() for r in caplog.records if "re-seeded" in r.getMessage()]
-        assert reseeds and all(m.startswith("kmeans: restart 1 ") for m in reseeds)
-        for r, start in enumerate((good, bad, good)):
-            alone = lloyd(x, start[None], max_iter=30, tol=1e-9)
-            assert batch[0][r].tobytes() == alone[0][0].tobytes()
-            np.testing.assert_array_equal(batch[1][r], alone[1][0])
-            assert batch[2][r] == alone[2][0]
-        assert np.unique(batch[1][1]).size == 3
+    def test_a_reseed_never_empties_another_cluster(self):
+        """The farthest point, 100, is the only member of cluster 1, so the empty
+        cluster 2 must take its point from cluster 0 instead."""
+        x = np.array([[0.0, 0], [0.1, 0], [0.2, 0], [100.0, 0]])
+        init = np.array([[0.1, 0], [50.1, 0], [-1000.0, 0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            centers, labels = clustering.kmeans(x, 3, seed=1, init=init)
+            # a cluster emptied by the reseed would divide 0/0 in the first update
+            first, _, _ = lloyd(x, init, max_iter=1, tol=0.0)
+        assert np.all(np.isfinite(centers)) and np.all(np.isfinite(first))
+        assert sorted(np.unique(labels)) == [0, 1, 2]
+        np.testing.assert_allclose(centers[labels], x, rtol=0, atol=0.1)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 30), st.integers(1, 4), st.integers(2, 8),
+           st.sampled_from([1.0, 1e3, 1e6]))
+    @settings(max_examples=200, deadline=None)
+    def test_every_run_keeps_all_clusters_and_finite_centers(self, seed, n, d, k, far):
+        """Starts far outside the data, repeated starts and k above the number of
+        distinct rows: no cluster ends empty and no center goes non-finite."""
+        rng = np.random.default_rng(seed)
+        k = min(k, n)
+        rows = rng.normal(size=(int(rng.integers(1, n + 1)), d))
+        x = rows[rng.integers(0, len(rows), size=n)]
+        init = x[rng.integers(0, n, size=k)]
+        outside = rng.random(k) < 0.5
+        init[outside] = rng.normal(size=(int(outside.sum()), d)) * far
+        with np.errstate(divide="raise", invalid="raise"):
+            runs = [lloyd(x, init, max_iter=m, tol=0.0) for m in (1, 2, 100)]
+            if np.ptp(x, axis=0).any():
+                runs.append(clustering.kmeans(x, k, seed=seed, restarts=2, init=init) + (0.0,))
+        for centers, labels, inertia in runs:
+            assert np.all(np.isfinite(centers)) and np.isfinite(inertia)
+            assert np.unique(labels).size == k
 
     def test_ties_go_to_the_lowest_index_center(self):
         x = np.array([[0.0], [-1.0], [1.0], [-1.1], [1.1]])
-        _, labels, _ = lloyd(x, np.array([[[-1.0], [1.0]]]), max_iter=1, tol=0.0)
-        np.testing.assert_array_equal(labels[0], [0, 0, 1, 0, 1])
+        _, labels, _ = lloyd(x, np.array([[-1.0], [1.0]]), max_iter=1, tol=0.0)
+        np.testing.assert_array_equal(labels, [0, 0, 1, 0, 1])
 
     def test_assignment_matches_argmin_on_exact_ties(self):
         # small integers keep every squared distance exact in both forms,
@@ -182,9 +208,9 @@ class TestKMeans:
         ties = 0
         for trial in range(40):
             k = int(rng.integers(2, 7))
-            starts = np.stack([grid[rng.choice(len(grid), size=k, replace=False)] for _ in range(3)])
-            _, labels, _ = lloyd(grid, starts, max_iter=1, tol=0.0)
-            for start, lab in zip(starts, labels):
+            for _ in range(3):
+                start = grid[rng.choice(len(grid), size=k, replace=False)]
+                _, lab, _ = lloyd(grid, start, max_iter=1, tol=0.0)
                 d2 = ((grid[:, None, :] - start[None]) ** 2).sum(axis=2)
                 np.testing.assert_array_equal(lab, d2.argmin(axis=1))
                 ties += int(((d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) > 1).sum())
@@ -349,7 +375,6 @@ class TestRestarts:
     def test_equals_best_of_single_runs(self, monkeypatch):
         """restarts=R is bitwise the lowest-inertia run among kmeans(seed=base + (r,))."""
         rng = np.random.default_rng(45)
-        lengths = set()
         for trial in range(12):
             # a coarse tol stops restarts short of a fixed point, so one that
             # kept iterating after its stop would end elsewhere
@@ -363,13 +388,10 @@ class TestRestarts:
             for r in range(restarts):
                 singles.append(clustering.kmeans(x, k, seed=(trial, 5, r)))
                 seeded = plus_plus_seed(x, k, np.random.default_rng((trial, 5, r)))
-                history = lloyd(x, seeded[None], max_iter=100, tol=tol)[2][0]
-                finals.append(history[-1])
-                lengths.add(len(history))
+                finals.append(lloyd(x, seeded, max_iter=100, tol=tol)[2])
             best = finals.index(min(finals))
             assert centers.tobytes() == singles[best][0].tobytes()
             np.testing.assert_array_equal(labels, singles[best][1])
-        assert len(lengths) > 1  # restarts converged at different iterations
 
     def test_tuple_and_int_seeds_accepted(self):
         rng = np.random.default_rng(43)
@@ -380,8 +402,12 @@ class TestRestarts:
     def test_bad_restart_count_rejected(self):
         rng = np.random.default_rng(44)
         x, _ = blobs(rng, [(0, 0), (5, 5)], per=10)
-        with pytest.raises(clustering.ClusteringError):
-            clustering.kmeans(x, 2, seed=0, restarts=0)
+        for restarts, message in [(0, "restarts must be >= 1, got 0"),
+                                  (2.5, "restarts must be an integer, got 2.5"),
+                                  (True, "restarts must be an integer, got True"),
+                                  (None, "restarts must be an integer, got None")]:
+            with pytest.raises(clustering.ClusteringError, match=f"^{message}$"):
+                clustering.kmeans(x, 2, seed=0, restarts=restarts)
 
 
 class TestWarmStart:
@@ -399,14 +425,14 @@ class TestWarmStart:
             restarts = int(rng.integers(1, 5))
             seeds = [(trial, 7)] if restarts == 1 else [(trial, 7, r) for r in range(restarts)]
             centers, labels = clustering.kmeans(x, k, seed=(trial, 7), restarts=restarts, init=init)
-            runs = [lloyd(x, init[None], max_iter=100, tol=tol)]
-            runs += [lloyd(x, plus_plus_seed(x, k, np.random.default_rng(s))[None], max_iter=100, tol=tol)
+            runs = [lloyd(x, init, max_iter=100, tol=tol)]
+            runs += [lloyd(x, plus_plus_seed(x, k, np.random.default_rng(s)), max_iter=100, tol=tol)
                      for s in seeds]
-            finals = [history[0][-1] for _, _, history in runs]
+            finals = [inertia for _, _, inertia in runs]
             best = finals.index(min(finals))
             won.add(best == 0)
-            assert centers.tobytes() == runs[best][0][0].tobytes()
-            np.testing.assert_array_equal(labels, runs[best][1][0])
+            assert centers.tobytes() == runs[best][0].tobytes()
+            np.testing.assert_array_equal(labels, runs[best][1])
             if best:
                 assert centers.tobytes() == clustering.kmeans(x, k, seed=seeds[best - 1])[0].tobytes()
         assert won == {True, False}  # both the warm run and a fresh restart won somewhere
@@ -425,7 +451,7 @@ class TestWarmStart:
         x, _ = blobs(rng, [(0, 0), (6, 0), (0, 6)], per=20)
         seeded, _ = clustering.kmeans(x, 3, seed=5)
         init = seeded[[2, 0, 1]]
-        finals = [lloyd(x, c[None], max_iter=100, tol=1e-6)[2][0][-1]
+        finals = [lloyd(x, c, max_iter=100, tol=1e-6)[2]
                   for c in (init, plus_plus_seed(x, 3, np.random.default_rng(5)))]
         assert finals[0] == finals[1]
         centers, _ = clustering.kmeans(x, 3, seed=5, init=init)
