@@ -32,7 +32,7 @@ GEOMETRIES = {
     ),
     "group-dominated": (
         dict(classes=3, groups=2, per_cell_count=60, class_sep=4.0, group_shift=12.0, dim=8),
-        dict(k=3, latent_dim=8, layer_dims=(8, 32, 8), warmup_epochs=10, batch_size=128,
+        dict(k=3, encoder_widths=(32, 8), warmup_epochs=10, batch_size=128,
              learning_rate=1e-3),
         "0.0,0.25,0.5,1.0", 80,
     ),

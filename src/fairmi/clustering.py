@@ -18,11 +18,11 @@ rows.
 from __future__ import annotations
 
 import logging
-import numbers
 
 import numpy as np
 
 from . import autodiff as ad
+from .data import check_count, check_seed
 
 logger = logging.getLogger(__name__)
 
@@ -118,17 +118,11 @@ def _lloyd(x, x_t, x_sq, centers, max_iter, tol):
     return centers, labels, float(point_d2.sum())
 
 
-def _check_count(name, value, least):
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ClusteringError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ClusteringError(f"{name} must be >= {least}, got {value}")
-
-
 def kmeans(features: np.ndarray, k: int, seed, restarts: int = 1, init=None):
     """Euclidean k-means; returns the (k, d) centers and the hard labels, as arrays.
 
-    Deterministic for a fixed seed (seed may be an int or a tuple of ints).
+    Deterministic for a fixed seed: an integer >= 0 or a non-empty tuple or
+    list of them (numpy integers count, bools and None do not).
     With restarts > 1, restart r is seeded from seed + (r,). ``init``, a
     finite (k, d) array, adds a run started from those centers ahead of the
     seeded restarts, as a warm start. The runs go one at a time, and the
@@ -138,8 +132,9 @@ def kmeans(features: np.ndarray, k: int, seed, restarts: int = 1, init=None):
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise ClusteringError("features must be 2-d")
-    _check_count("k", k, 2)
-    _check_count("restarts", restarts, 1)
+    check_count("k", k, 2, ClusteringError)
+    check_count("restarts", restarts, 1, ClusteringError)
+    check_seed(seed, "seed", ClusteringError)
     if x.shape[0] < k:
         raise ClusteringError(f"need at least k={k} points, got {x.shape[0]}")
     if not np.all(np.isfinite(x)):

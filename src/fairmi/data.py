@@ -322,6 +322,26 @@ def check_scalar_fields(record, error):
             raise error(f"{f.name} must be a finite number, got {value!r}")
 
 
+def check_count(name, value, least, error):
+    """Reject, raising ``error``, a count that is not an integer >= ``least``, naming it and the value."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise error(f"{name} must be >= {least}, got {value}")
+
+
+def check_seed(seed, name, error):
+    """Reject, raising ``error`` with ``name`` and the value, a seed that does not fix a stream.
+
+    A seed is an integer >= 0 other than a bool, numpy integers included, or
+    a non-empty tuple or list of them. None, which would draw OS entropy,
+    is refused with the rest.
+    """
+    parts = seed if isinstance(seed, (tuple, list)) else (seed,)
+    if not parts or any(isinstance(p, bool) or not isinstance(p, numbers.Integral) or p < 0 for p in parts):
+        raise error(f"{name} must be an integer >= 0 or a non-empty tuple or list of them, got {seed!r}")
+
+
 def check_ranges(record, error, at_least=(), above=()):
     """Reject a field out of its range by name and value, raising ``error``.
 
@@ -405,7 +425,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
 def minibatches(dataset, batch_size: int, epoch_seed) -> list[np.ndarray]:
     """Seeded random permutation chopped into index batches (last may be short)."""
     n = len(dataset)
-    if batch_size < 1:
-        raise DataError("batch_size must be positive")
+    check_count("batch_size", batch_size, 1, DataError)
+    check_seed(epoch_seed, "epoch_seed", DataError)
     perm = np.random.default_rng(epoch_seed).permutation(n)
     return [perm[i: i + batch_size] for i in range(0, n, batch_size)]

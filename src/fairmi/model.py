@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .data import check_seed
 
 CHECKPOINT_MAGIC = b"FCMI"
 CHECKPOINT_VERSION = 2
@@ -146,6 +147,7 @@ def init_params(layer_dims, group_count: int, seed: int) -> ModelParams:
     """
     dims = [int(d) for d in layer_dims]
     _check_dims(dims, group_count)
+    check_seed(seed, "seed", ModelError)
     rng = np.random.default_rng(seed)
     arrays = {}
     for name, shape in _layout(dims, group_count):

@@ -46,8 +46,7 @@ class TrainConfig:
     alpha: float = 0.04
     beta_fair: float = 0.20
     tau: float = 0.1
-    latent_dim: int = 16
-    layer_dims: tuple | None = None  # None: input-256-64-latent, resolved at fit
+    encoder_widths: tuple = (256, 64, 16)  # after the input; the last is the latent width
     warmup_epochs: int = 20
     max_epochs: int = 300
     batch_size: int = 256
@@ -59,7 +58,7 @@ class TrainConfig:
         check_scalar_fields(self, TrainError)
         # max_epochs is checked before warmup_epochs is compared with it
         check_ranges(self, TrainError,
-                     at_least=(("seed", 0), ("k", 2), ("latent_dim", 1), ("max_epochs", 1), ("warmup_epochs", 0),
+                     at_least=(("seed", 0), ("k", 2), ("max_epochs", 1), ("warmup_epochs", 0),
                                ("batch_size", 1), ("alpha", 0), ("beta_fair", 0), ("f_beta_weight", 0)),
                      above=(("learning_rate", 0), ("tau", 0)))
         if not math.isfinite(1.0 / float(self.tau)):
@@ -67,29 +66,18 @@ class TrainConfig:
         if self.warmup_epochs > self.max_epochs:
             raise TrainError(f"warmup_epochs ({self.warmup_epochs}) must not exceed "
                              f"max_epochs ({self.max_epochs})")
-        if self.layer_dims is not None:
-            if not isinstance(self.layer_dims, (list, tuple)) or any(
-                    isinstance(d, bool) or not isinstance(d, numbers.Integral) for d in self.layer_dims):
-                raise TrainError(f"layer_dims must be a list of integers, got {self.layer_dims!r}")
-            dims = tuple(int(d) for d in self.layer_dims)
-            if len(dims) < 2 or any(d < 1 for d in dims):
-                raise TrainError(f"layer_dims needs >= 2 widths, each >= 1, got {list(dims)}")
-            if dims[-1] != self.latent_dim:
-                raise TrainError(f"layer_dims must end at latent_dim ({self.latent_dim}), got {list(dims)}")
-            object.__setattr__(self, "layer_dims", dims)
+        widths = self.encoder_widths
+        if not isinstance(widths, (list, tuple)) or any(
+                isinstance(w, bool) or not isinstance(w, numbers.Integral) for w in widths):
+            raise TrainError(f"encoder_widths must be a list of integers, got {widths!r}")
+        widths = tuple(int(w) for w in widths)
+        if not widths or min(widths) < 1:
+            raise TrainError(f"encoder_widths needs >= 1 width, each >= 1, got {list(widths)}")
+        object.__setattr__(self, "encoder_widths", widths)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrainConfig":
         return record_from_dict(cls, raw, TrainError, "config")
-
-    def resolve_layer_dims(self, input_dim: int) -> tuple:
-        if self.layer_dims is None:
-            return (input_dim, 256, 64, self.latent_dim)
-        if self.layer_dims[0] != input_dim:
-            raise TrainError(
-                f"layer_dims starts at {self.layer_dims[0]} but the data has {input_dim} features"
-            )
-        return self.layer_dims
 
 
 @dataclass
@@ -235,7 +223,7 @@ def fit(config: TrainConfig, dataset: Dataset, hooks: TrainerHooks | None = None
     Each record carries its epoch's `model.Scoring`: the centers its log row
     was measured against, tau, and the dataset's feature transform and names.
     """
-    layer_dims = config.resolve_layer_dims(dataset.dim)
+    layer_dims = (dataset.dim, *config.encoder_widths)
     if dataset.n < config.k:
         raise TrainError(f"need at least k={config.k} samples, got {dataset.n}")
     if dataset.labels is not None and dataset.n_groups < 2:

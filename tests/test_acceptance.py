@@ -96,7 +96,7 @@ def test_criterion_1_gradient_fidelity():
         h = model.encode(model.ModelParams(layer_dims, t_groups, params), x)
         centers, _ = clustering.kmeans(h, k, seed=(trial, 7))
 
-        cfg = trainer.TrainConfig(k=k, latent_dim=latent, layer_dims=layer_dims,
+        cfg = trainer.TrainConfig(k=k, encoder_widths=layer_dims[1:],
                                   max_epochs=1, warmup_epochs=0, seed=trial)
         roots = trainer._batch_graphs(x, groups, layer_dims, t_groups, centers=centers, cfg=cfg)
         for name in ("l_rec", "l_clu", "l_fair", "l_total"):
@@ -321,7 +321,7 @@ def test_criterion_8_conditional_mi_identity():
 def test_criterion_9_train_determinism(tmp_path):
     spec = {"classes": 2, "groups": 2, "per_cell_count": 20, "class_sep": 6.0,
             "group_shift": 2.0, "dim": 4, "noise_sd": 1.0, "seed": 5}
-    config = {"k": 2, "latent_dim": 3, "layer_dims": [4, 8, 3], "warmup_epochs": 2,
+    config = {"k": 2, "encoder_widths": [8, 3], "warmup_epochs": 2,
               "max_epochs": 8, "batch_size": 32, "learning_rate": 1e-3, "seed": 5}
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))

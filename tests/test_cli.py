@@ -23,7 +23,7 @@ SPEC = {
     "group_shift": 2.0, "dim": 4, "noise_sd": 0.8, "seed": 0,
 }
 CONFIG = {
-    "k": 2, "latent_dim": 3, "layer_dims": [4, 6, 3], "warmup_epochs": 1,
+    "k": 2, "encoder_widths": [6, 3], "warmup_epochs": 1,
     "max_epochs": 3, "batch_size": 32, "learning_rate": 1e-3, "seed": 0,
 }
 
@@ -176,6 +176,22 @@ class TestTrainEval:
             ))
         assert blobs[0][0] == blobs[1][0]
         assert blobs[0][1] == blobs[1][1]
+
+    def test_the_manifest_config_retrains_byte_identically(self, synth_csv, tmp_path):
+        """The config manifest.json records, fed back as --config, is the config that trained:
+        encoder_widths goes out as a JSON list and comes back as the tuple."""
+        first, second = tmp_path / "first", tmp_path / "second"
+
+        def train(config, out_dir):
+            assert cli.run(["train", "--data", str(synth_csv), "--config", config,
+                            "--truth-col", "label", "--out-dir", str(out_dir)]) == 0
+            return json.loads((out_dir / "manifest.json").read_text())["config"]
+
+        recorded = train(write_json(tmp_path / "config.json", CONFIG), first)
+        assert recorded["encoder_widths"] == CONFIG["encoder_widths"]
+        assert train(write_json(tmp_path / "recorded.json", recorded), second) == recorded
+        for name in ("training_log.csv", "checkpoint.bin"):
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
     def test_periodic_checkpoints(self, synth_csv, tmp_path):
         config = write_json(tmp_path / "config.json", CONFIG)
@@ -363,7 +379,7 @@ class TestEvalScoring:
     @pytest.mark.parametrize("kind", ["version_1", "init_params"])
     def test_a_checkpoint_without_trained_centers_is_refused(self, synth_csv, tmp_path, capsys, caplog,
                                                              kind):
-        params = model.init_params(CONFIG["layer_dims"], 2, seed=3)
+        params = model.init_params((SPEC["dim"], *CONFIG["encoder_widths"]), 2, seed=3)
         checkpoint = tmp_path / "model.bin"
         if kind == "version_1":
             checkpoint.write_bytes(weights_blob(params, version=1))

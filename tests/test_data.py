@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from fairmi import clustering, data, metrics
+from fairmi import clustering, data, metrics, model
 
 
 def tiny_dataset(with_labels=True):
@@ -460,5 +460,44 @@ class TestMinibatches:
         assert [len(b) for b in data.minibatches(ds, 2, 0)] == [2, 2]
 
     def test_bad_batch_size(self):
-        with pytest.raises(data.DataError):
-            data.minibatches(tiny_dataset(), 0, 0)
+        for batch_size, message in ((0, "must be >= 1, got 0"), (True, "must be an integer, got True"),
+                                    (2.0, "must be an integer, got 2.0"), ("2", "must be an integer, got '2'")):
+            with pytest.raises(data.DataError) as err:
+                data.minibatches(tiny_dataset(), batch_size, 0)
+            assert str(err.value) == f"batch_size {message}"
+
+
+# each seeded function, called with one seed, and the error and parameter name it refuses a seed with
+SEEDED = {
+    "kmeans": (lambda seed: clustering.kmeans(np.arange(18.0).reshape(9, 2) ** 1.5, 2, seed=seed),
+               clustering.ClusteringError, "seed"),
+    "init_params": (lambda seed: model.init_params((3, 2), 2, seed).arrays,
+                    model.ModelError, "seed"),
+    "minibatches": (lambda seed: data.minibatches(tiny_dataset(), 3, seed),
+                    data.DataError, "epoch_seed"),
+}
+
+
+def _flat(result):
+    """The arrays a seeded call returns, in order."""
+    values = result.values() if isinstance(result, dict) else result
+    return [np.asarray(v) for v in values]
+
+
+class TestSeedRule:
+    @pytest.mark.parametrize("name", SEEDED)
+    @pytest.mark.parametrize("seed", [None, 2.5, -1, "a", (1, -2), (), [], True, (1, False), np.int64(-3),
+                                      ((1, 2), 3)])
+    def test_a_seed_that_fixes_no_stream_is_refused_by_name_and_value(self, name, seed):
+        call, error, param = SEEDED[name]
+        with pytest.raises(error) as err:
+            call(seed)
+        assert str(err.value) == (f"{param} must be an integer >= 0 or a non-empty tuple or list of them, "
+                                  f"got {seed!r}")
+
+    @pytest.mark.parametrize("name", SEEDED)
+    def test_numpy_integers_and_lists_seed_as_their_python_forms(self, name):
+        call = SEEDED[name][0]
+        for seed, same in ((np.int64(3), 3), ([1, np.uint8(2)], (1, 2))):
+            for a, b in zip(_flat(call(seed)), _flat(call(same)), strict=True):
+                assert a.tobytes() == b.tobytes()

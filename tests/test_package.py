@@ -4,17 +4,19 @@ rules read off the syntax tree."""
 import argparse
 import ast
 import importlib
+import json
 import math
 import re
 import runpy
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fairmi
-from fairmi import cli, model
+from fairmi import cli, model, trainer
 
 SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -178,6 +180,17 @@ def test_readme_shows_only_options_the_parser_has():
     assert ("eval", "--checkpoint") in shown  # the command lines were read
     assert [(sub, opt) for sub, opt in shown if opt not in options.get(sub, ())] == []
     assert sorted(set(flag.findall(text)) - set().union(*options.values())) == []
+
+
+def test_readme_configuration_table_lists_the_config_fields_with_their_defaults():
+    """README's Configuration table has one row per ``TrainConfig`` field, in declaration
+    order, with the default as JSON (``required`` where there is none), so a config key
+    cannot enter or leave ``TrainConfig`` while the table says otherwise."""
+    section = README.read_text().split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` +\| ([^|]*?) +\|", section, flags=re.M)
+    shown = [(key, cell if cell == "required" else json.loads(cell)) for key, cell in rows]
+    assert shown == [(f.name, "required" if f.default is MISSING else json.loads(json.dumps(f.default)))
+                     for f in fields(trainer.TrainConfig)]
 
 
 def _resolves(dotted):

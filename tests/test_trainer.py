@@ -26,7 +26,7 @@ def small_dataset(seed=0, per_cell=20):
 
 def small_config(**kw):
     base = dict(
-        k=2, latent_dim=3, layer_dims=(5, 8, 3), warmup_epochs=2,
+        k=2, encoder_widths=(8, 3), warmup_epochs=2,
         max_epochs=5, batch_size=32, learning_rate=1e-3, seed=0,
     )
     base.update(kw)
@@ -242,7 +242,7 @@ class TestConfig:
             {"k": 2, "alpha": -0.1},
             {"k": 2, "warmup_epochs": 10, "max_epochs": 5},
             {"k": 2, "batch_size": 0},
-            {"k": 2, "layer_dims": (4, 8, 99), "latent_dim": 3},
+            {"k": 2, "encoder_widths": ()},
         ],
     )
     def test_invalid_settings_rejected(self, kw):
@@ -261,8 +261,9 @@ class TestConfig:
             ({"k": 3, "alpha": "0.1"}, "alpha must be a finite number, got '0.1'"),
             ({"k": 3, "beta_fair": False}, "beta_fair must be a finite number"),
             ({"k": 3, "seed": -1}, "seed must be >= 0, got -1"),
-            ({"k": 3, "latent_dim": 3, "layer_dims": [4, 6.0, 3]}, "layer_dims must be a list of integers"),
-            ({"k": 3, "latent_dim": 3, "layer_dims": 3}, "layer_dims must be a list of integers, got 3"),
+            ({"k": 3, "encoder_widths": [6.0, 3]}, "encoder_widths must be a list of integers"),
+            ({"k": 3, "encoder_widths": [6, True]}, "encoder_widths must be a list of integers"),
+            ({"k": 3, "encoder_widths": 3}, "encoder_widths must be a list of integers, got 3"),
         ],
     )
     def test_bad_field_types_are_named(self, raw, fragment):
@@ -285,12 +286,10 @@ class TestConfig:
             ({"k": 3, "tau": np.float64(-1.0)}, "tau must be > 0, got -1.0"),
             ({"k": 3, "tau": 1e-310}, "tau must be large enough that 1 / tau is finite, got 1e-310"),
             ({"k": 3, "tau": np.float64(1e-310)}, "tau must be large enough that 1 / tau is finite, got 1e-310"),
-            ({"k": 3, "latent_dim": 0}, "latent_dim must be >= 1, got 0"),
+            ({"k": 3, "encoder_widths": [6, 0]}, "encoder_widths needs >= 1 width, each >= 1, got [6, 0]"),
             ({"k": 3, "batch_size": 0}, "batch_size must be >= 1, got 0"),
-            ({"k": 3, "latent_dim": 3, "layer_dims": [4, 0, 3]},
-             "layer_dims needs >= 2 widths, each >= 1, got [4, 0, 3]"),
-            ({"k": 3, "latent_dim": 3, "layer_dims": [4, 99]},
-             "layer_dims must end at latent_dim (3), got [4, 99]"),
+            ({"k": 3, "encoder_widths": [np.int64(0)]}, "encoder_widths needs >= 1 width, each >= 1, got [0]"),
+            ({"k": 3, "encoder_widths": []}, "encoder_widths needs >= 1 width, each >= 1, got []"),
         ],
     )
     def test_range_errors_name_the_field_and_value(self, raw, message):
@@ -306,15 +305,17 @@ class TestConfig:
     def test_tiny_tau_with_a_finite_inverse_is_accepted(self):
         assert trainer.TrainConfig(k=3, tau=1e-300).tau == 1e-300
 
-    def test_default_layer_dims_resolution(self):
-        cfg = trainer.TrainConfig(k=2, latent_dim=16)
-        assert cfg.resolve_layer_dims(30) == (30, 256, 64, 16)
+    def test_encoder_widths_default_and_a_json_list_become_a_tuple(self):
+        assert trainer.TrainConfig(k=2).encoder_widths == (256, 64, 16)
+        assert trainer.TrainConfig.from_dict({"k": 2, "encoder_widths": [np.int64(8), 3]}).encoder_widths == (8, 3)
 
-    def test_explicit_layer_dims_must_match_data(self):
-        cfg = small_config()
-        assert cfg.resolve_layer_dims(5) == (5, 8, 3)
-        with pytest.raises(trainer.TrainError):
-            cfg.resolve_layer_dims(7)
+    @pytest.mark.parametrize("keys", [("latent_dim",), ("layer_dims",), ("latent_dim", "layer_dims")])
+    def test_the_old_width_keys_are_refused_by_name(self, keys):
+        """An old config's [16, 256, 64, 16] would be a five-layer encoder under the new key."""
+        old = {"latent_dim": 16, "layer_dims": [16, 256, 64, 16]}
+        with pytest.raises(trainer.TrainError) as err:
+            trainer.TrainConfig.from_dict({"k": 2, **{key: old[key] for key in keys}})
+        assert str(err.value) == f"unknown config keys: {', '.join(keys)}"
 
 
 class TestFit:
@@ -470,7 +471,17 @@ class TestFit:
         ds = small_dataset()
         tiny = data.Dataset(features=ds.features[:3], groups=np.array([0, 1, 0]))
         with pytest.raises(trainer.TrainError):
-            trainer.fit(small_config(k=4, layer_dims=None, latent_dim=3), tiny)
+            trainer.fit(small_config(k=4), tiny)
+
+    def test_one_config_trains_on_data_of_two_widths(self):
+        """The input width comes from the data; the config gives only the widths after it."""
+        cfg = small_config(max_epochs=2)
+        for dim in (5, 9):
+            ds = data.generate_synthetic(data.SyntheticSpec(
+                classes=2, groups=2, per_cell_count=20, class_sep=6.0,
+                group_shift=3.0, dim=dim, noise_sd=0.8, seed=0))
+            params, logs = trainer.fit(cfg, ds)
+            assert params.layer_dims == (dim, 8, 3) and len(logs) == 2
 
     def test_labeled_single_group_rejected_before_training(self, monkeypatch):
         ds = data.generate_synthetic(data.SyntheticSpec(
@@ -526,8 +537,8 @@ class TestFit:
             ds = data.generate_synthetic(spec)
             for beta in (1.0, 0.0):
                 cfg = trainer.TrainConfig(
-                    k=3, beta_fair=beta, seed=seed, latent_dim=8,
-                    layer_dims=(8, 32, 8), warmup_epochs=10, max_epochs=80,
+                    k=3, beta_fair=beta, seed=seed,
+                    encoder_widths=(32, 8), warmup_epochs=10, max_epochs=80,
                     batch_size=128, learning_rate=1e-3,
                 )
                 _, logs = trainer.fit(cfg, ds)
