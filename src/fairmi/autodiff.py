@@ -11,14 +11,12 @@ The numerical guards live here only, as numpy kernels that the ops run and
 the numpy estimators call directly.
 
 All arrays are float64. Gradients are accumulated in a fixed reverse
-topological order, so repeated runs are bitwise reproducible. The first
-contribution a node receives becomes its gradient buffer, and later ones are
-added into it in place; only a ``select_rows`` scatter starts from zeros. A
-gradient that only passes through an op (``add``, the matrix side of
-``add_bias``, the left side of ``subtract``) is shared with the parent until
-the parent's buffer is first written, when it is copied. Every node still
-gets a gradient of its own shape, and the arrays :func:`backward` returns are
-never shared.
+topological order, so repeated runs are bitwise reproducible. Gradients are
+values: a node's first contribution becomes its gradient, and each later one
+makes a new array, ``grad + g``, so no gradient is ever written in place and
+one array may serve several nodes. A ``select_rows`` scatter writes into a
+fresh zero array, or into a copy of the gradient the node already has. The
+arrays :func:`backward` returns are never shared.
 
 Buffers live only as long as they are needed, so a training step holds its
 saved activations and a gradient frontier rather than every array of its
@@ -77,8 +75,10 @@ class Node:
     constants, the root, 0-d nodes and the nodes whose value backward reads;
     other values are dropped to None, since nothing reads them again. After
     backward, only input nodes hold a ``grad``: they hold the gradients that
-    backward returns. Nodes are plain records; all numeric state lives in
-    numpy arrays. Do not mutate a node's value in place.
+    backward returns. A ``grad`` is a value too: it may be the very array
+    another node received, and backward replaces it rather than adding into
+    it. Nodes are plain records; all numeric state lives in numpy arrays. Do
+    not mutate a node's value or grad in place.
     """
 
     __slots__ = ("op", "parents", "name", "shape", "factor", "indices", "value", "grad", "cache")
@@ -181,10 +181,6 @@ def scale(a: Node, factor: float) -> Node:
     return Node("scale", (a,), shape=a.shape, factor=f)
 
 
-def square(a: Node) -> Node:
-    return Node("square", (a,), shape=a.shape)
-
-
 def select_rows(a: Node, indices) -> Node:
     """Gather rows by a fixed index list (decoder routing, batch slicing)."""
     if len(a.shape) != 2:
@@ -240,8 +236,6 @@ def _compute(node: Node) -> np.ndarray:
         return np.asarray(vals[0].sum())
     if op == "scale":
         return vals[0] * node.factor
-    if op == "square":
-        return vals[0] * vals[0]
     if op == "select_rows":
         return vals[0][node.indices]
     raise GraphError(f"unknown op {op!r}")
@@ -282,8 +276,9 @@ def forward(root: Node, inputs: dict[str, np.ndarray] | None = None) -> np.ndarr
 
 
 # The values each op's backward reads besides its gradient: those of its
-# operands, or its own output. _accumulate and this table change together.
-_READS_OPERANDS = frozenset({"matmul", "multiply", "log_guarded", "square"})
+# operands, or its own output. _accumulate and this table change together, and a
+# test reads both off the source to hold them to it.
+_READS_OPERANDS = frozenset({"matmul", "multiply", "log_guarded"})
 _READS_OUTPUT = frozenset({"tanh", "softmax_rows", "normalize_rows"})
 
 
@@ -307,11 +302,10 @@ def _kept(order):
 
 
 def _accumulate(node: Node, send):
-    """Pass the gradient of `node` to its parents through ``send(parent, g, ...)``.
+    """Pass the gradient of `node` to its parents through ``send(parent, g, rows=None)``.
 
-    A contribution computed here is new storage; a borrowed one is the
-    node's own gradient passed through unchanged. ``rows`` scatters ``g``
-    into those rows of the parent's gradient.
+    A pass-through op sends the node's own gradient on unchanged. ``rows``
+    scatters ``g`` into those rows of the parent's gradient.
     """
     g = node.grad
     ps = node.parents
@@ -320,13 +314,13 @@ def _accumulate(node: Node, send):
         send(ps[0], g @ ps[1].value.T)
         send(ps[1], ps[0].value.T @ g)
     elif op == "add":
-        send(ps[0], g, borrow=True)
-        send(ps[1], g, borrow=True)
+        send(ps[0], g)
+        send(ps[1], g)
     elif op == "add_bias":
-        send(ps[0], g, borrow=True)
+        send(ps[0], g)
         send(ps[1], g.sum(axis=0))
     elif op == "subtract":
-        send(ps[0], g, borrow=True)
+        send(ps[0], g)
         send(ps[1], -g)
     elif op == "multiply":
         send(ps[0], g * ps[1].value)
@@ -352,8 +346,6 @@ def _accumulate(node: Node, send):
         send(ps[0], np.full(ps[0].shape, g))  # scalar broadcast over the operand
     elif op == "scale":
         send(ps[0], g * node.factor)
-    elif op == "square":
-        send(ps[0], 2.0 * ps[0].value * g)
     elif op == "select_rows":
         send(ps[0], g, rows=node.indices)
 
@@ -363,8 +355,8 @@ def backward(root: Node) -> dict[str, np.ndarray]:
 
     forward() must have run on this graph first. The input nodes keep these
     gradients on their ``grad`` field; every other node's is dropped once
-    the node has passed it on (see the module docstring for how the buffers
-    are owned). The returned input gradients never share storage.
+    the node has passed it on. The returned input gradients never share
+    storage: one that is the very array of an earlier one is copied.
     """
     if root.value is None:
         raise GraphError("backward before forward: root has no value")
@@ -374,35 +366,25 @@ def backward(root: Node) -> dict[str, np.ndarray]:
     for node in order:
         node.grad = None
     root.grad = np.ones(())
-    borrowed = set()
 
-    def send(parent, g, borrow=False, rows=None):
+    def send(parent, g, rows=None):
         if rows is not None:
-            if parent.grad is None:
-                parent.grad = np.zeros(parent.shape)
-            elif parent in borrowed:
-                parent.grad = np.array(parent.grad)
-                borrowed.discard(parent)
-            np.add.at(parent.grad, rows, g)
-        elif parent.grad is None:
-            parent.grad = g
-            if borrow:
-                borrowed.add(parent)
-        elif parent in borrowed:
-            parent.grad = parent.grad + g
-            borrowed.discard(parent)
+            total = np.zeros(parent.shape) if parent.grad is None else parent.grad.copy()
+            np.add.at(total, rows, g)
         else:
-            parent.grad += g
+            total = g if parent.grad is None else parent.grad + g
+        parent.grad = total
 
     for node in reversed(order):
         if node.parents:
             _accumulate(node, send)
         if node.op != "input":
             node.grad = None  # every contribution to it has been sent on
-    grads = {}
+    grads, returned = {}, set()
     for node in order:
         if node.op == "input":
-            if node in borrowed:
-                node.grad = np.array(node.grad)
+            if id(node.grad) in returned:
+                node.grad = node.grad.copy()
+            returned.add(id(node.grad))
             grads[node.name] = node.grad
     return grads

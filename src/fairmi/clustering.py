@@ -18,6 +18,7 @@ rows.
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
 
@@ -38,6 +39,8 @@ def _center_directions(centers, tau):
     """Unit rows of a finite 2-d matrix of K >= 2 centers, once tau is checked."""
     if not 0.0 < tau < np.inf:
         raise ClusteringError(f"temperature must be a finite number > 0, got {tau}")
+    if not math.isfinite(1.0 / float(tau)):
+        raise ClusteringError(f"temperature tau must be large enough that 1 / tau is finite, got {tau}")
     if centers.ndim != 2 or centers.shape[0] < 2:
         raise ClusteringError("need a 2-d center matrix with K >= 2")
     if not np.all(np.isfinite(centers)):
@@ -170,7 +173,7 @@ def soft_assign(h: np.ndarray, centers: np.ndarray, tau: float) -> np.ndarray:
         raise ClusteringError("latent width does not match the centers")
     sims = ad.unit_rows(h)[0] @ dirs.T
     probs = ad.softmax(sims * (1.0 / tau))  # the graph path's scale, so both assign bit for bit
-    if not np.all(np.isfinite(probs)):  # e.g. tau so small that 1 / tau overflows
+    if not np.all(np.isfinite(probs)):  # e.g. from a latent row that is not finite
         raise ClusteringError("assignment entries must be finite")
     return probs
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .data import check_seed
+from .data import check_count, check_seed
 
 CHECKPOINT_MAGIC = b"FCMI"
 CHECKPOINT_VERSION = 2
@@ -90,9 +90,9 @@ class ModelParams:
     scoring: Scoring | None = None
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.layer_dims)
+        dims, group_count = _check_dims(self.layer_dims, self.group_count)
         object.__setattr__(self, "layer_dims", dims)
-        _check_dims(dims, self.group_count)
+        object.__setattr__(self, "group_count", group_count)
         layout = list(_layout(dims, self.group_count))
         names = [name for name, _ in layout]
         for i, (got, want) in enumerate(itertools.zip_longest(self.arrays, names)):
@@ -120,10 +120,15 @@ class ModelParams:
         return zip(arrays, arrays)
 
 
-def _check_dims(dims, group_count: int):
-    if len(dims) < 2 or min(dims) < 1 or group_count < 1:
-        raise ModelError("need an input and a latent width, every width >= 1, and >= 1 group; "
-                         f"got widths {list(dims)} and {group_count} groups")
+def _check_dims(layer_dims, group_count):
+    """The >= 2 widths as a tuple of ints and the group count as an int, once each is checked by name."""
+    dims = tuple(layer_dims)
+    if len(dims) < 2:
+        raise ModelError(f"need an input and a latent width, got layer_dims {list(dims)}")
+    for i, d in enumerate(dims):
+        check_count(f"width {i} of layer_dims {list(dims)}", d, 1, ModelError)
+    check_count("group_count", group_count, 1, ModelError)
+    return tuple(map(int, dims)), int(group_count)
 
 
 def _layout(layer_dims, group_count: int):
@@ -132,8 +137,7 @@ def _layout(layer_dims, group_count: int):
     Encoder layers first, then each group's branch, whose widths mirror the
     encoder's; W (d_in x d_out) precedes b (d_out) in every layer.
     """
-    dims = [int(d) for d in layer_dims]
-    for base, chain in [("enc", dims)] + [(f"dec.{t}", dims[::-1]) for t in range(group_count)]:
+    for base, chain in [("enc", layer_dims)] + [(f"dec.{t}", layer_dims[::-1]) for t in range(group_count)]:
         for i, (din, dout) in enumerate(zip(chain[:-1], chain[1:])):
             yield f"{base}.{i}.W", (din, dout)
             yield f"{base}.{i}.b", (dout,)
@@ -145,8 +149,7 @@ def init_params(layer_dims, group_count: int, seed: int) -> ModelParams:
     `layer_dims` runs from the input width to the latent width; decoder
     branches mirror it. All branches get distinct draws from one stream.
     """
-    dims = [int(d) for d in layer_dims]
-    _check_dims(dims, group_count)
+    dims, group_count = _check_dims(layer_dims, group_count)
     check_seed(seed, "seed", ModelError)
     rng = np.random.default_rng(seed)
     arrays = {}
@@ -212,7 +215,8 @@ def reconstruction_graph(x_node: ad.Node, h_node: ad.Node, nodes: dict, layer_di
         h_t = ad.select_rows(h_node, idx)
         x_t = ad.select_rows(x_node, idx)
         rec_t = _stack_graph(h_t, [f"dec.{int(t)}.{i}" for i in range(depth)], nodes)
-        sse_t = ad.sum_all(ad.square(ad.subtract(x_t, rec_t)))
+        err = ad.subtract(x_t, rec_t)
+        sse_t = ad.sum_all(ad.multiply(err, err))
         total = sse_t if total is None else ad.add(total, sse_t)
     return ad.scale(total, 1.0 / n)
 
@@ -287,7 +291,7 @@ def load_checkpoint(path) -> ModelParams:
     off += 4
 
     # size the file before walking the layout, whose cost grows with the group count
-    _check_dims(dims, group_count)
+    dims, group_count = _check_dims(dims, group_count)
     encoder = sum(math.prod(shape) for _, shape in _layout(dims, 0))
     branch = sum(math.prod(shape) for _, shape in _layout(dims, 1)) - encoder
     expected = off + 8 * (encoder + group_count * branch)

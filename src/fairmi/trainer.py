@@ -177,9 +177,12 @@ def adam_step(params: dict, grads: dict, state: AdamState, step: int, lr: float)
 
 
 def _batch_graphs(x, groups, layer_dims, n_groups, centers, cfg):
-    """Build the loss graphs for one batch, keyed by log column name; reconstruction only without centers."""
+    """Build the loss graphs for one batch, keyed by log column name; reconstruction only without centers.
+
+    The batch and the centers enter as constants, so the parameters are the graphs' only inputs.
+    """
     nodes = model.param_input_nodes(layer_dims, n_groups)
-    x_node = ad.input_node("x", x.shape)
+    x_node = ad.constant(x)
     h = model.encoder_graph(x_node, nodes, layer_dims)
     rec = model.reconstruction_graph(x_node, h, nodes, layer_dims, groups)
     if centers is None:
@@ -256,13 +259,13 @@ def fit(config: TrainConfig, dataset: Dataset, hooks: TrainerHooks | None = None
             x = dataset.features[idx]
             g = dataset.groups[idx]
             roots = _batch_graphs(x, g, layer_dims, dataset.n_groups, train_centers, config)
-            ad.forward(roots["l_total"], {**params.arrays, "x": x})
+            ad.forward(roots["l_total"], params.arrays)
             values = {name: float(node.value) for name, node in roots.items()}
             if not np.isfinite(values["l_total"]):
                 raise TrainError(f"epoch {epoch}, batch {b}: non-finite loss {values}")
             grads = ad.backward(roots["l_total"])
             # the step's graph goes now, not when the next one replaces it
-            del roots, grads["x"]  # and the data is not a parameter
+            del roots
             step += 1
             adam_step(params.arrays, grads, state, step, config.learning_rate)
             # nor do the gradients and the batch outlive the step: they would

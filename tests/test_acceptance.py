@@ -51,7 +51,7 @@ def counting_mi(a, b):
 # ---------------------------------------------------------------------------
 # criterion 1: analytic gradients of every loss term match finite differences
 
-def _flat_loss_fn(root, template, x):
+def _flat_loss_fn(root, template):
     names = sorted(template)
     shapes = [template[n].shape for n in names]
     sizes = [template[n].size for n in names]
@@ -65,7 +65,7 @@ def _flat_loss_fn(root, template, x):
 
     def fn(vec):
         params = unpack(vec)
-        value = ad.forward(root, {**params, "x": x})
+        value = ad.forward(root, params)
         grads = ad.backward(root)
         flat_grad = np.concatenate([
             np.ravel(grads.get(name, np.zeros(shape)))
@@ -100,7 +100,7 @@ def test_criterion_1_gradient_fidelity():
                                   max_epochs=1, warmup_epochs=0, seed=trial)
         roots = trainer._batch_graphs(x, groups, layer_dims, t_groups, centers=centers, cfg=cfg)
         for name in ("l_rec", "l_clu", "l_fair", "l_total"):
-            fn, point = _flat_loss_fn(roots[name], params, x)
+            fn, point = _flat_loss_fn(roots[name], params)
             err = grad_check(fn, point, step=1e-5)
             worst = max(worst, err)
     elapsed = time.monotonic() - start

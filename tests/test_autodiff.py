@@ -4,9 +4,9 @@ Every analytic gradient is checked against central finite differences; the
 finite-difference loop is the independent oracle throughout.
 """
 
+import ast
 import inspect
 import logging
-import re
 
 import numpy as np
 import pytest
@@ -29,9 +29,9 @@ def graph_fn(root, x_node_name="x"):
 
 class TestForward:
     def test_sum_of_squares(self):
-        """sum(square(x)) at (1, 2, 2) is 9."""
+        """sum(x * x) at (1, 2, 2) is 9."""
         x = ad.input_node("x", (3,))
-        root = ad.sum_all(ad.square(x))
+        root = ad.sum_all(ad.multiply(x, x))
         value = ad.forward(root, {"x": np.array([1.0, 2.0, 2.0])})
         np.testing.assert_allclose(value, 9.0, rtol=0, atol=0)
 
@@ -73,7 +73,7 @@ class TestForward:
             ad.sum_all(ad.tanh(x)),
             ad.sum_all(ad.softmax_rows(x)),
             ad.sum_all(ad.normalize_rows(x)),
-            ad.scale(ad.sum_all(ad.square(x)), 1.0 / 9),
+            ad.scale(ad.sum_all(ad.multiply(x, x)), 1.0 / 9),
         ]
         for root in roots:
             assert np.isfinite(ad.forward(root, {"x": rng.normal(size=(3, 3))}))
@@ -111,7 +111,7 @@ class TestErrors:
 
     def test_backward_needs_scalar_root(self):
         x = ad.input_node("x", (2, 2))
-        root = ad.square(x)
+        root = ad.multiply(x, x)
         ad.forward(root, {"x": np.ones((2, 2))})
         with pytest.raises(ad.GraphError, match="scalar"):
             ad.backward(root)
@@ -127,7 +127,7 @@ class TestBackward:
     def test_gradient_of_sum_of_squares(self):
         """d/dx sum(x^2) = 2x, so 6 at x = 3."""
         x = ad.input_node("x", ())
-        root = ad.sum_all(ad.square(x))
+        root = ad.sum_all(ad.multiply(x, x))
         ad.forward(root, {"x": np.asarray(3.0)})
         grads = ad.backward(root)
         np.testing.assert_allclose(grads["x"], 6.0, atol=0)
@@ -156,7 +156,8 @@ class TestBackward:
     def test_add_gradients_are_distinct_writable_arrays(self):
         a = ad.input_node("a", (2, 3))
         b = ad.input_node("b", (2, 3))
-        root = ad.sum_all(ad.square(ad.add(a, b)))
+        s = ad.add(a, b)
+        root = ad.sum_all(ad.multiply(s, s))
         ad.forward(root, {"a": np.ones((2, 3)), "b": np.full((2, 3), 2.0)})
         grads = ad.backward(root)
         np.testing.assert_array_equal(grads["a"], 6.0)
@@ -168,7 +169,7 @@ class TestBackward:
         """add hands one gradient to both operands; a later contribution to one must not reach the other."""
         for swap in (False, True):
             x = ad.input_node("x", (4,))
-            p, q = ad.tanh(x), ad.square(x)
+            p, q = ad.tanh(x), ad.multiply(x, x)
             s = ad.add(p, q)
             terms = [ad.sum_all(ad.multiply(s, s)), ad.sum_all(ad.multiply(p, q))]
             root = ad.add(*(terms[::-1] if swap else terms))
@@ -181,7 +182,8 @@ class TestBackward:
         w = ad.input_node("w", (3, 4))
         h = ad.tanh(ad.matmul(x, w))
         rows = ad.select_rows(h, [0, 2, 2, 4])
-        root = ad.sum_all(ad.square(ad.subtract(ad.add(rows, rows), ad.constant(np.ones((4, 4))))))
+        e = ad.subtract(ad.add(rows, rows), ad.constant(np.ones((4, 4))))
+        root = ad.sum_all(ad.multiply(e, e))
         ad.forward(root, {"x": rng.normal(size=(5, 3)), "w": rng.normal(size=(3, 4))})
         first = {name: g.copy() for name, g in ad.backward(root).items()}
         second = ad.backward(root)
@@ -208,9 +210,9 @@ class TestBackward:
 
 class TestGradCheck:
     def test_polynomial_passes_tightly(self):
-        """max relative error below 1e-7 for mean(square(x)) + sum(tanh(x))."""
+        """max relative error below 1e-7 for mean(x * x) + sum(tanh(x))."""
         x = ad.input_node("x", (5,))
-        root = ad.add(ad.scale(ad.sum_all(ad.square(x)), 1.0 / 5), ad.sum_all(ad.tanh(x)))
+        root = ad.add(ad.scale(ad.sum_all(ad.multiply(x, x)), 1.0 / 5), ad.sum_all(ad.tanh(x)))
         point = np.linspace(-1.2, 1.4, 5)
         assert grad_check(graph_fn(root), point, 1e-5) < 1e-7
 
@@ -246,6 +248,7 @@ def _primitive_cases(rng):
     weight = ad.constant(r(3, 2))
     probe2x3 = ad.constant(r(2, 3))
     probe3x3 = ad.constant(r(3, 3))
+    sum_sq = lambda e: ad.sum_all(ad.multiply(e, e))  # noqa: E731
 
     def case(shape, build, positive=False):
         x = ad.input_node("x", shape)
@@ -255,8 +258,8 @@ def _primitive_cases(rng):
     yield case((2, 3), lambda x: ad.sum_all(ad.matmul(x, weight)))
     yield case((3, 2), lambda x: ad.sum_all(ad.matmul(ad.constant(r(2, 3)), x)))
     yield case((2, 3), lambda x: ad.sum_all(ad.multiply(ad.add(x, probe2x3), probe2x3)))
-    yield case((3,), lambda x: ad.sum_all(ad.square(ad.add(ad.constant(r(4, 3)), x))))  # bias add
-    yield case((2, 3), lambda x: ad.sum_all(ad.square(ad.subtract(x, probe2x3))))
+    yield case((3,), lambda x: sum_sq(ad.add(ad.constant(r(4, 3)), x)))  # bias add
+    yield case((2, 3), lambda x: sum_sq(ad.subtract(x, probe2x3)))
     yield case((2, 3), lambda x: ad.sum_all(ad.multiply(x, probe2x3)))
     yield case((2, 3), lambda x: ad.sum_all(ad.tanh(x)))
     yield case((2, 3), lambda x: ad.sum_all(ad.multiply(x, ad.log_guarded(x))), positive=True)
@@ -264,8 +267,8 @@ def _primitive_cases(rng):
     yield case((3, 3), lambda x: ad.sum_all(ad.multiply(probe3x3, ad.normalize_rows(x))))
     yield case((2, 3), lambda x: ad.sum_all(x))
     yield case((2, 3), lambda x: ad.sum_all(ad.scale(x, -1.7)))
-    yield case((2, 3), lambda x: ad.sum_all(ad.square(x)))
-    yield case((4, 2), lambda x: ad.sum_all(ad.square(ad.select_rows(x, [0, 2, 2]))))
+    yield case((2, 3), lambda x: sum_sq(x))
+    yield case((4, 2), lambda x: sum_sq(ad.select_rows(x, [0, 2, 2])))
 
 
 class TestPrimitiveGradients:
@@ -278,6 +281,65 @@ class TestPrimitiveGradients:
                 worst = max(worst, grad_check(graph_fn(root), point, 1e-5))
         assert worst < 1e-6, f"worst primitive gradient error {worst}"
 
+
+
+def _source_ops():
+    """Op names as autodiff's source spells them, read off its AST.
+
+    "_compute" and "_accumulate" hold the ops each compares ``op`` against;
+    "_READS_OPERANDS" and "_READS_OUTPUT" the ops each table lists; "reads
+    operands" and "reads output" the ops whose `_accumulate` branch reads
+    ``ps[i].value`` or ``node.value``.
+    """
+    found = {"reads operands": set(), "reads output": set()}
+    for top in ast.parse(inspect.getsource(ad)).body:
+        if isinstance(top, ast.FunctionDef) and top.name in ("_compute", "_accumulate"):
+            found[top.name] = set()
+            for branch in ast.walk(top):
+                test = getattr(branch, "test", None)
+                if not (isinstance(test, ast.Compare) and isinstance(test.left, ast.Name) and test.left.id == "op"):
+                    continue
+                op = test.comparators[0].value
+                found[top.name].add(op)
+                for read in (n for stmt in branch.body for n in ast.walk(stmt)):
+                    if isinstance(read, ast.Attribute) and read.attr == "value":
+                        owner = read.value
+                        if isinstance(owner, ast.Subscript) and owner.value.id == "ps":
+                            found["reads operands"].add(op)
+                        elif isinstance(owner, ast.Name) and owner.id == "node":
+                            found["reads output"].add(op)
+        elif isinstance(top, ast.Assign) and getattr(top.targets[0], "id", "").startswith("_READS_"):
+            found[top.targets[0].id] = {c.value for c in ast.walk(top.value) if isinstance(c, ast.Constant)}
+    return found
+
+
+class TestOpTables:
+    def test_compute_accumulate_and_the_saved_values_tables_name_the_same_ops(self):
+        """Every op is computed and differentiated, and a table lists an op
+        exactly when its backward reads that value, so a removed op leaves no entry."""
+        ops = _source_ops()
+        assert ops["_compute"] == ops["_accumulate"]
+        assert ops["_READS_OPERANDS"] == ops["reads operands"]
+        assert ops["_READS_OUTPUT"] == ops["reads output"]
+        assert ops["_READS_OPERANDS"] | ops["_READS_OUTPUT"] <= ops["_compute"]
+        assert ops["_READS_OPERANDS"] == set(ad._READS_OPERANDS)
+        assert ops["_READS_OUTPUT"] == set(ad._READS_OUTPUT)
+        assert {"matmul", "multiply", "tanh", "select_rows"} <= ops["_compute"]  # the walk finds ops at all
+        assert "square" not in ops["_compute"]
+
+    def test_multiply_of_an_operand_by_itself_is_the_square_bit_for_bit(self):
+        """multiply(d, d) gives d*d forward and 2.0 * d * g backward, the old
+        square op's results, on random normal-range data: doubling is exact."""
+        rng = np.random.default_rng(29)
+        for shape in [(64, 32), (7,), ()]:
+            d_val = rng.normal(scale=3.0, size=shape)
+            g_val = rng.normal(size=shape)
+            d = ad.input_node("d", shape)
+            sq = ad.multiply(d, d)
+            root = ad.sum_all(ad.multiply(sq, ad.constant(g_val)))  # sq's incoming gradient is g
+            ad.forward(root, {"d": d_val})
+            assert sq.value.tobytes() == (d_val * d_val).tobytes()
+            assert ad.backward(root)["d"].tobytes() == (2.0 * d_val * g_val).tobytes()
 
 
 def _dense_layer():
@@ -316,7 +378,6 @@ def _op_case(op, x, v):
         "normalize_rows": lambda: ad.normalize_rows(a),
         "sum": lambda: ad.sum_all(a),
         "scale": lambda: ad.scale(a, 2.5),
-        "square": lambda: ad.square(a),
         "select_rows": lambda: ad.select_rows(a, [2, 0, 2]),
     }
     out = builders[op]()
@@ -388,7 +449,7 @@ class TestBufferLifetimes:
 
     def test_every_op_backpropagates_twice_after_one_forward(self):
         """Guards the saved-values table: a new op must add a case here."""
-        ops = set(re.findall(r'op == "(\w+)"', inspect.getsource(ad._compute)))
+        ops = _source_ops()["_compute"]
         rng = np.random.default_rng(6)
         point = rng.uniform(0.2, 1.5, size=(3, 3))  # log_guarded wants positive operands
         v_val = rng.normal(size=3)

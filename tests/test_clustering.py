@@ -308,12 +308,18 @@ class TestSoftAssign:
         assign = clustering.soft_assign(h, self.centers2(), tau=0.1)
         assert type(assign) is np.ndarray and assign.shape == (3, 2) and assign.dtype == np.float64
 
-    def test_temperature_whose_inverse_overflows_is_refused(self):
-        """tau = 1e-310 passes the temperature check, but 1 / tau overflows to inf."""
+    @pytest.mark.parametrize("entry", ["soft_assign", "soft_assign_graph"])
+    def test_temperature_whose_inverse_overflows_is_refused(self, entry):
+        """tau = 1e-310 is finite and > 0, but 1 / tau overflows to inf: both paths refuse it alike."""
         h = np.array([[1.0, 0.0], [0.0, 1.0]])
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(clustering.ClusteringError, match="^assignment entries must be finite$"):
-            clustering.soft_assign(h, self.centers2(), tau=1e-310)
+        calls = {
+            "soft_assign": lambda: clustering.soft_assign(h, self.centers2(), tau=1e-310),
+            "soft_assign_graph": lambda: clustering.soft_assign_graph(
+                ad.input_node("h", h.shape), self.centers2(), 1e-310),
+        }
+        message = "temperature tau must be large enough that 1 / tau is finite, got 1e-310"
+        with pytest.raises(clustering.ClusteringError, match=f"^{message}$"):
+            calls[entry]()
 
     @pytest.mark.parametrize("centers,message", [
         (np.array([1.0, 0.0]), "need a 2-d center matrix with K >= 2"),

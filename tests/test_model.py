@@ -103,6 +103,29 @@ class TestInit:
         with pytest.raises(model.ModelError):
             model.init_params((5, 3), 0, seed=0)
 
+    @pytest.mark.parametrize("dims,groups,message", [
+        ((3, 2.7), 1, "width 1 of layer_dims [3, 2.7] must be an integer, got 2.7"),
+        ((3, 2.7), True, "width 1 of layer_dims [3, 2.7] must be an integer, got 2.7"),
+        ((True, 2), 1, "width 0 of layer_dims [True, 2] must be an integer, got True"),
+        ((3, 0, 2), 1, "width 1 of layer_dims [3, 0, 2] must be >= 1, got 0"),
+        ((5,), 1, "need an input and a latent width, got layer_dims [5]"),
+        ((3, 2), True, "group_count must be an integer, got True"),
+        ((3, 2), 1.5, "group_count must be an integer, got 1.5"),
+        ((3, 2), 0, "group_count must be >= 1, got 0"),
+    ])
+    @pytest.mark.parametrize("entry", ["init_params", "ModelParams"])
+    def test_rejects_each_bad_width_and_group_count_by_name(self, entry, dims, groups, message):
+        """A width or group count that is not an integer >= 1 is refused, not truncated."""
+        calls = {"init_params": lambda: model.init_params(dims, groups, seed=0),
+                 "ModelParams": lambda: model.ModelParams(dims, groups, {})}
+        with pytest.raises(model.ModelError, match=f"^{re.escape(message)}$"):
+            calls[entry]()
+
+    def test_numpy_integer_widths_and_group_count_become_ints(self):
+        p = model.init_params(np.array([5, 4, 3]), np.int64(2), seed=0)
+        assert p.layer_dims == (5, 4, 3) and p.group_count == 2
+        assert {type(d) for d in p.layer_dims} == {int} and type(p.group_count) is int
+
 
 class TestLayout:
     def test_checkpoint_order_encoder_then_mirrored_branches(self):

@@ -353,7 +353,8 @@ class TestGraphBuilders:
         c = ad.input_node("c", assign.shape)
         a = ad.input_node("a", x.shape)
         b = ad.input_node("b", x.shape)
-        rec = ad.scale(ad.sum_all(ad.square(ad.subtract(a, b))), 1.0 / assign.shape[0])
+        e = ad.subtract(a, b)
+        rec = ad.scale(ad.sum_all(ad.multiply(e, e)), 1.0 / assign.shape[0])
         clu = obj.clustering_loss_graph(c, assign.shape[0])
         fair = obj.group_cluster_mi_graph(c, groups, t)
         root = obj.total_loss_graph(rec, clu, fair, alpha=0.04, beta_fair=0.2)
