@@ -10,6 +10,10 @@ checked at build time so a malformed graph fails before any numerics run.
 The numerical guards live here only, as numpy kernels that the ops run and
 the numpy estimators call directly.
 
+Each op is defined once, by its ``_OPS`` entry: its forward, the values
+its backward reads besides its gradient, and its backward, which is handed
+only those values.
+
 All arrays are float64. Gradients are accumulated in a fixed reverse
 topological order, so repeated runs are bitwise reproducible. Gradients are
 values: a node's first contribution becomes its gradient, and each later one
@@ -21,10 +25,10 @@ arrays :func:`backward` returns are never shared.
 Buffers live only as long as they are needed, so a training step holds its
 saved activations and a gradient frontier rather than every array of its
 graph. :func:`forward` drops a computed value once its last consumer has
-run, unless backward reads it (the ``_READS_*`` table beside
-:func:`_accumulate`) or it is the root or 0-d. :func:`backward` drops each
-node's gradient once that node has passed it on, so only input nodes keep
-one. Backward never drops a value, so it can run again on the same forward.
+run, unless a consumer's ``_OPS`` entry saves it for backward, or it is the
+root or 0-d. :func:`backward` drops each node's gradient once that node has
+passed it on, so only input nodes keep one. Backward never drops a value,
+so it can run again on the same forward.
 """
 
 from __future__ import annotations
@@ -210,35 +214,70 @@ def topo_order(root: Node) -> list[Node]:
     return order
 
 
-def _compute(node: Node) -> np.ndarray:
-    vals = [p.value for p in node.parents]
-    op = node.op
-    if op == "matmul":
-        return vals[0] @ vals[1]
-    if op == "add":
-        return vals[0] + vals[1]
-    if op == "add_bias":
-        return vals[0] + vals[1][None, :]
-    if op == "subtract":
-        return vals[0] - vals[1]
-    if op == "multiply":
-        return vals[0] * vals[1]
-    if op == "tanh":
-        return np.tanh(vals[0])
-    if op == "log_guarded":
-        return guarded_log(vals[0])
-    if op == "softmax_rows":
-        return softmax(vals[0])
-    if op == "normalize_rows":
-        rows, node.cache = unit_rows(vals[0])
-        return rows
-    if op == "sum":
-        return np.asarray(vals[0].sum())
-    if op == "scale":
-        return vals[0] * node.factor
-    if op == "select_rows":
-        return vals[0][node.indices]
-    raise GraphError(f"unknown op {op!r}")
+def _normalize_forward(node, a):
+    rows, node.cache = unit_rows(a)  # the norms, for backward
+    return rows
+
+
+def _tanh_backward(node, g, y):
+    d = y * y  # g * (1 - y*y), step by step in one buffer
+    np.subtract(1.0, d, out=d)
+    d *= g
+    return (d,)
+
+
+def _select_rows_backward(node, g):
+    """Scatter ``g`` into a fresh zero array, or a copy of the operand's gradient, which it replaces."""
+    (a,) = node.parents
+    total = np.zeros(a.shape) if a.grad is None else a.grad.copy()
+    np.add.at(total, node.indices, g)
+    a.grad = None
+    return (total,)
+
+
+# One entry per op: op -> (forward, saved, backward). An op has one or two
+# operands. forward(node, *operand values) returns its value; saved names what
+# backward reads besides the gradient: "operands", "output" or None. forward
+# keeps those (see _kept), and backward(node, g, *saved values), given only
+# them, returns one gradient per operand, in operand order.
+_OPS = {
+    "matmul": (lambda node, a, b: a @ b, "operands", lambda node, g, a, b: (g @ b.T, a.T @ g)),
+    "add": (lambda node, a, b: a + b, None, lambda node, g: (g, g)),
+    "add_bias": (lambda node, a, b: a + b[None, :], None, lambda node, g: (g, g.sum(axis=0))),
+    "subtract": (lambda node, a, b: a - b, None, lambda node, g: (g, -g)),
+    "multiply": (lambda node, a, b: a * b, "operands", lambda node, g, a, b: (g * b, g * a)),
+    "tanh": (lambda node, a: np.tanh(a), "output", _tanh_backward),
+    "log_guarded": (lambda node, a: guarded_log(a), "operands",
+                    lambda node, g, x: (g * np.where(x > GUARD_EPS, 1.0 / np.maximum(x, GUARD_EPS), 0.0),)),
+    "softmax_rows": (lambda node, a: softmax(a), "output",
+                     lambda node, g, y: (y * (g - (g * y).sum(axis=1, keepdims=True)),)),
+    "normalize_rows": (_normalize_forward, "output",
+                       lambda node, g, y: ((g - y * (g * y).sum(axis=1, keepdims=True)) / node.cache[:, None],)),
+    # the scalar gradient broadcast over the operand
+    "sum": (lambda node, a: np.asarray(a.sum()), None, lambda node, g: (np.full(node.parents[0].shape, g),)),
+    "scale": (lambda node, a: a * node.factor, None, lambda node, g: (g * node.factor,)),
+    "select_rows": (lambda node, a: a[node.indices], None, _select_rows_backward),
+}
+
+
+def _kept(order):
+    """Consumer count of every node in `order`, and the nodes whose value forward keeps.
+
+    Kept: inputs, constants, 0-d values (the loss terms a caller reads), and
+    every value an op's ``_OPS`` entry saves. The root has no consumer, so
+    forward never drops it either.
+    """
+    consumers = dict.fromkeys(order, 0)
+    kept = set()
+    for node in order:
+        saved = _OPS[node.op][1] if node.parents else None
+        if not node.parents or node.shape == () or saved == "output":
+            kept.add(node)
+        if saved == "operands":
+            kept.update(node.parents)
+        for parent in node.parents:
+            consumers[parent] += 1
+    return consumers, kept
 
 
 def forward(root: Node, inputs: dict[str, np.ndarray] | None = None) -> np.ndarray:
@@ -264,90 +303,14 @@ def forward(root: Node, inputs: dict[str, np.ndarray] | None = None) -> np.ndarr
             if not np.all(np.isfinite(val)):
                 raise GraphError(f"non-finite binding at {node!r}")
             node.value = val
-        elif node.op == "const":
-            pass
-        else:
-            node.value = _compute(node)
-            for parent in node.parents:
+        elif node.parents:
+            ps, fwd = node.parents, _OPS[node.op][0]
+            node.value = fwd(node, ps[0].value) if len(ps) == 1 else fwd(node, ps[0].value, ps[1].value)
+            for parent in ps:
                 consumers[parent] -= 1
                 if not consumers[parent] and parent not in kept:
                     parent.value = None
     return root.value
-
-
-# The values each op's backward reads besides its gradient: those of its
-# operands, or its own output. _accumulate and this table change together, and a
-# test reads both off the source to hold them to it.
-_READS_OPERANDS = frozenset({"matmul", "multiply", "log_guarded"})
-_READS_OUTPUT = frozenset({"tanh", "softmax_rows", "normalize_rows"})
-
-
-def _kept(order):
-    """Consumer count of every node in `order`, and the nodes whose value forward keeps.
-
-    Kept: inputs, constants, 0-d values (the loss terms a caller reads), and
-    every value that backward reads by the table above. The root has no
-    consumer, so forward never drops it either.
-    """
-    consumers = dict.fromkeys(order, 0)
-    kept = set()
-    for node in order:
-        if not node.parents or node.shape == () or node.op in _READS_OUTPUT:
-            kept.add(node)
-        for parent in node.parents:
-            consumers[parent] += 1
-            if node.op in _READS_OPERANDS:
-                kept.add(parent)
-    return consumers, kept
-
-
-def _accumulate(node: Node, send):
-    """Pass the gradient of `node` to its parents through ``send(parent, g, rows=None)``.
-
-    A pass-through op sends the node's own gradient on unchanged. ``rows``
-    scatters ``g`` into those rows of the parent's gradient.
-    """
-    g = node.grad
-    ps = node.parents
-    op = node.op
-    if op == "matmul":
-        send(ps[0], g @ ps[1].value.T)
-        send(ps[1], ps[0].value.T @ g)
-    elif op == "add":
-        send(ps[0], g)
-        send(ps[1], g)
-    elif op == "add_bias":
-        send(ps[0], g)
-        send(ps[1], g.sum(axis=0))
-    elif op == "subtract":
-        send(ps[0], g)
-        send(ps[1], -g)
-    elif op == "multiply":
-        send(ps[0], g * ps[1].value)
-        send(ps[1], g * ps[0].value)
-    elif op == "tanh":
-        d = node.value * node.value  # g * (1 - y*y), step by step in one buffer
-        np.subtract(1.0, d, out=d)
-        d *= g
-        send(ps[0], d)
-    elif op == "log_guarded":
-        x = ps[0].value
-        send(ps[0], g * np.where(x > GUARD_EPS, 1.0 / np.maximum(x, GUARD_EPS), 0.0))
-    elif op == "softmax_rows":
-        y = node.value
-        inner = (g * y).sum(axis=1, keepdims=True)
-        send(ps[0], y * (g - inner))
-    elif op == "normalize_rows":
-        y = node.value
-        norms = node.cache
-        inner = (g * y).sum(axis=1, keepdims=True)
-        send(ps[0], (g - y * inner) / norms[:, None])
-    elif op == "sum":
-        send(ps[0], np.full(ps[0].shape, g))  # scalar broadcast over the operand
-    elif op == "scale":
-        send(ps[0], g * node.factor)
-    elif op == "select_rows":
-        send(ps[0], g, rows=node.indices)
 
 
 def backward(root: Node) -> dict[str, np.ndarray]:
@@ -366,18 +329,20 @@ def backward(root: Node) -> dict[str, np.ndarray]:
     for node in order:
         node.grad = None
     root.grad = np.ones(())
-
-    def send(parent, g, rows=None):
-        if rows is not None:
-            total = np.zeros(parent.shape) if parent.grad is None else parent.grad.copy()
-            np.add.at(total, rows, g)
-        else:
-            total = g if parent.grad is None else parent.grad + g
-        parent.grad = total
-
     for node in reversed(order):
-        if node.parents:
-            _accumulate(node, send)
+        ps = node.parents
+        if ps:
+            _, saved, grad_of = _OPS[node.op]
+            if saved is None:
+                sent = grad_of(node, node.grad)
+            elif saved == "output":
+                sent = grad_of(node, node.grad, node.value)
+            elif len(ps) == 1:
+                sent = grad_of(node, node.grad, ps[0].value)
+            else:
+                sent = grad_of(node, node.grad, ps[0].value, ps[1].value)
+            for parent, g in zip(ps, sent):
+                parent.grad = g if parent.grad is None else parent.grad + g
         if node.op != "input":
             node.grad = None  # every contribution to it has been sent on
     grads, returned = {}, set()

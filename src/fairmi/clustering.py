@@ -18,12 +18,11 @@ rows.
 from __future__ import annotations
 
 import logging
-import math
 
 import numpy as np
 
 from . import autodiff as ad
-from .data import check_count, check_seed
+from .data import check_centers, check_count, check_seed, check_tau
 
 logger = logging.getLogger(__name__)
 
@@ -37,15 +36,8 @@ class ClusteringError(ValueError):
 
 def _center_directions(centers, tau):
     """Unit rows of a finite 2-d matrix of K >= 2 centers, once tau is checked."""
-    if not 0.0 < tau < np.inf:
-        raise ClusteringError(f"temperature must be a finite number > 0, got {tau}")
-    if not math.isfinite(1.0 / float(tau)):
-        raise ClusteringError(f"temperature tau must be large enough that 1 / tau is finite, got {tau}")
-    if centers.ndim != 2 or centers.shape[0] < 2:
-        raise ClusteringError("need a 2-d center matrix with K >= 2")
-    if not np.all(np.isfinite(centers)):
-        raise ClusteringError("centers must be finite")
-    return ad.unit_rows(centers)[0]
+    check_tau(tau, "temperature tau", ClusteringError)
+    return ad.unit_rows(check_centers(centers, "centers", ClusteringError))[0]
 
 
 def _plus_plus_seed(x_t, k, rng):
@@ -169,7 +161,7 @@ def soft_assign(h: np.ndarray, centers: np.ndarray, tau: float) -> np.ndarray:
     """Temperature softmax over cosine similarities to the (K, d) centers: an (N, K) array."""
     h = np.asarray(h, dtype=np.float64)
     dirs = _center_directions(centers, tau)
-    if h.ndim != 2 or h.shape[1] != centers.shape[1]:
+    if h.ndim != 2 or h.shape[1] != dirs.shape[1]:
         raise ClusteringError("latent width does not match the centers")
     sims = ad.unit_rows(h)[0] @ dirs.T
     probs = ad.softmax(sims * (1.0 / tau))  # the graph path's scale, so both assign bit for bit

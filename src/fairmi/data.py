@@ -342,6 +342,29 @@ def check_seed(seed, name, error):
         raise error(f"{name} must be an integer >= 0 or a non-empty tuple or list of them, got {seed!r}")
 
 
+def check_tau(tau, name, error):
+    """``tau`` as a float once it is a number > 0 whose inverse is finite; else ``error`` names it and the value."""
+    real = isinstance(tau, numbers.Real) and not isinstance(tau, bool)
+    if not (real and 0.0 < tau < math.inf):
+        raise error(f"{name} must be a finite number > 0, got {tau if real else repr(tau)}")
+    if not math.isfinite(1.0 / float(tau)):
+        raise error(f"{name} must be large enough that 1 / tau is finite, got {tau}")
+    return float(tau)
+
+
+def check_centers(centers, name, error):
+    """``centers`` as a float64 array once it is a finite 2-d matrix of k >= 2 rows; else ``error`` names it."""
+    try:
+        c = np.asarray(centers, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise error(f"{name} must be a 2-d numeric matrix, got {centers!r}") from None
+    if c.ndim != 2 or c.shape[0] < 2:
+        raise error(f"{name} must be a 2-d matrix of k >= 2 rows, got shape {c.shape}")
+    if not np.all(np.isfinite(c)):
+        raise error(f"{name} must be finite")
+    return c
+
+
 def check_ranges(record, error, at_least=(), above=()):
     """Reject a field out of its range by name and value, raising ``error``.
 

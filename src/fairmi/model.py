@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .data import check_count, check_seed
+from .data import check_centers, check_count, check_seed, check_tau
 
 CHECKPOINT_MAGIC = b"FCMI"
 CHECKPOINT_VERSION = 2
@@ -54,15 +54,8 @@ class Scoring:
     feature_names: tuple
 
     def __post_init__(self):
-        c = self.centers
-        if c.ndim != 2 or c.shape[0] < 2:
-            raise ModelError(f"scoring needs a 2-d matrix of k >= 2 centers, got shape {c.shape}")
-        if not np.all(np.isfinite(c)):
-            raise ModelError("scoring centers must be finite")
-        if not 0.0 < self.tau < math.inf:
-            raise ModelError(f"scoring tau must be a finite number > 0, got {self.tau}")
-        if not math.isfinite(1.0 / float(self.tau)):
-            raise ModelError(f"scoring tau must be large enough that 1 / tau is finite, got {self.tau}")
+        object.__setattr__(self, "centers", check_centers(self.centers, "scoring centers", ModelError))
+        object.__setattr__(self, "tau", check_tau(self.tau, "scoring tau", ModelError))
         if self.transform is not None:
             mean, std = self.transform
             if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std)) and np.all(std > 0.0)):

@@ -16,15 +16,14 @@ holds ``fit`` to that: labels given, permuted or absent train alike.
 from __future__ import annotations
 
 import logging
-import math
-import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from . import clustering, metrics, model, objectives
-from .data import Dataset, _transformed, check_ranges, check_scalar_fields, minibatches, record_from_dict
+from .data import (Dataset, _transformed, check_count, check_ranges, check_scalar_fields, check_tau, minibatches,
+                   record_from_dict)
 
 logger = logging.getLogger(__name__)
 
@@ -60,20 +59,17 @@ class TrainConfig:
         check_ranges(self, TrainError,
                      at_least=(("seed", 0), ("k", 2), ("max_epochs", 1), ("warmup_epochs", 0),
                                ("batch_size", 1), ("alpha", 0), ("beta_fair", 0), ("f_beta_weight", 0)),
-                     above=(("learning_rate", 0), ("tau", 0)))
-        if not math.isfinite(1.0 / float(self.tau)):
-            raise TrainError(f"tau must be large enough that 1 / tau is finite, got {self.tau}")
+                     above=(("learning_rate", 0),))
+        check_tau(self.tau, "tau", TrainError)
         if self.warmup_epochs > self.max_epochs:
             raise TrainError(f"warmup_epochs ({self.warmup_epochs}) must not exceed "
                              f"max_epochs ({self.max_epochs})")
         widths = self.encoder_widths
-        if not isinstance(widths, (list, tuple)) or any(
-                isinstance(w, bool) or not isinstance(w, numbers.Integral) for w in widths):
-            raise TrainError(f"encoder_widths must be a list of integers, got {widths!r}")
-        widths = tuple(int(w) for w in widths)
-        if not widths or min(widths) < 1:
-            raise TrainError(f"encoder_widths needs >= 1 width, each >= 1, got {list(widths)}")
-        object.__setattr__(self, "encoder_widths", widths)
+        if not isinstance(widths, (list, tuple)) or not widths:
+            raise TrainError(f"encoder_widths must be a non-empty list of integers, got {widths!r}")
+        for i, w in enumerate(widths):
+            check_count(f"width {i} of encoder_widths {list(widths)}", w, 1, TrainError)
+        object.__setattr__(self, "encoder_widths", tuple(map(int, widths)))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrainConfig":

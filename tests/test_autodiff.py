@@ -4,8 +4,6 @@ Every analytic gradient is checked against central finite differences; the
 finite-difference loop is the independent oracle throughout.
 """
 
-import ast
-import inspect
 import logging
 
 import numpy as np
@@ -283,50 +281,7 @@ class TestPrimitiveGradients:
 
 
 
-def _source_ops():
-    """Op names as autodiff's source spells them, read off its AST.
-
-    "_compute" and "_accumulate" hold the ops each compares ``op`` against;
-    "_READS_OPERANDS" and "_READS_OUTPUT" the ops each table lists; "reads
-    operands" and "reads output" the ops whose `_accumulate` branch reads
-    ``ps[i].value`` or ``node.value``.
-    """
-    found = {"reads operands": set(), "reads output": set()}
-    for top in ast.parse(inspect.getsource(ad)).body:
-        if isinstance(top, ast.FunctionDef) and top.name in ("_compute", "_accumulate"):
-            found[top.name] = set()
-            for branch in ast.walk(top):
-                test = getattr(branch, "test", None)
-                if not (isinstance(test, ast.Compare) and isinstance(test.left, ast.Name) and test.left.id == "op"):
-                    continue
-                op = test.comparators[0].value
-                found[top.name].add(op)
-                for read in (n for stmt in branch.body for n in ast.walk(stmt)):
-                    if isinstance(read, ast.Attribute) and read.attr == "value":
-                        owner = read.value
-                        if isinstance(owner, ast.Subscript) and owner.value.id == "ps":
-                            found["reads operands"].add(op)
-                        elif isinstance(owner, ast.Name) and owner.id == "node":
-                            found["reads output"].add(op)
-        elif isinstance(top, ast.Assign) and getattr(top.targets[0], "id", "").startswith("_READS_"):
-            found[top.targets[0].id] = {c.value for c in ast.walk(top.value) if isinstance(c, ast.Constant)}
-    return found
-
-
 class TestOpTables:
-    def test_compute_accumulate_and_the_saved_values_tables_name_the_same_ops(self):
-        """Every op is computed and differentiated, and a table lists an op
-        exactly when its backward reads that value, so a removed op leaves no entry."""
-        ops = _source_ops()
-        assert ops["_compute"] == ops["_accumulate"]
-        assert ops["_READS_OPERANDS"] == ops["reads operands"]
-        assert ops["_READS_OUTPUT"] == ops["reads output"]
-        assert ops["_READS_OPERANDS"] | ops["_READS_OUTPUT"] <= ops["_compute"]
-        assert ops["_READS_OPERANDS"] == set(ad._READS_OPERANDS)
-        assert ops["_READS_OUTPUT"] == set(ad._READS_OUTPUT)
-        assert {"matmul", "multiply", "tanh", "select_rows"} <= ops["_compute"]  # the walk finds ops at all
-        assert "square" not in ops["_compute"]
-
     def test_multiply_of_an_operand_by_itself_is_the_square_bit_for_bit(self):
         """multiply(d, d) gives d*d forward and 2.0 * d * g backward, the old
         square op's results, on random normal-range data: doubling is exact."""
@@ -362,7 +317,7 @@ def _op_case(op, x, v):
 
     The op's operands are ``scale`` outputs and its output reaches the root
     through ``select_rows`` and ``sum``. Backward reads none of those
-    values, so only the saved-values table keeps what the op's own backward
+    values, so only the op's own ``_OPS`` entry keeps what its backward
     reads.
     """
     a, b = ad.scale(x, 0.7), ad.scale(x, -1.3)
@@ -448,8 +403,8 @@ class TestBufferLifetimes:
         assert peak < 2.5 * 256 * 64 * 8, peak
 
     def test_every_op_backpropagates_twice_after_one_forward(self):
-        """Guards the saved-values table: a new op must add a case here."""
-        ops = _source_ops()["_compute"]
+        """Guards each op's saved values: a new op must add a case here."""
+        ops = set(ad._OPS)
         rng = np.random.default_rng(6)
         point = rng.uniform(0.2, 1.5, size=(3, 3))  # log_guarded wants positive operands
         v_val = rng.normal(size=3)
@@ -471,3 +426,11 @@ class TestBufferLifetimes:
 
             assert grad_check(fn, point, 1e-5) < 1e-6, op
         assert seen >= ops
+
+    def test_every_op_an_op_case_builds_has_an_entry_that_names_its_saved_values(self):
+        """Each op node the cases above build is an ``_OPS`` key, and each entry saves
+        the operands, the output or nothing, the three that forward knows to keep."""
+        x, v = ad.input_node("x", (3, 3)), ad.input_node("v", (3,))
+        built = {node.op for op in ad._OPS for node in ad.topo_order(_op_case(op, x, v)) if node.parents}
+        assert built == set(ad._OPS)
+        assert {saved for _, saved, _ in ad._OPS.values()} <= {None, "operands", "output"}

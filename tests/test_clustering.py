@@ -1,6 +1,7 @@
 """k-means, cosine similarity, and temperature softmax assignments."""
 
 import logging
+import re
 import warnings
 
 import numpy as np
@@ -322,8 +323,8 @@ class TestSoftAssign:
             calls[entry]()
 
     @pytest.mark.parametrize("centers,message", [
-        (np.array([1.0, 0.0]), "need a 2-d center matrix with K >= 2"),
-        (np.array([[1.0, 0.0]]), "need a 2-d center matrix with K >= 2"),
+        (np.array([1.0, 0.0]), "centers must be a 2-d matrix of k >= 2 rows, got shape (2,)"),
+        (np.array([[1.0, 0.0]]), "centers must be a 2-d matrix of k >= 2 rows, got shape (1, 2)"),
         (np.array([[1.0, 0.0], [np.nan, 1.0]]), "centers must be finite"),
     ], ids=["1-d", "k=1", "non-finite"])
     @pytest.mark.parametrize("entry", ["soft_assign", "soft_assign_graph"])
@@ -333,7 +334,7 @@ class TestSoftAssign:
             "soft_assign": lambda: clustering.soft_assign(h, centers, tau=0.1),
             "soft_assign_graph": lambda: clustering.soft_assign_graph(ad.input_node("h", h.shape), centers, 0.1),
         }
-        with pytest.raises(clustering.ClusteringError, match=f"^{message}$"):
+        with pytest.raises(clustering.ClusteringError, match=f"^{re.escape(message)}$"):
             calls[entry]()
 
     @pytest.mark.parametrize("tau", [np.nan, np.inf, 0.0, -1.0])
@@ -346,7 +347,33 @@ class TestSoftAssign:
                 ad.input_node("h", h.shape), self.centers2(), tau=tau),
         }
         with pytest.raises(clustering.ClusteringError,
-                           match=rf"temperature must be a finite number > 0, got {tau}$"):
+                           match=rf"^temperature tau must be a finite number > 0, got {tau}$"):
+            calls[entry]()
+
+    @pytest.mark.parametrize("entry", ["soft_assign", "soft_assign_graph"])
+    def test_centers_given_as_a_list_assign_as_the_array_does(self, entry):
+        h = np.array([[2.0, 0.5], [0.1, 3.0]])
+        calls = {
+            "soft_assign": lambda c: clustering.soft_assign(h, c, 0.1),
+            "soft_assign_graph": lambda c: ad.forward(
+                clustering.soft_assign_graph(ad.input_node("h", h.shape), c, 0.1), {"h": h}),
+        }
+        assert calls[entry]([[1, 0], [0, 1]]).tobytes() == calls[entry](self.centers2()).tobytes()
+
+    @pytest.mark.parametrize("tau,centers,message", [
+        ("x", [[1, 0], [0, 1]], "temperature tau must be a finite number > 0, got 'x'"),
+        (True, [[1, 0], [0, 1]], "temperature tau must be a finite number > 0, got True"),
+        (0.1, [["a", 0], [0, 1]], "centers must be a 2-d numeric matrix, got [['a', 0], [0, 1]]"),
+        (0.1, [[1, 0], [0]], "centers must be a 2-d numeric matrix, got [[1, 0], [0]]"),
+    ], ids=["string-tau", "bool-tau", "string-center", "ragged-centers"])
+    @pytest.mark.parametrize("entry", ["soft_assign", "soft_assign_graph"])
+    def test_a_tau_or_centers_that_are_not_numbers_are_named(self, entry, tau, centers, message):
+        h = np.array([[1.0, 0.0], [0.0, 1.0]])
+        calls = {
+            "soft_assign": lambda: clustering.soft_assign(h, centers, tau),
+            "soft_assign_graph": lambda: clustering.soft_assign_graph(ad.input_node("h", h.shape), centers, tau),
+        }
+        with pytest.raises(clustering.ClusteringError, match=f"^{re.escape(message)}$"):
             calls[entry]()
 
 

@@ -399,6 +399,21 @@ class TestCheckpoint:
         with pytest.raises(model.ModelError, match=re.escape(CORRUPTIONS[mangle])):
             model.load_checkpoint(path)
 
+    def test_scoring_takes_centers_as_a_list(self):
+        scoring = model.Scoring([[0, 1], [1, 0]], 0.1, None, ("a", "b"))
+        assert scoring.centers.dtype == np.float64 and scoring.centers.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        assert scoring.k == 2
+
+    @pytest.mark.parametrize("centers,tau,message", [
+        ([[0, 1], [1, 0]], "x", "scoring tau must be a finite number > 0, got 'x'"),
+        ([[0, 1], [1, 0]], None, "scoring tau must be a finite number > 0, got None"),
+        ([[0, 1]], 0.1, "scoring centers must be a 2-d matrix of k >= 2 rows, got shape (1, 2)"),
+        ([["a", 1], [1, 0]], 0.1, "scoring centers must be a 2-d numeric matrix, got [['a', 1], [1, 0]]"),
+    ], ids=["string-tau", "no-tau", "one-center", "string-center"])
+    def test_scoring_names_a_bad_tau_or_bad_centers(self, centers, tau, message):
+        with pytest.raises(model.ModelError, match=f"^{re.escape(message)}$"):
+            model.Scoring(centers, tau, None, ("a", "b"))
+
     def test_scoring_must_fit_the_layers(self):
         p = scored_params((5, 4, 3), groups=2)
         s = p.scoring

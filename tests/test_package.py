@@ -100,6 +100,22 @@ def test_the_guard_epsilon_and_its_import_have_one_home():
     assert late == []
 
 
+def _asks_if_an_inverse_is_finite(node):
+    """Whether ``node`` is an ``isfinite(1 / ...)`` call, the check that 1 / tau does not overflow."""
+    return (isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "isfinite"
+            and any(isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Div)
+                    and isinstance(arg.left, ast.Constant) and arg.left.value == 1 for arg in node.args))
+
+
+def test_the_temperature_overflow_check_has_one_home():
+    """Only one src function asks whether 1 / tau is finite, so every caller refuses a tau alike."""
+    homes = [(path.stem, func.name) for path in SRC_FILES
+             for func in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and any(_asks_if_an_inverse_is_finite(node) for node in ast.walk(func))]
+    assert homes == [("data", "check_tau")]
+
+
 def test_runtime_dependencies_are_exactly_the_imported_third_party_modules():
     """``[project].dependencies`` names each third-party module that src imports, and no other,
     so a runtime import cannot come back unlisted."""

@@ -261,9 +261,9 @@ class TestConfig:
             ({"k": 3, "alpha": "0.1"}, "alpha must be a finite number, got '0.1'"),
             ({"k": 3, "beta_fair": False}, "beta_fair must be a finite number"),
             ({"k": 3, "seed": -1}, "seed must be >= 0, got -1"),
-            ({"k": 3, "encoder_widths": [6.0, 3]}, "encoder_widths must be a list of integers"),
-            ({"k": 3, "encoder_widths": [6, True]}, "encoder_widths must be a list of integers"),
-            ({"k": 3, "encoder_widths": 3}, "encoder_widths must be a list of integers, got 3"),
+            ({"k": 3, "encoder_widths": [6.0, 3]}, "width 0 of encoder_widths [6.0, 3] must be an integer, got 6.0"),
+            ({"k": 3, "encoder_widths": [6, True]}, "width 1 of encoder_widths [6, True] must be an integer, got True"),
+            ({"k": 3, "encoder_widths": 3}, "encoder_widths must be a non-empty list of integers, got 3"),
         ],
     )
     def test_bad_field_types_are_named(self, raw, fragment):
@@ -277,19 +277,19 @@ class TestConfig:
             ({"k": 3, "max_epochs": 10}, "warmup_epochs (20) must not exceed max_epochs (10)"),
             ({"k": 3, "max_epochs": 0}, "max_epochs must be >= 1, got 0"),
             ({"k": 3, "warmup_epochs": -1}, "warmup_epochs must be >= 0, got -1"),
-            ({"k": 3, "tau": 0}, "tau must be > 0, got 0"),
+            ({"k": 3, "tau": 0}, "tau must be a finite number > 0, got 0"),
             ({"k": 3, "learning_rate": -0.5}, "learning_rate must be > 0, got -0.5"),
             ({"k": 3, "alpha": -1}, "alpha must be >= 0, got -1"),
             ({"k": 3, "f_beta_weight": -0.5}, "f_beta_weight must be >= 0, got -0.5"),
             ({"k": 1}, "k must be >= 2, got 1"),
             ({"k": np.int64(1)}, "k must be >= 2, got 1"),
-            ({"k": 3, "tau": np.float64(-1.0)}, "tau must be > 0, got -1.0"),
+            ({"k": 3, "tau": np.float64(-1.0)}, "tau must be a finite number > 0, got -1.0"),
             ({"k": 3, "tau": 1e-310}, "tau must be large enough that 1 / tau is finite, got 1e-310"),
             ({"k": 3, "tau": np.float64(1e-310)}, "tau must be large enough that 1 / tau is finite, got 1e-310"),
-            ({"k": 3, "encoder_widths": [6, 0]}, "encoder_widths needs >= 1 width, each >= 1, got [6, 0]"),
+            ({"k": 3, "encoder_widths": [6, 0]}, "width 1 of encoder_widths [6, 0] must be >= 1, got 0"),
             ({"k": 3, "batch_size": 0}, "batch_size must be >= 1, got 0"),
-            ({"k": 3, "encoder_widths": [np.int64(0)]}, "encoder_widths needs >= 1 width, each >= 1, got [0]"),
-            ({"k": 3, "encoder_widths": []}, "encoder_widths needs >= 1 width, each >= 1, got []"),
+            ({"k": 3, "encoder_widths": [np.int64(0)]}, f"width 0 of encoder_widths {[np.int64(0)]} must be >= 1, got 0"),
+            ({"k": 3, "encoder_widths": []}, "encoder_widths must be a non-empty list of integers, got []"),
         ],
     )
     def test_range_errors_name_the_field_and_value(self, raw, message):
