@@ -78,14 +78,9 @@ class Dataset:
         if len(self.feature_names) != x.shape[1]:
             raise DataError(f"need one name per feature column: {len(self.feature_names)} names "
                             f"for {x.shape[1]} columns")
-        for name, ids in (("groups", g), ("labels", self.labels)):
-            if ids is not None and not np.issubdtype(ids.dtype, np.integer):
-                raise DataError(f"{name} must be an integer id array, got dtype {ids.dtype}")
-            if ids is not None and ids.min() < 0:
-                raise DataError(f"{name} must be non-negative ids")
-        # n dense ids reach at most n - 1; checked first, so no count array is sized by a stray id
-        if g.max() >= g.size or np.any(np.bincount(g) == 0):
-            raise DataError("group ids must be dense (no empty group)")
+        check_dense(check_ids(g, "groups", DataError), "groups", DataError)
+        if self.labels is not None:
+            check_ids(self.labels, "labels", DataError)
 
     def __len__(self):
         return self.features.shape[0]
@@ -328,6 +323,42 @@ def check_count(name, value, least, error):
         raise error(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise error(f"{name} must be >= {least}, got {value}")
+
+
+def check_widths(widths, name, least, error):
+    """``widths`` as a tuple of ints once it is a list or tuple of >= ``least`` integers >= 1; else
+    ``error`` names it, the list shown by plain values, so a numpy integer prints as its value."""
+    listed = isinstance(widths, (list, tuple))
+    shown = f"[{', '.join(map(str, widths))}]" if listed else repr(widths)
+    if not listed or len(widths) < least:
+        raise error(f"{name} must be a list of {least} or more integers, got {shown}")
+    for i, w in enumerate(widths):
+        check_count(f"width {i} of {name} {shown}", w, 1, error)
+    return tuple(map(int, widths))
+
+
+def check_ids(ids, name, error):
+    """``ids`` as int64 once it is a non-empty 1-d array of integer ids >= 0, bools refused; else ``error`` names it."""
+    arr = np.asarray(ids)
+    if arr.ndim != 1 or arr.size == 0:
+        raise error(f"{name} must be a non-empty 1-d id array, got shape {arr.shape}")
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise error(f"{name} must be an integer id array, got dtype {arr.dtype}")
+    if arr.min() < 0:
+        raise error(f"{name} must be non-negative ids, got {arr.min()}")
+    return arr.astype(np.int64, copy=False)
+
+
+def check_dense(ids, name, error, count=None):
+    """Reject, raising ``error``, ids (as ``check_ids`` returns them) unless each id below ``count``, by
+    default the largest + 1, has a member; n rows cannot cover more than n ids, so such a count fails
+    before any count array is sized by it."""
+    count = int(ids.max()) + 1 if count is None else count
+    if count > ids.size:
+        raise error(f"{name}: {ids.size} rows cannot hold ids 0 to {count - 1}, so some have no members")
+    missing = np.flatnonzero(np.bincount(ids, minlength=count) == 0)
+    if missing.size:
+        raise error(f"{name}: ids {missing.tolist()} have no members")
 
 
 def check_seed(seed, name, error):

@@ -21,10 +21,11 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .data import check_dense, check_ids
 from .objectives import _at_least_zero, _entropy, _mutual_information
 
 logger = logging.getLogger(__name__)
@@ -32,17 +33,6 @@ logger = logging.getLogger(__name__)
 
 class MetricError(ValueError):
     pass
-
-
-def _labels(a, name):
-    arr = np.asarray(a)
-    if arr.ndim != 1 or arr.size == 0:
-        raise MetricError(f"{name} must be a non-empty 1-d label array")
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise MetricError(f"{name} must be integer labels")
-    if arr.min() < 0:
-        raise MetricError(f"{name} must be non-negative ids")
-    return arr.astype(np.int64, copy=False)
 
 
 def _counts(table, name):
@@ -69,8 +59,8 @@ def _present_rows(table, name):
 def contingency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Counts of each (a id, b id) pair, indexed by id; when that table would hold more than
     4n + 65,536 cells, by rank among the ids present, which is the same on ids with no gap."""
-    a = _labels(a, "a")
-    b = _labels(b, "b")
+    a = check_ids(a, "a", MetricError)
+    b = check_ids(b, "b", MetricError)
     if a.shape != b.shape:
         raise MetricError("label arrays must have the same length")
     na, nb = int(a.max()) + 1, int(b.max()) + 1
@@ -225,14 +215,9 @@ def full_report(pred, groups, truth=None, beta: float = 1.0) -> MetricsReport:
     `truth` is optional; without it the quality metrics and the combined
     score are None. `beta` is the quality/fairness trade-off weight.
     """
-    pred = _labels(pred, "pred")
-    groups = _labels(groups, "groups")
-    top = int(groups.max())
-    if top >= groups.size:  # n rows hold at most n ids, and a count by id could be huge
-        raise MetricError(f"groups: ids reach {top} in {groups.size} rows, so some have no members")
-    missing = np.flatnonzero(np.bincount(groups) == 0)
-    if missing.size:
-        raise MetricError(f"groups: ids {missing.tolist()} have no members")
+    pred = check_ids(pred, "pred", MetricError)
+    groups = check_ids(groups, "groups", MetricError)
+    check_dense(groups, "groups", MetricError)
     by_group = contingency(pred, groups)
     # balance and mnce skip empty clusters; drop them here so the warning is logged once
     present = _present_rows(by_group, "full_report")
@@ -240,7 +225,7 @@ def full_report(pred, groups, truth=None, beta: float = 1.0) -> MetricsReport:
     fair = mnce(present)
     report_acc = report_nmi = combined = None
     if truth is not None:
-        by_class = contingency(pred, _labels(truth, "truth"))
+        by_class = contingency(pred, check_ids(truth, "truth", MetricError))
         report_acc = accuracy(by_class)
         report_nmi = nmi(by_class)
         combined = f_beta(report_nmi, fair, beta)
@@ -263,21 +248,12 @@ def full_report(pred, groups, truth=None, beta: float = 1.0) -> MetricsReport:
 
 
 def report_to_dict(report: MetricsReport) -> dict:
-    def r6(v):
-        return None if v is None else round(float(v), 6)
+    """The report's fields in declaration order: ints as they are, reals at 6 decimals, None as None."""
+    def value(f):
+        v = getattr(report, f.name)
+        return v if v is None or f.type == "int" else round(float(v), 6)
 
-    return {
-        "acc": r6(report.acc),
-        "nmi": r6(report.nmi),
-        "bal": r6(report.bal),
-        "mnce": r6(report.mnce),
-        "f_beta": r6(report.f_beta),
-        "mi_gc": r6(report.mi_gc),
-        "cmi_xcg": r6(report.cmi_xcg),
-        "n": report.n,
-        "k": report.k,
-        "t": report.t,
-    }
+    return {f.name: value(f) for f in fields(MetricsReport)}
 
 
 def write_report(report: MetricsReport, path):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .data import check_centers, check_count, check_seed, check_tau
+from .data import check_centers, check_count, check_seed, check_tau, check_widths
 
 CHECKPOINT_MAGIC = b"FCMI"
 CHECKPOINT_VERSION = 2
@@ -115,13 +115,9 @@ class ModelParams:
 
 def _check_dims(layer_dims, group_count):
     """The >= 2 widths as a tuple of ints and the group count as an int, once each is checked by name."""
-    dims = tuple(layer_dims)
-    if len(dims) < 2:
-        raise ModelError(f"need an input and a latent width, got layer_dims {list(dims)}")
-    for i, d in enumerate(dims):
-        check_count(f"width {i} of layer_dims {list(dims)}", d, 1, ModelError)
+    dims = check_widths(tuple(layer_dims), "layer_dims", 2, ModelError)
     check_count("group_count", group_count, 1, ModelError)
-    return tuple(map(int, dims)), int(group_count)
+    return dims, int(group_count)
 
 
 def _layout(layer_dims, group_count: int):

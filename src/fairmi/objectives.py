@@ -33,6 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
+from .data import check_dense, check_ids
 
 
 class ObjectiveError(ValueError):
@@ -64,13 +65,12 @@ def _check_assignment(assign):
     return p
 
 
-def _group_counts(groups, n_groups):
-    groups = np.asarray(groups)
-    if groups.ndim != 1:
-        raise ObjectiveError("groups must be a 1-d id array")
-    if groups.size and (groups.min() < 0 or groups.max() >= n_groups):
+def _check_groups(groups, n_groups):
+    """``groups`` as int64 ids once each is an integer id below ``n_groups``."""
+    groups = check_ids(groups, "groups", ObjectiveError)
+    if groups.max() >= n_groups:
         raise ObjectiveError(f"group ids must lie in [0, {n_groups})")
-    return np.bincount(groups, minlength=n_groups)
+    return groups
 
 
 def _group_onehot(groups, n_groups):
@@ -100,10 +100,8 @@ def group_cluster_mi(assign: np.ndarray, groups, n_groups: int) -> float:
     builder below, which lets a batch-empty group contribute zero instead.
     """
     p = _check_assignment(assign)
-    counts = _group_counts(groups, n_groups)
-    if np.any(counts == 0):
-        raise ObjectiveError("every group needs at least one member")
-    groups = np.asarray(groups)
+    groups = _check_groups(groups, n_groups)
+    check_dense(groups, "groups", ObjectiveError, n_groups)
     if groups.shape != (p.shape[0],):
         raise ObjectiveError("need one group id per assignment row")
     return _mutual_information(_group_onehot(groups, n_groups) @ p / p.shape[0])
@@ -153,11 +151,10 @@ def group_cluster_mi_graph(c_node: ad.Node, groups, n_groups: int) -> ad.Node:
     and contributes exactly zero. Gradients flow through the assignments
     only; groups are constants.
     """
-    groups = np.asarray(groups)
+    groups = _check_groups(groups, n_groups)
     n = groups.shape[0]
-    counts = _group_counts(groups, n_groups)
     onehot = _group_onehot(groups, n_groups)
-    p_g = counts / n
+    p_g = np.bincount(groups, minlength=n_groups) / n
     neg_h_g = float(_xlogx(p_g).sum())
 
     p_gc = ad.scale(ad.matmul(ad.constant(onehot), c_node), 1.0 / n)

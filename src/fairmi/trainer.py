@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import clustering, metrics, model, objectives
-from .data import (Dataset, _transformed, check_count, check_ranges, check_scalar_fields, check_tau, minibatches,
+from .data import (Dataset, _transformed, check_ranges, check_scalar_fields, check_tau, check_widths, minibatches,
                    record_from_dict)
 
 logger = logging.getLogger(__name__)
@@ -64,12 +64,7 @@ class TrainConfig:
         if self.warmup_epochs > self.max_epochs:
             raise TrainError(f"warmup_epochs ({self.warmup_epochs}) must not exceed "
                              f"max_epochs ({self.max_epochs})")
-        widths = self.encoder_widths
-        if not isinstance(widths, (list, tuple)) or not widths:
-            raise TrainError(f"encoder_widths must be a non-empty list of integers, got {widths!r}")
-        for i, w in enumerate(widths):
-            check_count(f"width {i} of encoder_widths {list(widths)}", w, 1, TrainError)
-        object.__setattr__(self, "encoder_widths", tuple(map(int, widths)))
+        object.__setattr__(self, "encoder_widths", check_widths(self.encoder_widths, "encoder_widths", 1, TrainError))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrainConfig":

@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from fairmi import clustering, data, metrics, model
+from fairmi import clustering, data, metrics, model, objectives
 
 
 def tiny_dataset(with_labels=True):
@@ -27,11 +27,17 @@ class TestDataset:
         with pytest.raises(data.DataError):
             data.Dataset(features=bad, groups=np.array([0, 1]))
 
-    def test_rejects_sparse_group_ids(self):
-        """A gap fails with its message; so does a huge id, before any count array is sized by it."""
-        for groups in ([0, 2], [0, 0, 2], [0, 10**15]):
-            with pytest.raises(data.DataError, match=r"group ids must be dense \(no empty group\)"):
-                data.Dataset(features=np.ones((len(groups), 2)), groups=np.array(groups))
+    @pytest.mark.parametrize("groups,message", [
+        ([0, 2], "groups: 2 rows cannot hold ids 0 to 2, so some have no members"),
+        ([0, 0, 2], "groups: ids [1] have no members"),
+        ([0, 10**15], f"groups: 2 rows cannot hold ids 0 to {10**15}, so some have no members"),
+    ])
+    def test_rejects_sparse_group_ids(self, groups, message):
+        """A gap names the ids with no members; an id past the row count fails before any count
+        array is sized by it."""
+        with pytest.raises(data.DataError) as err:
+            data.Dataset(features=np.ones((len(groups), 2)), groups=np.array(groups))
+        assert str(err.value) == message
 
     def test_rejects_length_mismatches(self):
         with pytest.raises(data.DataError):
@@ -55,6 +61,17 @@ class TestDataset:
     def test_rejects_bad_id_arrays_by_field(self, groups, labels, fragment):
         with pytest.raises(data.DataError, match=fragment):
             data.Dataset(features=np.ones((2, 2)), groups=groups, labels=labels)
+
+    def test_a_group_with_no_members_reads_alike_everywhere(self):
+        """Dataset, full_report and group_cluster_mi share one coverage rule and its message."""
+        groups = np.array([0, 0, 2, 2])
+        calls = [(data.DataError, lambda: data.Dataset(features=np.ones((4, 2)), groups=groups)),
+                 (metrics.MetricError, lambda: metrics.full_report(np.array([0, 1, 0, 1]), groups)),
+                 (objectives.ObjectiveError, lambda: objectives.group_cluster_mi(np.full((4, 2), 0.5), groups, 3))]
+        for error, call in calls:
+            with pytest.raises(error) as err:
+                call()
+            assert str(err.value) == "groups: ids [1] have no members"
 
     def test_shape_properties(self):
         ds = tiny_dataset()

@@ -108,7 +108,8 @@ class TestInit:
         ((3, 2.7), True, "width 1 of layer_dims [3, 2.7] must be an integer, got 2.7"),
         ((True, 2), 1, "width 0 of layer_dims [True, 2] must be an integer, got True"),
         ((3, 0, 2), 1, "width 1 of layer_dims [3, 0, 2] must be >= 1, got 0"),
-        ((5,), 1, "need an input and a latent width, got layer_dims [5]"),
+        ((5,), 1, "layer_dims must be a list of 2 or more integers, got [5]"),
+        ([np.int64(3), np.int64(0)], 2, "width 1 of layer_dims [3, 0] must be >= 1, got 0"),
         ((3, 2), True, "group_count must be an integer, got True"),
         ((3, 2), 1.5, "group_count must be an integer, got 1.5"),
         ((3, 2), 0, "group_count must be >= 1, got 0"),

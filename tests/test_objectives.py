@@ -1,5 +1,7 @@
 """Loss graph builders and information estimators against numpy and counting oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -208,6 +210,22 @@ class TestGroupClusterMI:
         assign = random_assignment(rng, 4, 2)
         with pytest.raises(obj.ObjectiveError):
             obj.group_cluster_mi(assign, np.array([0, 0, 0, 0]), 2)
+
+    @pytest.mark.parametrize("groups", [[0.0, 1.0, 0.0, 1.0], ["a", "b", "a", "b"], [True, False, True, False]],
+                             ids=["float", "str", "bool"])
+    @pytest.mark.parametrize("entry", ["group_cluster_mi", "group_cluster_mi_graph"])
+    def test_non_integer_groups_are_refused_by_name(self, entry, groups):
+        assign = np.full((4, 2), 0.5)
+        calls = {"group_cluster_mi": lambda: obj.group_cluster_mi(assign, groups, 2),
+                 "group_cluster_mi_graph": lambda: obj.group_cluster_mi_graph(ad.constant(assign), groups, 2)}
+        with pytest.raises(obj.ObjectiveError, match="^groups must be an integer id array, got dtype "):
+            calls[entry]()
+
+    def test_the_clamp_turns_negative_zero_positive(self):
+        """``max(-0.0, 0.0)`` is -0.0; the clamp gives +0.0 for it, and for a negative rounding residue."""
+        assert math.copysign(1.0, obj._at_least_zero(-0.0)) == 1.0
+        assert math.copysign(1.0, obj._at_least_zero(-1e-17)) == 1.0
+        assert obj._at_least_zero(0.25) == 0.25
 
     def test_non_negative(self):
         rng = np.random.default_rng(9)

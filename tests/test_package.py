@@ -102,18 +102,50 @@ def test_the_guard_epsilon_and_its_import_have_one_home():
 
 def _asks_if_an_inverse_is_finite(node):
     """Whether ``node`` is an ``isfinite(1 / ...)`` call, the check that 1 / tau does not overflow."""
-    return (isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "isfinite"
+    return (_calls(node, "isfinite")
             and any(isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Div)
                     and isinstance(arg.left, ast.Constant) and arg.left.value == 1 for arg in node.args))
 
 
 def test_the_temperature_overflow_check_has_one_home():
     """Only one src function asks whether 1 / tau is finite, so every caller refuses a tau alike."""
-    homes = [(path.stem, func.name) for path in SRC_FILES
-             for func in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-             and any(_asks_if_an_inverse_is_finite(node) for node in ast.walk(func))]
-    assert homes == [("data", "check_tau")]
+    assert _homes(_asks_if_an_inverse_is_finite) == [("data", "check_tau")]
+
+
+def _homes(has_rule):
+    """(module, function) of each src function with a node for which ``has_rule`` holds."""
+    return [(path.stem, func.name) for path in SRC_FILES
+            for func in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(has_rule(node) for node in ast.walk(func))]
+
+
+def _calls(node, name):
+    return isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == name
+
+
+def test_the_integer_id_check_has_one_home():
+    """Only ``data.check_ids`` asks whether an id array's dtype is an integer one, so a float, str
+    or bool id array fails alike everywhere; ``metrics._counts`` asks it of a count table."""
+    def asks_if_integer(node):
+        return _calls(node, "issubdtype") and getattr(node.args[-1], "attr", None) == "integer"
+
+    assert _homes(asks_if_integer) == [("data", "check_ids"), ("metrics", "_counts")]
+
+
+def test_the_per_width_check_has_one_home():
+    """Only ``data.check_widths`` loops ``check_count`` over a list of widths."""
+    def loops_check_count(node):
+        return isinstance(node, ast.For) and any(_calls(sub, "check_count") for sub in ast.walk(node))
+
+    assert _homes(loops_check_count) == [("data", "check_widths")]
+
+
+def test_readme_lists_the_report_keys_in_field_order():
+    """README's report-key sentence names ``MetricsReport``'s fields in order, the keys
+    ``report_to_dict`` writes."""
+    sentence = re.search(r"Report JSON keys, in order: (.*?), with ", README.read_text(), flags=re.S).group(1)
+    assert re.findall(r"`(\w+)`", sentence) == [f.name for f in fields(fairmi.MetricsReport)]
 
 
 def test_runtime_dependencies_are_exactly_the_imported_third_party_modules():

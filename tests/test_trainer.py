@@ -263,7 +263,7 @@ class TestConfig:
             ({"k": 3, "seed": -1}, "seed must be >= 0, got -1"),
             ({"k": 3, "encoder_widths": [6.0, 3]}, "width 0 of encoder_widths [6.0, 3] must be an integer, got 6.0"),
             ({"k": 3, "encoder_widths": [6, True]}, "width 1 of encoder_widths [6, True] must be an integer, got True"),
-            ({"k": 3, "encoder_widths": 3}, "encoder_widths must be a non-empty list of integers, got 3"),
+            ({"k": 3, "encoder_widths": 3}, "encoder_widths must be a list of 1 or more integers, got 3"),
         ],
     )
     def test_bad_field_types_are_named(self, raw, fragment):
@@ -288,8 +288,8 @@ class TestConfig:
             ({"k": 3, "tau": np.float64(1e-310)}, "tau must be large enough that 1 / tau is finite, got 1e-310"),
             ({"k": 3, "encoder_widths": [6, 0]}, "width 1 of encoder_widths [6, 0] must be >= 1, got 0"),
             ({"k": 3, "batch_size": 0}, "batch_size must be >= 1, got 0"),
-            ({"k": 3, "encoder_widths": [np.int64(0)]}, f"width 0 of encoder_widths {[np.int64(0)]} must be >= 1, got 0"),
-            ({"k": 3, "encoder_widths": []}, "encoder_widths must be a non-empty list of integers, got []"),
+            ({"k": 3, "encoder_widths": [np.int64(0)]}, "width 0 of encoder_widths [0] must be >= 1, got 0"),
+            ({"k": 3, "encoder_widths": []}, "encoder_widths must be a list of 1 or more integers, got []"),
         ],
     )
     def test_range_errors_name_the_field_and_value(self, raw, message):
