@@ -18,9 +18,9 @@ All arrays are float64. Gradients are accumulated in a fixed reverse
 topological order, so repeated runs are bitwise reproducible. Gradients are
 values: a node's first contribution becomes its gradient, and each later one
 makes a new array, ``grad + g``, so no gradient is ever written in place and
-one array may serve several nodes. A ``select_rows`` scatter writes into a
-fresh zero array, or into a copy of the gradient the node already has. The
-arrays :func:`backward` returns are never shared.
+one array may serve several nodes; a ``select_rows`` scatter is such a
+contribution, built in a fresh zero array. The arrays :func:`backward`
+returns are never shared.
 
 Buffers live only as long as they are needed, so a training step holds its
 saved activations and a gradient frontier rather than every array of its
@@ -81,8 +81,9 @@ class Node:
     backward, only input nodes hold a ``grad``: they hold the gradients that
     backward returns. A ``grad`` is a value too: it may be the very array
     another node received, and backward replaces it rather than adding into
-    it. Nodes are plain records; all numeric state lives in numpy arrays. Do
-    not mutate a node's value or grad in place.
+    it; no op's backward reads or writes a ``grad``. Nodes are plain
+    records; all numeric state lives in numpy arrays. Do not mutate a node's
+    value or grad in place.
     """
 
     __slots__ = ("op", "parents", "name", "shape", "factor", "indices", "value", "grad", "cache")
@@ -227,11 +228,9 @@ def _tanh_backward(node, g, y):
 
 
 def _select_rows_backward(node, g):
-    """Scatter ``g`` into a fresh zero array, or a copy of the operand's gradient, which it replaces."""
-    (a,) = node.parents
-    total = np.zeros(a.shape) if a.grad is None else a.grad.copy()
+    """Scatter ``g`` into a fresh zero array of the operand's shape; a row selected twice gets both."""
+    total = np.zeros(node.parents[0].shape)
     np.add.at(total, node.indices, g)
-    a.grad = None
     return (total,)
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+from array import array
 from dataclasses import MISSING, dataclass, fields
 from itertools import chain, islice
 from operator import itemgetter
@@ -139,17 +140,18 @@ def read_csv(path, columns, features: bool = False):
     and a float64 array of their cells read by ``float()``, else two Nones.
 
     Blank lines and a byte-order mark are skipped. Rows are read
-    ``CHUNK_ROWS`` at a time, so memory holds one chunk besides the output
-    arrays. A column named in ``columns`` for two roles fails before the
-    file is opened. Header faults come next: an empty file, repeated column
-    names, a header with no data rows, no feature columns (with
-    ``features``), a missing column. Then each chunk is checked in turn for
-    a cell count that differs from the header's, a blank or whitespace-only
-    label cell (column by column), a non-numeric feature cell and a
-    non-finite one (row-major); the first fault of the first chunk with one
-    is reported. Messages name a row by the file line it starts on, blank
-    lines included, so the header on line 1 is followed by row 2 in a file
-    without blank lines.
+    ``CHUNK_ROWS`` at a time and each id column grows in one buffer, so
+    memory holds one chunk besides the output arrays, and the features'
+    per-chunk blocks until they are joined at the end. A column named in
+    ``columns`` for two roles fails before the file is opened. Header
+    faults come next: an empty file, repeated column names, a header with no
+    data rows, no feature columns (with ``features``), a missing column.
+    Then each chunk is checked in turn for a cell count that differs from
+    the header's, a blank or whitespace-only label cell (column by column),
+    a non-numeric feature cell and a non-finite one (row-major); the first
+    fault of the first chunk with one is reported. Messages name a row by
+    the file line it starts on, blank lines included, so the header on line
+    1 is followed by row 2 in a file without blank lines.
     """
     roles = {}
     for name, role in columns:
@@ -175,8 +177,8 @@ def read_csv(path, columns, features: bool = False):
         for name, _ in columns:
             if name not in header:
                 raise DataError(f"{path}: no column named {name!r}")
-        # per column: index, name, role, value -> id dict, id blocks
-        cols = [(header.index(name), name, role, {}, []) for name, role in columns]
+        # per column: index, name, role, value -> id dict, the column's ids so far
+        cols = [(header.index(name), name, role, {}, array("q")) for name, role in columns]
         feature_blocks = []
         start = 0  # data row index of the chunk's first row
         while chunk:
@@ -185,9 +187,9 @@ def read_csv(path, columns, features: bool = False):
                 raise DataError(
                     f"{path}: row {_file_line(path, start + r)} has {len(row)} cells, header has {len(header)}"
                 )
-            for i, name, role, ids, blocks in cols:
+            for i, name, role, ids, column in cols:
                 seen = len(ids)
-                blocks.append(np.array([ids.setdefault(row[i], len(ids)) for row in chunk], np.int64))
+                column.fromlist([ids.setdefault(row[i], len(ids)) for row in chunk])
                 # a blank value is new in the chunk where it first appears
                 if any(not value.strip() for value in islice(reversed(ids), len(ids) - seen)):
                     r = next(r for r, row in enumerate(chunk) if not row[i].strip())
@@ -199,7 +201,7 @@ def read_csv(path, columns, features: bool = False):
             start += len(chunk)
             del chunk  # so that only one chunk's rows are alive at a time
             chunk = list(islice(records, CHUNK_ROWS))
-    labels = [(np.concatenate(blocks), tuple(ids)) for _, _, _, ids, blocks in cols]
+    labels = [(np.frombuffer(column, np.int64), tuple(ids)) for _, _, _, ids, column in cols]
     if f_idx is None:
         return labels, None, None
     return labels, tuple(header[i] for i in f_idx), np.concatenate(feature_blocks)
@@ -301,6 +303,11 @@ def record_from_dict(cls, raw: dict, error, what: str):
     return cls(**raw)
 
 
+def _shown(value):
+    """``value`` as a message shows it: a real number plainly, numpy scalars included, else by its repr."""
+    return value if isinstance(value, numbers.Real) else repr(value)
+
+
 def check_scalar_fields(record, error):
     """Reject a dataclass's bad ``int`` and ``float`` fields by name, raising ``error``.
 
@@ -311,16 +318,16 @@ def check_scalar_fields(record, error):
         value = getattr(record, f.name)
         is_bool = isinstance(value, bool)
         if f.type in ("int", int) and (is_bool or not isinstance(value, numbers.Integral)):
-            raise error(f"{f.name} must be an integer, got {value!r}")
+            raise error(f"{f.name} must be an integer, got {_shown(value)}")
         if f.type in ("float", float) and (is_bool or not isinstance(value, numbers.Real)
                                            or not math.isfinite(value)):
-            raise error(f"{f.name} must be a finite number, got {value!r}")
+            raise error(f"{f.name} must be a finite number, got {_shown(value)}")
 
 
 def check_count(name, value, least, error):
     """Reject, raising ``error``, a count that is not an integer >= ``least``, naming it and the value."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise error(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {_shown(value)}")
     if value < least:
         raise error(f"{name} must be >= {least}, got {value}")
 
@@ -377,7 +384,7 @@ def check_tau(tau, name, error):
     """``tau`` as a float once it is a number > 0 whose inverse is finite; else ``error`` names it and the value."""
     real = isinstance(tau, numbers.Real) and not isinstance(tau, bool)
     if not (real and 0.0 < tau < math.inf):
-        raise error(f"{name} must be a finite number > 0, got {tau if real else repr(tau)}")
+        raise error(f"{name} must be a finite number > 0, got {_shown(tau)}")
     if not math.isfinite(1.0 / float(tau)):
         raise error(f"{name} must be large enough that 1 / tau is finite, got {tau}")
     return float(tau)

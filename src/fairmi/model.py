@@ -259,71 +259,63 @@ def save_checkpoint(params: ModelParams, path):
         fh.writelines(_scoring_bytes(params.scoring))
 
 
+class _Cursor:
+    """A checkpoint's bytes read front to back; a read past the end names the part it needed."""
+
+    def __init__(self, blob):
+        self.blob, self.at = blob, 0
+
+    def need(self, size, part):
+        if len(self.blob) - self.at < size:
+            raise ModelError(f"checkpoint ends in its {part}: it holds {len(self.blob)} bytes "
+                             f"where {self.at + size} are needed")
+
+    def unpack(self, fmt, part):
+        size = struct.calcsize(fmt)
+        self.need(size, part)
+        self.at += size
+        return struct.unpack_from(fmt, self.blob, self.at - size)
+
+    def floats(self, count, part):
+        (raw,) = self.unpack(f"{8 * count}s", part)
+        return np.frombuffer(raw, "<f8").astype(np.float64)
+
+
 def load_checkpoint(path) -> ModelParams:
     """Read a version 2 checkpoint: the weights and the scoring that `fit` gave them."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    head = struct.calcsize("<4sII")
-    if len(blob) < head:
-        raise ModelError("checkpoint truncated before header")
-    magic, version, ndims = struct.unpack_from("<4sII", blob, 0)
+        cur = _Cursor(fh.read())
+    magic, version, ndims = cur.unpack("<4sII", "head")
     if magic != CHECKPOINT_MAGIC:
         raise ModelError(f"bad checkpoint magic {magic!r}")
     if version != CHECKPOINT_VERSION:
         raise ModelError(f"unsupported checkpoint version {version}")
-    off = head
-    if len(blob) < off + 4 * (ndims + 1):
-        raise ModelError("checkpoint truncated in dim list")
-    dims = list(struct.unpack_from(f"<{ndims}I", blob, off))
-    off += 4 * ndims
-    (group_count,) = struct.unpack_from("<I", blob, off)
-    off += 4
-
-    # size the file before walking the layout, whose cost grows with the group count
+    *dims, group_count = cur.unpack(f"<{ndims}II", "dim list")
+    # size the weights before walking the layout, whose cost grows with the group count
     dims, group_count = _check_dims(dims, group_count)
     encoder = sum(math.prod(shape) for _, shape in _layout(dims, 0))
     branch = sum(math.prod(shape) for _, shape in _layout(dims, 1)) - encoder
-    expected = off + 8 * (encoder + group_count * branch)
-    if len(blob) < expected:
-        raise ModelError(f"checkpoint holds {len(blob)} bytes where its header implies {expected}")
-    arrays = {}
-    for name, shape in _layout(dims, group_count):
-        count = math.prod(shape)
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
-        arrays[name] = arr.reshape(shape).astype(np.float64)
-        off += 8 * count
-    return ModelParams(dims, group_count, arrays, _read_scoring(blob, off, dims))
+    cur.need(8 * (encoder + group_count * branch), "weights")
+    arrays = {name: cur.floats(math.prod(shape), "weights").reshape(shape)
+              for name, shape in _layout(dims, group_count)}
+    return ModelParams(dims, group_count, arrays, _read_scoring(cur, dims))
 
 
-def _read_scoring(blob, off, dims):
-    """The scoring block that starts at ``off``, sized against the file before any of it is read."""
-    fixed = struct.calcsize(_SCORING_HEAD)
-    if len(blob) < off + fixed:
-        raise ModelError("checkpoint truncated in its scoring block")
-    k, tau, has_transform, n_names = struct.unpack_from(_SCORING_HEAD, blob, off)
+def _read_scoring(cur, dims):
+    """The scoring block, which must run from the cursor to the end of the file."""
+    k, tau, has_transform, n_names = cur.unpack(_SCORING_HEAD, "scoring head")
     width = dims[0]
     if has_transform > 1 or n_names != width:
         raise ModelError(f"scoring block flags a transform as {has_transform} and holds {n_names} "
                          f"feature names, where 0 or 1 and {width} are allowed")
-    off += fixed
-    centers = k * dims[-1]
-    lengths_at = off + 8 * (centers + 2 * width * has_transform)
-    names_at = lengths_at + 4 * width
-    if len(blob) < names_at:
-        raise ModelError(f"checkpoint holds {len(blob)} bytes where its scoring block implies "
-                         f"at least {names_at}")
-    lengths = struct.unpack_from(f"<{width}I", blob, lengths_at)
-    expected = names_at + sum(lengths)
-    if len(blob) != expected:
-        raise ModelError(f"checkpoint holds {len(blob)} bytes where its scoring block implies {expected}")
-    values = np.frombuffer(blob, dtype="<f8", count=centers + 2 * width * has_transform, offset=off)
-    values = values.astype(np.float64)
-    transform = (values[centers:centers + width], values[centers + width:]) if has_transform else None
-    names, off = [], names_at
+    centers = cur.floats(k * dims[-1], "centers").reshape(k, dims[-1])
+    transform = (cur.floats(width, "transform"), cur.floats(width, "transform")) if has_transform else None
+    lengths = cur.unpack(f"<{width}I", "name lengths")
+    raw = cur.unpack("".join(f"{length}s" for length in lengths), "feature names")
+    if cur.at != len(cur.blob):
+        raise ModelError(f"checkpoint holds {len(cur.blob)} bytes where its scoring block implies {cur.at}")
     try:
-        for length in lengths:
-            names.append(blob[off:off + length].decode("utf-8"))
-            off += length
-    except UnicodeDecodeError as e:
-        raise ModelError(f"checkpoint feature name {len(names)} is not UTF-8: {e}") from e
-    return Scoring(values[:centers].reshape(k, dims[-1]), tau, transform, tuple(names))
+        names = tuple(name.decode("utf-8") for name in raw)
+    except UnicodeDecodeError as e:  # e.object is the first name that failed
+        raise ModelError(f"checkpoint feature name {raw.index(e.object)} is not UTF-8: {e}") from e
+    return Scoring(centers, tau, transform, names)

@@ -386,7 +386,7 @@ class TestEvalScoring:
             message = "unsupported checkpoint version 1"
         else:  # the weights and a zero center count, as a record without scoring was once saved
             checkpoint.write_bytes(weights_blob(params) + struct.pack("<I", 0))
-            message = "checkpoint truncated in its scoring block"
+            message = "checkpoint ends in its scoring head: "
         config = write_json(tmp_path / "config.json", CONFIG)
         report = tmp_path / "r.json"
         with caplog.at_level(logging.WARNING):

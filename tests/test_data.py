@@ -8,7 +8,8 @@ import random
 import numpy as np
 import pytest
 
-from fairmi import clustering, data, metrics, model, objectives
+from fairmi import clustering, data, metrics, model, objectives, trainer
+from helpers import traced_peak
 
 
 def tiny_dataset(with_labels=True):
@@ -373,6 +374,16 @@ class TestChunkedReader:
             gc.callbacks.pop()
         assert collections == []
 
+    def test_a_read_holds_each_id_column_once(self, tmp_path):
+        """Each id column grows in one buffer, so a read's traced peak is little more than the ids it returns."""
+        path = tmp_path / "labels.csv"
+        path.write_text("a,b,c\n" + "".join(f"c{i % 7},g{i % 3},l{i % 5}\n" for i in range(100_000)))
+        result = []
+        peak = traced_peak(lambda: result.append(data.read_csv(path, [("a", "pred"), ("b", "group"), ("c", "label")])))
+        returned = sum(ids.nbytes for ids, _ in result[0][0])
+        assert returned == 3 * 8 * 100_000
+        assert peak <= 1.25 * returned, f"traced peak {peak} bytes for {returned} bytes of ids"
+
 
 class TestSynthetic:
     def spec(self, **kw):
@@ -518,3 +529,29 @@ class TestSeedRule:
         for seed, same in ((np.int64(3), 3), ([1, np.uint8(2)], (1, 2))):
             for a, b in zip(_flat(call(seed)), _flat(call(same)), strict=True):
                 assert a.tobytes() == b.tobytes()
+
+
+# each call that checks a count, with one value: its error, the name its message gives, and the least count
+COUNTED = {
+    "TrainConfig-k": (lambda v: trainer.TrainConfig(k=v), trainer.TrainError, "k", 2),
+    "TrainConfig-width": (lambda v: trainer.TrainConfig(k=3, encoder_widths=[v]), trainer.TrainError,
+                          "width 0 of encoder_widths [{}]", 1),
+    "SyntheticSpec-classes": (lambda v: data.SyntheticSpec(classes=v, groups=2, per_cell_count=5, class_sep=1.0,
+                                                           group_shift=1.0, dim=4, noise_sd=1.0, seed=0),
+                              data.DataError, "classes", 1),
+    "kmeans-k": (lambda v: clustering.kmeans(np.arange(18.0).reshape(9, 2), v, seed=0),
+                 clustering.ClusteringError, "k", 2),
+}
+
+
+@pytest.mark.parametrize("name", COUNTED)
+@pytest.mark.parametrize("value,problem", [
+    (np.float64(2.5), "must be an integer, got 2.5"),
+    (np.int64(-1), "must be >= {least}, got -1"),
+    ("2", "must be an integer, got '2'"),
+], ids=["float64", "int64", "str"])
+def test_a_bad_count_prints_a_number_as_its_value(name, value, problem):
+    call, error, field, least = COUNTED[name]
+    with pytest.raises(error) as err:
+        call(value)
+    assert str(err.value) == f"{field.format(value)} {problem.format(least=least)}"

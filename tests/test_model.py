@@ -21,12 +21,16 @@ CORRUPTIONS = {
     "magic": "magic",
     "version": "version 99",
     "version-1": "unsupported checkpoint version 1",
-    "truncate": "header implies",
+    "short-head": "checkpoint ends in its head: it holds 7 bytes where 12 are needed",
+    "dim-list": "checkpoint ends in its dim list: it holds 18 bytes where 28 are needed",
+    "truncate": "checkpoint ends in its weights: it holds 987 bytes where 996 are needed",
     "trailing": "scoring block implies",
-    "no-scoring": "truncated in its scoring block",
-    "block-truncate": "scoring block implies",
-    "block-truncate-head": "truncated in its scoring block",
-    "block-k-mismatch": "scoring block implies",
+    "no-scoring": "checkpoint ends in its scoring head: it holds 1000 bytes where 1016 are needed",
+    "block-truncate": "checkpoint ends in its feature names: it holds 1173 bytes where 1176 are needed",
+    "block-one-byte-short": "checkpoint ends in its feature names: it holds 1175 bytes where 1176 are needed",
+    "block-truncate-head": "checkpoint ends in its scoring head: it holds 1002 bytes where 1016 are needed",
+    "block-name-lengths": "checkpoint ends in its name lengths: it holds 1150 bytes where 1164 are needed",
+    "block-k-mismatch": "checkpoint ends in its name lengths: it holds 1176 bytes where 1188 are needed",
     "block-k-one": "k >= 2",
     "block-k-zero": "k >= 2",
     "block-no-names": "holds 0 feature names",
@@ -359,6 +363,10 @@ class TestCheckpoint:
             put(4, "<I", 99)
         elif mangle == "version-1":  # the weights alone, as version 1 stored them
             blob = weights_blob(p, version=1)
+        elif mangle == "short-head":
+            blob = blob[:7]
+        elif mangle == "dim-list":  # inside the three widths and the group count
+            blob = blob[:18]
         elif mangle == "truncate":
             blob = blob[:block - 9]
         elif mangle == "trailing":
@@ -367,8 +375,12 @@ class TestCheckpoint:
             blob = weights_blob(p) + struct.pack("<I", 0)
         elif mangle == "block-truncate":
             blob = blob[:-3]
+        elif mangle == "block-one-byte-short":
+            blob = blob[:-1]
         elif mangle == "block-truncate-head":
             blob = blob[:block + 6]
+        elif mangle == "block-name-lengths":  # 6 bytes into the name lengths, after the stds
+            blob = blob[:std + 8 * p.layer_dims[0] + 6]
         elif mangle == "block-k-mismatch":
             put(block, "<I", 3)
         elif mangle == "block-k-one":
@@ -441,7 +453,8 @@ class TestCheckpoint:
         """84 bytes claiming 2**32 - 1 groups fail before any per-group work."""
         path = tmp_path / "model.bin"
         path.write_bytes(struct.pack("<4sII2II", b"FCMI", 2, 2, 2, 1, 2**32 - 1) + bytes(60))
-        with pytest.raises(model.ModelError, match="header implies"):
+        message = f"checkpoint ends in its weights: it holds 84 bytes where {24 + 8 * (3 + 4 * (2**32 - 1))} are needed"
+        with pytest.raises(model.ModelError, match=f"^{re.escape(message)}$"):
             model.load_checkpoint(path)
 
     def test_rejects_zero_width_layer(self, tmp_path):

@@ -20,3 +20,12 @@ def test_fairness_sweep_runs(geometry, betas, epochs, capsys):
     assert "mnce" in out
     # the delta line is printed only when exactly two weights are given
     assert ("mean mnce delta" in out) == ("," in betas)
+
+
+def test_every_mutant_snippet_occurs_once_in_its_file():
+    """The mutation table still matches the code; the mutants themselves run in scripts/mutants.py only."""
+    mutants = runpy.run_path(str(SCRIPTS / "mutants.py"))["MUTANTS"]
+    root = SCRIPTS.parent
+    for name, (file, snippet, replacement, tests) in mutants.items():
+        assert (root / file).read_text(encoding="utf-8").count(snippet) == 1, name
+        assert replacement != snippet and tests and all((root / t).is_file() for t in tests), name

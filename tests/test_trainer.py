@@ -284,6 +284,7 @@ class TestConfig:
             ({"k": 1}, "k must be >= 2, got 1"),
             ({"k": np.int64(1)}, "k must be >= 2, got 1"),
             ({"k": 3, "tau": np.float64(-1.0)}, "tau must be a finite number > 0, got -1.0"),
+            ({"k": 3, "alpha": np.float64("nan")}, "alpha must be a finite number, got nan"),
             ({"k": 3, "tau": 1e-310}, "tau must be large enough that 1 / tau is finite, got 1e-310"),
             ({"k": 3, "tau": np.float64(1e-310)}, "tau must be large enough that 1 / tau is finite, got 1e-310"),
             ({"k": 3, "encoder_widths": [6, 0]}, "width 1 of encoder_widths [6, 0] must be >= 1, got 0"),
