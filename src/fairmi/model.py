@@ -277,8 +277,8 @@ class _Cursor:
         return struct.unpack_from(fmt, self.blob, self.at - size)
 
     def floats(self, count, part):
-        (raw,) = self.unpack(f"{8 * count}s", part)
-        return np.frombuffer(raw, "<f8").astype(np.float64)
+        self.unpack(f"{8 * count}x", part)  # pad bytes: checked and skipped, not copied
+        return np.frombuffer(self.blob, "<f8", count, self.at - 8 * count).astype(np.float64)
 
 
 def load_checkpoint(path) -> ModelParams:

@@ -283,6 +283,9 @@ class TestConfig:
             ({"k": 3, "f_beta_weight": -0.5}, "f_beta_weight must be >= 0, got -0.5"),
             ({"k": 1}, "k must be >= 2, got 1"),
             ({"k": np.int64(1)}, "k must be >= 2, got 1"),
+            ({"k": np.float64(2.5)}, "k must be an integer, got 2.5"),
+            ({"k": 3, "encoder_widths": [np.float64(2.5)]},
+             "width 0 of encoder_widths [2.5] must be an integer, got 2.5"),
             ({"k": 3, "tau": np.float64(-1.0)}, "tau must be a finite number > 0, got -1.0"),
             ({"k": 3, "alpha": np.float64("nan")}, "alpha must be a finite number, got nan"),
             ({"k": 3, "tau": 1e-310}, "tau must be large enough that 1 / tau is finite, got 1e-310"),
