@@ -48,6 +48,34 @@ MUTANTS = {
     "select-rows-plain-assignment": (
         "src/fairmi/autodiff.py", "np.add.at(total, node.indices, g)", "total[node.indices] = g",
         ("tests/test_autodiff.py",)),
+    # a matrix with a NaN or an inf cell passes the matrix rule
+    "check-matrix-no-finite-check": (
+        "src/fairmi/data.py", "if not np.isfinite(m).all():", "if False:",
+        ("tests/test_data.py",)),
+    # a 2-d matrix of the wrong rows or columns passes the matrix rule, e.g. a warm start of the wrong k
+    "check-matrix-no-shape-check": (
+        "src/fairmi/data.py", "m.shape != (rows or m.shape[0], cols or m.shape[1])", "False",
+        ("tests/test_clustering.py",)),
+    # f_beta compares beta with 0 before it knows beta is a number, so "2" or None raise a bare TypeError
+    "f-beta-compares-before-type": (
+        "src/fairmi/metrics.py",
+        "isinstance(beta, bool) or not isinstance(beta, numbers.Real) or not 0.0 <= beta < math.inf",
+        "not 0.0 <= beta < math.inf or isinstance(beta, bool) or not isinstance(beta, numbers.Real)",
+        ("tests/test_metrics.py",)),
+    # each epoch's k-means starts afresh instead of from the centers of the epoch before
+    "measure-ignores-init": (
+        "src/fairmi/trainer.py", "seed=(cfg.seed, epoch, 0xD1A6), init=centers)", "seed=(cfg.seed, epoch, 0xD1A6))",
+        ("tests/test_trainer.py", "tests/test_golden.py")),
+    # the last of the k-means runs wins a tie of inertia, not the warm start
+    "kmeans-last-run-wins-a-tie": (
+        "src/fairmi/clustering.py", "min(runs, key=lambda run: run[2])",
+        "min(reversed(list(runs)), key=lambda run: run[2])",
+        ("tests/test_clustering.py",)),
+    # the old re-seed rule: an empty cluster may take the only member of another, which then empties
+    "reseed-takes-a-singleton": (
+        "src/fairmi/clustering.py", "np.where(counts[labels] > 1, point_d2, -1.0)",
+        "np.where(counts[labels] > 0, point_d2, -1.0)",
+        ("tests/test_clustering.py",)),
 }
 
 

@@ -22,7 +22,7 @@ import logging
 import numpy as np
 
 from . import autodiff as ad
-from .data import check_centers, check_count, check_seed, check_tau
+from .data import check_centers, check_count, check_matrix, check_seed, check_tau
 
 logger = logging.getLogger(__name__)
 
@@ -124,26 +124,15 @@ def kmeans(features: np.ndarray, k: int, seed, restarts: int = 1, init=None):
     lowest-inertia one wins (``init``, then the first restart, on a tie);
     use restarts where a stray local minimum would corrupt a reported metric.
     """
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2:
-        raise ClusteringError("features must be 2-d")
+    x = check_matrix(features, "features", ClusteringError)
     check_count("k", k, 2, ClusteringError)
     check_count("restarts", restarts, 1, ClusteringError)
     check_seed(seed, "seed", ClusteringError)
     if x.shape[0] < k:
         raise ClusteringError(f"need at least k={k} points, got {x.shape[0]}")
-    if not np.all(np.isfinite(x)):
-        raise ClusteringError("features must be finite")
     if np.all(np.ptp(x, axis=0) == 0.0):
         raise ClusteringError("all points identical: clustering is degenerate")
-    starts = []
-    if init is not None:
-        start = np.asarray(init, dtype=np.float64)
-        if start.shape != (k, x.shape[1]):
-            raise ClusteringError(f"init must have shape ({k}, {x.shape[1]}), got {start.shape}")
-        if not np.all(np.isfinite(start)):
-            raise ClusteringError(f"init must be a finite ({k}, {x.shape[1]}) array")
-        starts.append(start)
+    starts = [] if init is None else [check_matrix(init, "init", ClusteringError, rows=k, cols=x.shape[1])]
     if restarts == 1:
         seeds = [seed]
     else:
@@ -159,15 +148,10 @@ def kmeans(features: np.ndarray, k: int, seed, restarts: int = 1, init=None):
 
 def soft_assign(h: np.ndarray, centers: np.ndarray, tau: float) -> np.ndarray:
     """Temperature softmax over cosine similarities to the (K, d) centers: an (N, K) array."""
-    h = np.asarray(h, dtype=np.float64)
     dirs = _center_directions(centers, tau)
-    if h.ndim != 2 or h.shape[1] != dirs.shape[1]:
-        raise ClusteringError("latent width does not match the centers")
+    h = check_matrix(h, "latents", ClusteringError, cols=dirs.shape[1])
     sims = ad.unit_rows(h)[0] @ dirs.T
-    probs = ad.softmax(sims * (1.0 / tau))  # the graph path's scale, so both assign bit for bit
-    if not np.all(np.isfinite(probs)):  # e.g. from a latent row that is not finite
-        raise ClusteringError("assignment entries must be finite")
-    return probs
+    return ad.softmax(sims * (1.0 / tau))  # the graph path's scale, so both assign bit for bit
 
 
 def soft_assign_graph(h_node: ad.Node, centers: np.ndarray, tau: float) -> ad.Node:

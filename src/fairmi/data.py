@@ -64,24 +64,20 @@ class Dataset:
     transform: tuple | None = None
 
     def __post_init__(self):
-        x = self.features
-        g = self.groups
-        if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] == 0:
-            raise DataError("features must be a non-empty 2-d array")
-        if not np.all(np.isfinite(x)):
-            raise DataError("features must be finite")
-        if g.shape != (x.shape[0],):
+        object.__setattr__(self, "features", check_matrix(self.features, "features", DataError))
+        object.__setattr__(self, "groups", check_ids(self.groups, "groups", DataError))
+        if self.labels is not None:
+            object.__setattr__(self, "labels", check_ids(self.labels, "labels", DataError))
+        if self.groups.shape != (self.n,):
             raise DataError("need exactly one group id per row")
-        if self.labels is not None and self.labels.shape != (x.shape[0],):
+        if self.labels is not None and self.labels.shape != (self.n,):
             raise DataError("need exactly one label per row when labels are present")
         if self.feature_names is None:
-            object.__setattr__(self, "feature_names", tuple(f"f{i}" for i in range(x.shape[1])))
-        if len(self.feature_names) != x.shape[1]:
+            object.__setattr__(self, "feature_names", tuple(f"f{i}" for i in range(self.dim)))
+        if len(self.feature_names) != self.dim:
             raise DataError(f"need one name per feature column: {len(self.feature_names)} names "
-                            f"for {x.shape[1]} columns")
-        check_dense(check_ids(g, "groups", DataError), "groups", DataError)
-        if self.labels is not None:
-            check_ids(self.labels, "labels", DataError)
+                            f"for {self.dim} columns")
+        check_dense(self.groups, "groups", DataError)
 
     def __len__(self):
         return self.features.shape[0]
@@ -289,7 +285,7 @@ def save_csv(dataset: Dataset, path):
 
 
 # ---------------------------------------------------------------------------
-# synthetic data
+# input checks: one function per rule, each raising the caller's error class
 
 def record_from_dict(cls, raw: dict, error, what: str):
     """Build dataclass ``cls`` from a dict of its fields; ``error`` names unknown and missing keys."""
@@ -316,12 +312,16 @@ def check_scalar_fields(record, error):
     """
     for f in fields(record):
         value = getattr(record, f.name)
-        is_bool = isinstance(value, bool)
-        if f.type in ("int", int) and (is_bool or not isinstance(value, numbers.Integral)):
+        if f.type in ("int", int) and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
             raise error(f"{f.name} must be an integer, got {_shown(value)}")
-        if f.type in ("float", float) and (is_bool or not isinstance(value, numbers.Real)
-                                           or not math.isfinite(value)):
-            raise error(f"{f.name} must be a finite number, got {_shown(value)}")
+        if f.type in ("float", float):
+            check_real(value, f.name, error)
+
+
+def check_real(value, name, error):
+    """Reject, raising ``error``, a value that is not a finite real number (bools refused), naming it and the value."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise error(f"{name} must be a finite number, got {_shown(value)}")
 
 
 def check_count(name, value, least, error):
@@ -390,16 +390,30 @@ def check_tau(tau, name, error):
     return float(tau)
 
 
-def check_centers(centers, name, error):
-    """``centers`` as a float64 array once it is a finite 2-d matrix of k >= 2 rows; else ``error`` names it."""
+def check_matrix(value, name, error, rows=None, cols=None):
+    """``value`` as a float64 array, not copied when it is one, once it is a numeric (bools count),
+    non-empty 2-d matrix, finite in every cell, of ``rows`` rows and ``cols`` columns where given.
+    Else ``error`` names it and what is wrong: its type, its shape, or the first non-finite cell."""
     try:
-        c = np.asarray(centers, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise error(f"{name} must be a 2-d numeric matrix, got {centers!r}") from None
-    if c.ndim != 2 or c.shape[0] < 2:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged nesting of sequences
+        raise error(f"{name} must be a 2-d numeric matrix, got a ragged {type(value).__name__}") from None
+    if arr.dtype.kind not in "biuf":
+        raise error(f"{name} must be a 2-d numeric matrix, got {type(value).__name__} of dtype {arr.dtype}")
+    m = np.asarray(arr, dtype=np.float64)
+    if m.ndim != 2 or m.size == 0 or m.shape != (rows or m.shape[0], cols or m.shape[1]):
+        raise error(f"{name} must be a non-empty ({rows or 'n'}, {cols or 'd'}) matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        r, c = np.argwhere(~np.isfinite(m))[0]
+        raise error(f"{name} must be finite: row {r}, column {c} holds {m[r, c]}")
+    return m
+
+
+def check_centers(centers, name, error):
+    """``centers`` as ``check_matrix`` returns them once they also hold k >= 2 rows; else ``error`` names them."""
+    c = check_matrix(centers, name, error)
+    if c.shape[0] < 2:
         raise error(f"{name} must be a 2-d matrix of k >= 2 rows, got shape {c.shape}")
-    if not np.all(np.isfinite(c)):
-        raise error(f"{name} must be finite")
     return c
 
 
@@ -417,6 +431,9 @@ def check_ranges(record, error, at_least=(), above=()):
         if getattr(record, name) <= low:
             raise error(f"{name} must be > {low}, got {getattr(record, name)}")
 
+
+# ---------------------------------------------------------------------------
+# synthetic data
 
 @dataclass(frozen=True)
 class SyntheticSpec:

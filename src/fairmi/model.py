@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .data import check_centers, check_count, check_seed, check_tau, check_widths
+from .data import check_centers, check_count, check_matrix, check_seed, check_tau, check_widths
 
 CHECKPOINT_MAGIC = b"FCMI"
 CHECKPOINT_VERSION = 2
@@ -152,11 +152,7 @@ def init_params(layer_dims, group_count: int, seed: int) -> ModelParams:
 
 
 def encode(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    width = params.layer_dims[0]
-    if x.ndim != 2 or x.shape[1] != width:
-        raise ModelError(f"expected (n, {width}) features, got {x.shape}")
-    z = x
+    z = check_matrix(x, "features", ModelError, cols=params.layer_dims[0])
     depth = len(params.layer_dims) - 1  # the encoder's pairs come first
     for i, (w, b) in enumerate(itertools.islice(params.all_arrays(), depth), start=1):
         z = z @ w  # a fresh array per layer, so the in-place steps never touch x

@@ -33,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .data import check_dense, check_ids
+from .data import check_count, check_dense, check_ids, check_matrix, check_real
 
 
 class ObjectiveError(ValueError):
@@ -53,11 +53,7 @@ def _entropy(p):
 
 def _check_assignment(assign):
     """The (N, K) float array of a row-stochastic assignment; one-hot rows are allowed."""
-    p = np.asarray(assign, dtype=np.float64)
-    if p.ndim != 2 or p.shape[1] < 1:
-        raise ObjectiveError("assignment matrix must be 2-d")
-    if not np.all(np.isfinite(p)):
-        raise ObjectiveError("assignment entries must be finite")
+    p = check_matrix(assign, "assignment", ObjectiveError)
     if np.any(p < 0.0) or np.any(p > 1.0):
         raise ObjectiveError("assignment entries must lie in [0, 1]")
     if np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-9):
@@ -66,7 +62,8 @@ def _check_assignment(assign):
 
 
 def _check_groups(groups, n_groups):
-    """``groups`` as int64 ids once each is an integer id below ``n_groups``."""
+    """``groups`` as int64 ids once each is an integer id below ``n_groups``, itself an integer >= 1."""
+    check_count("n_groups", n_groups, 1, ObjectiveError)
     groups = check_ids(groups, "groups", ObjectiveError)
     if groups.max() >= n_groups:
         raise ObjectiveError(f"group ids must lie in [0, {n_groups})")
@@ -116,6 +113,7 @@ def conditional_mi(assign: np.ndarray, mi_gc: float) -> float:
     already computed; the decomposition is exact by construction. At least +0.0.
     """
     p = _check_assignment(assign)
+    check_real(mi_gc, "mi_gc", ObjectiveError)
     return _at_least_zero(float(_entropy(p.mean(axis=0)) - _entropy(p) / p.shape[0] - mi_gc))
 
 

@@ -63,6 +63,19 @@ class TestDataset:
         with pytest.raises(data.DataError, match=fragment):
             data.Dataset(features=np.ones((2, 2)), groups=groups, labels=labels)
 
+    def test_lists_and_int_arrays_give_the_dataset_the_arrays_give(self):
+        ds = tiny_dataset()
+        for features in (ds.features.tolist(), ds.features.astype(np.int32)):
+            again = data.Dataset(features=features, groups=ds.groups.tolist(), labels=ds.labels.tolist())
+            for got, want in ((again.features, ds.features), (again.groups, ds.groups), (again.labels, ds.labels)):
+                assert type(got) is np.ndarray and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_float64_features_and_int64_ids_are_kept_as_given(self):
+        features = np.ones((2, 2))
+        groups = np.array([0, 1], dtype=np.int64)
+        ds = data.Dataset(features=features, groups=groups, labels=groups)
+        assert ds.features is features and ds.groups is groups and ds.labels is groups
+
     def test_a_group_with_no_members_reads_alike_everywhere(self):
         """Dataset, full_report and group_cluster_mi share one coverage rule and its message."""
         groups = np.array([0, 0, 2, 2])
@@ -544,3 +557,68 @@ def test_a_bad_count_prints_a_number_as_its_value(call, error, message):
     with pytest.raises(error) as err:
         call()
     assert str(err.value) == message
+
+
+# each function that takes a matrix, called on a (3, 2) one, with its error, the name it gives
+# the matrix and the shape it wants
+GOOD_MATRIX = np.array([[0.5, 0.5], [0.25, 0.75], [1.0, 0.0]])
+MATRIX_TAKERS = {
+    "Dataset": (lambda m: data.Dataset(features=m, groups=np.array([0, 1, 0])), data.DataError,
+                "features", "(n, d)"),
+    "kmeans": (lambda m: clustering.kmeans(m, 2, seed=0), clustering.ClusteringError, "features", "(n, d)"),
+    "kmeans-init": (lambda m: clustering.kmeans(np.arange(18.0).reshape(9, 2) ** 1.5, 3, seed=0, init=m),
+                    clustering.ClusteringError, "init", "(3, 2)"),
+    "encode": (lambda m: model.encode(model.init_params((2, 2), 1, 0), m), model.ModelError, "features", "(n, 2)"),
+    "soft_assign": (lambda m: clustering.soft_assign(m, np.eye(2), 0.5), clustering.ClusteringError,
+                    "latents", "(n, 2)"),
+    "group_cluster_mi": (lambda m: objectives.group_cluster_mi(m, np.array([0, 1, 0]), 2), objectives.ObjectiveError,
+                         "assignment", "(n, d)"),
+}
+
+
+class TestMatrixRule:
+    """One rule, ``data.check_matrix``, and its three messages for every function that takes a matrix."""
+
+    @pytest.mark.parametrize("taker", MATRIX_TAKERS)
+    def test_a_string_matrix_is_refused_by_name_and_dtype(self, taker):
+        call, error, name, _ = MATRIX_TAKERS[taker]
+        with pytest.raises(error) as err:
+            call(np.array([["a", "b"]] * 3))
+        assert str(err.value) == f"{name} must be a 2-d numeric matrix, got ndarray of dtype <U1"
+
+    @pytest.mark.parametrize("taker", MATRIX_TAKERS)
+    def test_a_non_finite_cell_is_named_by_row_column_and_value(self, taker):
+        call, error, name, _ = MATRIX_TAKERS[taker]
+        bad = GOOD_MATRIX.copy()
+        bad[2, 1] = np.nan
+        with pytest.raises(error) as err:
+            call(bad)
+        assert str(err.value) == f"{name} must be finite: row 2, column 1 holds nan"
+
+    @pytest.mark.parametrize("taker", MATRIX_TAKERS)
+    def test_a_vector_is_refused_with_the_wanted_shape(self, taker):
+        call, error, name, wanted = MATRIX_TAKERS[taker]
+        with pytest.raises(error) as err:
+            call(GOOD_MATRIX.ravel())
+        assert str(err.value) == f"{name} must be a non-empty {wanted} matrix, got shape (6,)"
+
+    @pytest.mark.parametrize("value,message", [
+        ([[1.0, 2.0], [3.0]], "m must be a 2-d numeric matrix, got a ragged list"),
+        ([[1.0, None]], "m must be a 2-d numeric matrix, got list of dtype object"),
+        (np.array([[1 + 1j]]), "m must be a 2-d numeric matrix, got ndarray of dtype complex128"),
+        (2.0, "m must be a non-empty (n, d) matrix, got shape ()"),
+        (np.zeros((0, 3)), "m must be a non-empty (n, d) matrix, got shape (0, 3)"),
+        (np.zeros((3, 0)), "m must be a non-empty (n, d) matrix, got shape (3, 0)"),
+        ([[0.0, -np.inf], [np.nan, 0.0]], "m must be finite: row 0, column 1 holds -inf"),
+    ], ids=["ragged", "none", "complex", "scalar", "no-rows", "no-columns", "first-bad-cell"])
+    def test_check_matrix_names_what_is_wrong(self, value, message):
+        with pytest.raises(data.DataError) as err:
+            data.check_matrix(value, "m", data.DataError)
+        assert str(err.value) == message
+
+    def test_check_matrix_copies_no_float64_array_and_converts_the_rest(self):
+        m = np.ones((2, 3))
+        assert data.check_matrix(m, "m", data.DataError, rows=2, cols=3) is m
+        for value in ([[1, 0], [0, 1]], np.eye(2, dtype=np.int8), np.eye(2, dtype=bool), np.eye(2, dtype=np.float32)):
+            got = data.check_matrix(value, "m", data.DataError)
+            assert got.dtype == np.float64 and got.tolist() == [[1.0, 0.0], [0.0, 1.0]]

@@ -275,6 +275,13 @@ class TestFBeta:
         with pytest.raises(metrics.MetricError, match="beta must be a finite number >= 0"):
             metrics.f_beta(0.5, 0.5, beta)
 
+    @pytest.mark.parametrize("beta,shown", [("2", "'2'"), (None, "None"), (True, "True"),
+                                            (np.float64(-1.0), "-1.0")])
+    def test_a_beta_that_is_not_a_number_is_named_before_any_comparison(self, beta, shown):
+        with pytest.raises(metrics.MetricError) as err:
+            metrics.f_beta(0.5, 0.5, beta)
+        assert str(err.value) == f"beta must be a finite number >= 0, got {shown}"
+
     @given(
         st.floats(0.01, 1.0), st.floats(0.01, 1.0),
         st.floats(0.01, 1.0), st.floats(0.0, 10.0),

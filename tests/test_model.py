@@ -32,10 +32,10 @@ CORRUPTIONS = {
     "block-name-lengths": "checkpoint ends in its name lengths: it holds 1150 bytes where 1164 are needed",
     "block-k-mismatch": "checkpoint ends in its name lengths: it holds 1176 bytes where 1188 are needed",
     "block-k-one": "k >= 2",
-    "block-k-zero": "k >= 2",
+    "block-k-zero": "scoring centers must be a non-empty (n, d) matrix, got shape (0, 3)",
     "block-no-names": "holds 0 feature names",
     "block-flags": "0 or 1",
-    "block-nan-center": "centers must be finite",
+    "block-nan-center": "centers must be finite: row 0, column 1 holds nan",
     "block-nan-tau": "tau must be a finite number > 0, got nan",
     "block-zero-tau": "tau must be a finite number > 0, got 0.0",
     "block-tiny-tau": "tau must be large enough that 1 / tau is finite, got 1e-310",
@@ -421,7 +421,7 @@ class TestCheckpoint:
         ([[0, 1], [1, 0]], "x", "scoring tau must be a finite number > 0, got 'x'"),
         ([[0, 1], [1, 0]], None, "scoring tau must be a finite number > 0, got None"),
         ([[0, 1]], 0.1, "scoring centers must be a 2-d matrix of k >= 2 rows, got shape (1, 2)"),
-        ([["a", 1], [1, 0]], 0.1, "scoring centers must be a 2-d numeric matrix, got [['a', 1], [1, 0]]"),
+        ([["a", 1], [1, 0]], 0.1, "scoring centers must be a 2-d numeric matrix, got list of dtype <U21"),
     ], ids=["string-tau", "no-tau", "one-center", "string-center"])
     def test_scoring_names_a_bad_tau_or_bad_centers(self, centers, tau, message):
         with pytest.raises(model.ModelError, match=f"^{re.escape(message)}$"):

@@ -119,8 +119,8 @@ class TestEntropies:
 
 
 BAD_ASSIGNMENTS = {
-    "1-d": (np.array([0.5, 0.5]), "assignment matrix must be 2-d"),
-    "non-finite": (np.array([[np.nan, 1.0], [0.5, 0.5]]), "assignment entries must be finite"),
+    "1-d": (np.array([0.5, 0.5]), r"assignment must be a non-empty \(n, d\) matrix, got shape \(2,\)"),
+    "non-finite": (np.array([[np.nan, 1.0], [0.5, 0.5]]), "assignment must be finite: row 0, column 0 holds nan"),
     "out-of-range": (np.array([[1.5, -0.5], [0.5, 0.5]]), r"assignment entries must lie in \[0, 1\]"),
     "rows-off-one": (np.array([[0.5, 0.4], [0.5, 0.5]]), "assignment rows must sum to 1"),
 }
@@ -221,6 +221,17 @@ class TestGroupClusterMI:
         with pytest.raises(obj.ObjectiveError, match="^groups must be an integer id array, got dtype "):
             calls[entry]()
 
+    @pytest.mark.parametrize("n_groups,shown", [(True, "True"), (2.0, "2.0"), ("2", "'2'"), (None, "None")])
+    @pytest.mark.parametrize("entry", ["group_cluster_mi", "group_cluster_mi_graph"])
+    def test_a_group_count_that_is_not_an_integer_is_refused_by_name(self, entry, n_groups, shown):
+        assign = np.full((4, 2), 0.5)
+        groups = np.array([0, 1, 0, 1])
+        calls = {"group_cluster_mi": lambda: obj.group_cluster_mi(assign, groups, n_groups),
+                 "group_cluster_mi_graph": lambda: obj.group_cluster_mi_graph(ad.constant(assign), groups, n_groups)}
+        with pytest.raises(obj.ObjectiveError) as err:
+            calls[entry]()
+        assert str(err.value) == f"n_groups must be an integer, got {shown}"
+
     def test_the_clamp_turns_negative_zero_positive(self):
         """``max(-0.0, 0.0)`` is -0.0; the clamp gives +0.0 for it, and for a negative rounding residue."""
         assert math.copysign(1.0, obj._at_least_zero(-0.0)) == 1.0
@@ -314,6 +325,13 @@ class TestConditionalMI:
             mi = obj.group_cluster_mi(assign, groups, t)
             loss = float(ad.forward(obj.clustering_loss_graph(ad.constant(assign), n), {}))
             np.testing.assert_allclose(loss, -(obj.conditional_mi(assign, mi) + mi), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mi_gc,shown", [(float("nan"), "nan"), (float("inf"), "inf"), ("0", "'0'")])
+    def test_a_leakage_that_is_not_a_finite_number_is_refused(self, mi_gc, shown):
+        """A NaN would otherwise pass the +0.0 clamp as 0.0."""
+        with pytest.raises(obj.ObjectiveError) as err:
+            obj.conditional_mi(np.eye(2), mi_gc)
+        assert str(err.value) == f"mi_gc must be a finite number, got {shown}"
 
     def test_partitions_equal_to_the_groups_never_read_below_zero(self):
         """The groups explain such a partition fully, so I(X;C|G) is zero up to rounding,

@@ -141,6 +141,17 @@ def test_the_per_width_check_has_one_home():
     assert _homes(loops_check_count) == [("data", "check_widths")]
 
 
+def test_the_float_matrix_conversion_has_one_home():
+    """Only ``data.check_matrix`` turns a caller's matrix into float64, so every matrix is refused
+    alike; ``autodiff`` converts its graphs' constants and input bindings."""
+    def converts_to_float64(node):
+        return _calls(node, "asarray") and any(
+            keyword.arg == "dtype" and getattr(keyword.value, "attr", None) == "float64" for keyword in node.keywords)
+
+    assert _homes(converts_to_float64) == [("autodiff", "constant"), ("autodiff", "forward"),
+                                           ("data", "check_matrix")]
+
+
 def test_readme_lists_the_report_keys_in_field_order():
     """README's report-key sentence names ``MetricsReport``'s fields in order, the keys
     ``report_to_dict`` writes."""
