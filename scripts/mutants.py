@@ -38,11 +38,14 @@ MUTANTS = {
     "cursor-need-off-by-one": (
         "src/fairmi/model.py", "if len(self.blob) - self.at < size:", "if len(self.blob) - self.at < size - 1:",
         ("tests/test_model.py",)),
-    # a bad count printed without `_shown`, so the string "2" reads as the number 2; `!r` in its place
-    # differs only on numpy 2, whose repr of np.float64(2.5) is "np.float64(2.5)"
-    "check-count-plain": (
-        "src/fairmi/data.py", 'raise error(f"{name} must be an integer, got {_shown(value)}")',
-        'raise error(f"{name} must be an integer, got {value}")',
+    # a value of the wrong type printed without `_shown`, so the string "2" reads as the number 2; `!r`
+    # in its place differs only on numpy 2, whose repr of np.float64(2.5) is "np.float64(2.5)"
+    "check-number-plain": (
+        "src/fairmi/data.py", "'a finite number'}, got {_shown(value)}\")", "'a finite number'}, got {value}\")",
+        ("tests/test_data.py",)),
+    # a value equal to its least bound is refused, e.g. seed 0 or batch size 1
+    "check-number-least-exclusive": (
+        "src/fairmi/data.py", "if least is not None and value < least:", "if least is not None and value <= least:",
         ("tests/test_data.py",)),
     # a row selected twice passes back one of its gradients instead of their sum
     "select-rows-plain-assignment": (
@@ -56,15 +59,31 @@ MUTANTS = {
     "check-matrix-no-shape-check": (
         "src/fairmi/data.py", "m.shape != (rows or m.shape[0], cols or m.shape[1])", "False",
         ("tests/test_clustering.py",)),
-    # f_beta compares beta with 0 before it knows beta is a number, so "2" or None raise a bare TypeError
-    "f-beta-compares-before-type": (
-        "src/fairmi/metrics.py",
-        "isinstance(beta, bool) or not isinstance(beta, numbers.Real) or not 0.0 <= beta < math.inf",
-        "not 0.0 <= beta < math.inf or isinstance(beta, bool) or not isinstance(beta, numbers.Real)",
+    # the number rule compares with its bound before it knows the value is a number, so f_beta's
+    # beta "2" or None raises a bare TypeError
+    "check-number-bound-before-type": (
+        "src/fairmi/data.py", "    kind = numbers.Integral if integer else numbers.Real\n",
+        "    kind = numbers.Integral if integer else numbers.Real\n"
+        "    if least is not None and value < least:\n        raise error(f\"{name} must be >= {least}\")\n",
         ("tests/test_metrics.py",)),
+    # the loss takes any weight: a string fails inside the graph, a NaN as a nameless scale factor
+    "total-loss-unchecked-weights": (
+        "src/fairmi/objectives.py",
+        '    check_number(alpha, "alpha", ObjectiveError, least=0)\n'
+        '    check_number(beta_fair, "beta_fair", ObjectiveError, least=0)\n', "",
+        ("tests/test_objectives.py",)),
     # each epoch's k-means starts afresh instead of from the centers of the epoch before
     "measure-ignores-init": (
         "src/fairmi/trainer.py", "seed=(cfg.seed, epoch, 0xD1A6), init=centers)", "seed=(cfg.seed, epoch, 0xD1A6))",
+        ("tests/test_trainer.py", "tests/test_golden.py")),
+    # each epoch's k-means is a fresh 10-restart one in place of the warm start
+    "measure-restarts-afresh": (
+        "src/fairmi/trainer.py", "seed=(cfg.seed, epoch, 0xD1A6), init=centers)",
+        "seed=(cfg.seed, epoch, 0xD1A6), restarts=10)",
+        ("tests/test_trainer.py", "tests/test_golden.py")),
+    # training and scoring keep the initial centers: the ones each measurement returns are dropped
+    "train-on-initial-centers": (
+        "src/fairmi/trainer.py", "mi, cmi, extras, centers = _measure(", "mi, cmi, extras, _ = _measure(",
         ("tests/test_trainer.py", "tests/test_golden.py")),
     # the last of the k-means runs wins a tie of inertia, not the warm start
     "kmeans-last-run-wins-a-tie": (

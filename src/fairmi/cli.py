@@ -13,7 +13,6 @@ import argparse
 import hashlib
 import json
 import logging
-import math
 import os
 import platform
 import sys
@@ -63,26 +62,16 @@ def _cmd_synth(args):
     return 0
 
 
-def _epoch_count(text):
-    """argparse type of --checkpoint-every: a whole number >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1  # argparse would name this function in its message
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a whole number >= 0 (0 disables), got {text}")
-    return value
-
-
-def _trade_off_weight(text):
-    """argparse type of --beta: a finite number >= 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan  # argparse would name this function in its message
-    if not 0.0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
-    return value
+def _non_negative(parse, name):
+    """argparse type of a number option: the text as ``parse`` (int or float) reads it, or the text
+    itself when it cannot, once ``data.check_number`` finds a number >= 0; its message names ``name``."""
+    def number(text):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = text  # refused by check_number, which shows it as given
+        return data.check_number(value, name, argparse.ArgumentTypeError, least=0, integer=parse is int)
+    return number
 
 
 def _cmd_train(args):
@@ -180,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "train":
             p.add_argument("--no-standardize", action="store_true", help="skip per-column standardization")
             p.add_argument("--out-dir", required=True, help="directory for checkpoint, log, manifest")
-            p.add_argument("--checkpoint-every", type=_epoch_count, default=0, metavar="N",
+            p.add_argument("--checkpoint-every", type=_non_negative(int, "N"), default=0, metavar="N",
                            help="also write a checkpoint every N epochs (0 disables)")
             p.set_defaults(func=_cmd_train)
         else:
@@ -193,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred-col", default="pred", help="predicted label column name")
     p.add_argument("--groups-col", required=True, help="group column name")
     p.add_argument("--truth-col", default=None, help="optional ground-truth column name")
-    p.add_argument("--beta", type=_trade_off_weight, default=1.0,
+    p.add_argument("--beta", type=_non_negative(float, "BETA"), default=1.0,
                    help="quality/fairness trade-off weight, a finite number >= 0")
     p.add_argument("--report", required=True, help="output report JSON path")
     p.set_defaults(func=_cmd_metrics)

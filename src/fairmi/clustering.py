@@ -22,7 +22,7 @@ import logging
 import numpy as np
 
 from . import autodiff as ad
-from .data import check_centers, check_count, check_matrix, check_seed, check_tau
+from .data import check_centers, check_matrix, check_number, check_seed, check_tau
 
 logger = logging.getLogger(__name__)
 
@@ -55,10 +55,7 @@ def _plus_plus_seed(x_t, k, rng):
             # all remaining mass sits on chosen centers; fall back to uniform
             idx = rng.integers(n)
         else:
-            # the draw of rng.choice(n, p=d2 / total), without its per-call checks
-            cdf = np.cumsum(d2 / total)
-            cdf /= cdf[-1]
-            idx = cdf.searchsorted(rng.random(), side="right")
+            idx = rng.choice(n, p=d2 / total)
         centers[j] = x_t[:, idx]
         if j < k - 1:  # the last center's distances would never be read
             d2 = np.minimum(d2, ((x_t - centers[j][:, None]) ** 2).sum(axis=0))
@@ -125,8 +122,8 @@ def kmeans(features: np.ndarray, k: int, seed, restarts: int = 1, init=None):
     use restarts where a stray local minimum would corrupt a reported metric.
     """
     x = check_matrix(features, "features", ClusteringError)
-    check_count("k", k, 2, ClusteringError)
-    check_count("restarts", restarts, 1, ClusteringError)
+    check_number(k, "k", ClusteringError, least=2, integer=True)
+    check_number(restarts, "restarts", ClusteringError, least=1, integer=True)
     check_seed(seed, "seed", ClusteringError)
     if x.shape[0] < k:
         raise ClusteringError(f"need at least k={k} points, got {x.shape[0]}")

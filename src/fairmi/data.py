@@ -304,32 +304,18 @@ def _shown(value):
     return value if isinstance(value, numbers.Real) else repr(value)
 
 
-def check_scalar_fields(record, error):
-    """Reject a dataclass's bad ``int`` and ``float`` fields by name, raising ``error``.
-
-    An ``int`` field must hold an integer other than a bool; a ``float``
-    field a finite real number, an integer included.
-    """
-    for f in fields(record):
-        value = getattr(record, f.name)
-        if f.type in ("int", int) and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-            raise error(f"{f.name} must be an integer, got {_shown(value)}")
-        if f.type in ("float", float):
-            check_real(value, f.name, error)
-
-
-def check_real(value, name, error):
-    """Reject, raising ``error``, a value that is not a finite real number (bools refused), naming it and the value."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise error(f"{name} must be a finite number, got {_shown(value)}")
-
-
-def check_count(name, value, least, error):
-    """Reject, raising ``error``, a count that is not an integer >= ``least``, naming it and the value."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise error(f"{name} must be an integer, got {_shown(value)}")
-    if value < least:
+def check_number(value, name, error, least=None, above=None, integer=False):
+    """``value`` once it is an integer (with ``integer``), else a finite real number, bools refused and
+    numpy scalars accepted either way, that is >= ``least`` and > ``above`` where they are given;
+    else ``error`` names it and the value."""
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind) or not (integer or math.isfinite(value)):
+        raise error(f"{name} must be {'an integer' if integer else 'a finite number'}, got {_shown(value)}")
+    if least is not None and value < least:
         raise error(f"{name} must be >= {least}, got {value}")
+    if above is not None and value <= above:
+        raise error(f"{name} must be > {above}, got {value}")
+    return value
 
 
 def check_widths(widths, name, least, error):
@@ -340,7 +326,7 @@ def check_widths(widths, name, least, error):
     if not listed or len(widths) < least:
         raise error(f"{name} must be a list of {least} or more integers, got {shown}")
     for i, w in enumerate(widths):
-        check_count(f"width {i} of {name} {shown}", w, 1, error)
+        check_number(w, f"width {i} of {name} {shown}", error, least=1, integer=True)
     return tuple(map(int, widths))
 
 
@@ -382,9 +368,7 @@ def check_seed(seed, name, error):
 
 def check_tau(tau, name, error):
     """``tau`` as a float once it is a number > 0 whose inverse is finite; else ``error`` names it and the value."""
-    real = isinstance(tau, numbers.Real) and not isinstance(tau, bool)
-    if not (real and 0.0 < tau < math.inf):
-        raise error(f"{name} must be a finite number > 0, got {_shown(tau)}")
+    check_number(tau, name, error, above=0)
     if not math.isfinite(1.0 / float(tau)):
         raise error(f"{name} must be large enough that 1 / tau is finite, got {tau}")
     return float(tau)
@@ -417,21 +401,6 @@ def check_centers(centers, name, error):
     return c
 
 
-def check_ranges(record, error, at_least=(), above=()):
-    """Reject a field out of its range by name and value, raising ``error``.
-
-    ``at_least`` holds (field, minimum) pairs and ``above`` (field, bound)
-    pairs, the bound itself excluded; fields are checked in that order. The
-    fields are numbers by then, so a numpy scalar prints as its value.
-    """
-    for name, low in at_least:
-        if getattr(record, name) < low:
-            raise error(f"{name} must be >= {low}, got {getattr(record, name)}")
-    for name, low in above:
-        if getattr(record, name) <= low:
-            raise error(f"{name} must be > {low}, got {getattr(record, name)}")
-
-
 # ---------------------------------------------------------------------------
 # synthetic data
 
@@ -455,10 +424,11 @@ class SyntheticSpec:
     seed: int
 
     def __post_init__(self):
-        check_scalar_fields(self, DataError)
-        check_ranges(self, DataError,
-                     at_least=(("seed", 0), ("classes", 1), ("groups", 1), ("per_cell_count", 1), ("noise_sd", 0)),
-                     above=(("class_sep", 0),))
+        for name, least in (("classes", 1), ("groups", 1), ("per_cell_count", 1), ("dim", None), ("seed", 0)):
+            check_number(getattr(self, name), name, DataError, least=least, integer=True)
+        check_number(self.class_sep, "class_sep", DataError, above=0)
+        check_number(self.group_shift, "group_shift", DataError)
+        check_number(self.noise_sd, "noise_sd", DataError, least=0)
         needed = (self.classes - 1) + (1 if self.groups >= 2 else 0)
         if self.dim < max(needed, 1):
             raise DataError(
@@ -503,7 +473,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
 def minibatches(dataset, batch_size: int, epoch_seed) -> list[np.ndarray]:
     """Seeded random permutation chopped into index batches (last may be short)."""
     n = len(dataset)
-    check_count("batch_size", batch_size, 1, DataError)
+    check_number(batch_size, "batch_size", DataError, least=1, integer=True)
     check_seed(epoch_seed, "epoch_seed", DataError)
     perm = np.random.default_rng(epoch_seed).permutation(n)
     return [perm[i: i + batch_size] for i in range(0, n, batch_size)]

@@ -20,13 +20,11 @@ from __future__ import annotations
 
 import json
 import logging
-import math
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import _shown, check_dense, check_ids
+from .data import check_dense, check_ids, check_number
 from .objectives import _at_least_zero, _entropy, _mutual_information
 
 logger = logging.getLogger(__name__)
@@ -179,10 +177,10 @@ def f_beta(quality: float, fairness: float, beta: float) -> float:
     beta > 1 weights fairness more, beta < 1 weights quality more; beta = 1
     is the balanced harmonic mean. Zero if either side is zero.
     """
-    if not (0.0 <= quality <= 1.0 and 0.0 <= fairness <= 1.0):
+    for name, value in (("quality", quality), ("fairness", fairness), ("beta", beta)):
+        check_number(value, name, MetricError, least=0)
+    if quality > 1.0 or fairness > 1.0:
         raise MetricError("scores must lie in [0, 1]")
-    if isinstance(beta, bool) or not isinstance(beta, numbers.Real) or not 0.0 <= beta < math.inf:
-        raise MetricError(f"beta must be a finite number >= 0, got {_shown(beta)}")
     if quality == 0.0 or fairness == 0.0:
         return 0.0
     b2 = beta * beta

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .data import check_centers, check_count, check_matrix, check_seed, check_tau, check_widths
+from .data import check_centers, check_matrix, check_number, check_seed, check_tau, check_widths
 
 CHECKPOINT_MAGIC = b"FCMI"
 CHECKPOINT_VERSION = 2
@@ -116,7 +116,7 @@ class ModelParams:
 def _check_dims(layer_dims, group_count):
     """The >= 2 widths as a tuple of ints and the group count as an int, once each is checked by name."""
     dims = check_widths(tuple(layer_dims), "layer_dims", 2, ModelError)
-    check_count("group_count", group_count, 1, ModelError)
+    check_number(group_count, "group_count", ModelError, least=1, integer=True)
     return dims, int(group_count)
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .data import check_count, check_dense, check_ids, check_matrix, check_real
+from .data import check_dense, check_ids, check_matrix, check_number
 
 
 class ObjectiveError(ValueError):
@@ -63,7 +63,7 @@ def _check_assignment(assign):
 
 def _check_groups(groups, n_groups):
     """``groups`` as int64 ids once each is an integer id below ``n_groups``, itself an integer >= 1."""
-    check_count("n_groups", n_groups, 1, ObjectiveError)
+    check_number(n_groups, "n_groups", ObjectiveError, least=1, integer=True)
     groups = check_ids(groups, "groups", ObjectiveError)
     if groups.max() >= n_groups:
         raise ObjectiveError(f"group ids must lie in [0, {n_groups})")
@@ -113,7 +113,7 @@ def conditional_mi(assign: np.ndarray, mi_gc: float) -> float:
     already computed; the decomposition is exact by construction. At least +0.0.
     """
     p = _check_assignment(assign)
-    check_real(mi_gc, "mi_gc", ObjectiveError)
+    check_number(mi_gc, "mi_gc", ObjectiveError)
     return _at_least_zero(float(_entropy(p.mean(axis=0)) - _entropy(p) / p.shape[0] - mi_gc))
 
 
@@ -165,7 +165,7 @@ def group_cluster_mi_graph(c_node: ad.Node, groups, n_groups: int) -> ad.Node:
 
 def total_loss_graph(rec_node: ad.Node, clu_node: ad.Node, fair_node: ad.Node,
                      alpha: float, beta_fair: float) -> ad.Node:
-    """rec + alpha * clu + beta_fair * fair; the weights must be non-negative."""
-    if alpha < 0.0 or beta_fair < 0.0:
-        raise ObjectiveError("loss weights must be non-negative")
+    """rec + alpha * clu + beta_fair * fair; the weights must be finite numbers >= 0."""
+    check_number(alpha, "alpha", ObjectiveError, least=0)
+    check_number(beta_fair, "beta_fair", ObjectiveError, least=0)
     return ad.add(rec_node, ad.add(ad.scale(clu_node, alpha), ad.scale(fair_node, beta_fair)))

@@ -22,8 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import clustering, metrics, model, objectives
-from .data import (Dataset, _transformed, check_ranges, check_scalar_fields, check_tau, check_widths, minibatches,
-                   record_from_dict)
+from .data import Dataset, _transformed, check_number, check_tau, check_widths, minibatches, record_from_dict
 
 logger = logging.getLogger(__name__)
 
@@ -54,12 +53,11 @@ class TrainConfig:
     f_beta_weight: float = 1.0
 
     def __post_init__(self):
-        check_scalar_fields(self, TrainError)
-        # max_epochs is checked before warmup_epochs is compared with it
-        check_ranges(self, TrainError,
-                     at_least=(("seed", 0), ("k", 2), ("max_epochs", 1), ("warmup_epochs", 0),
-                               ("batch_size", 1), ("alpha", 0), ("beta_fair", 0), ("f_beta_weight", 0)),
-                     above=(("learning_rate", 0),))
+        for name, least in (("k", 2), ("warmup_epochs", 0), ("max_epochs", 1), ("batch_size", 1), ("seed", 0)):
+            check_number(getattr(self, name), name, TrainError, least=least, integer=True)
+        for name in ("alpha", "beta_fair", "f_beta_weight"):
+            check_number(getattr(self, name), name, TrainError, least=0)
+        check_number(self.learning_rate, "learning_rate", TrainError, above=0)
         check_tau(self.tau, "tau", TrainError)
         if self.warmup_epochs > self.max_epochs:
             raise TrainError(f"warmup_epochs ({self.warmup_epochs}) must not exceed "

@@ -233,7 +233,7 @@ class TestTrainEval:
         rc = cli.run(["train", "--data", str(synth_csv), "--config", config,
                       "--out-dir", str(out_dir), "--checkpoint-every", "-3"])
         assert rc == 2
-        assert "--checkpoint-every" in capsys.readouterr().err
+        assert "argument --checkpoint-every: N must be >= 0, got -3" in capsys.readouterr().err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("every", ["abc", "1.5"])
@@ -244,7 +244,7 @@ class TestTrainEval:
                       "--out-dir", str(out_dir), "--checkpoint-every", every])
         assert rc == 2
         err = capsys.readouterr().err
-        assert f"argument --checkpoint-every: must be a whole number >= 0 (0 disables), got {every}" in err
+        assert f"argument --checkpoint-every: N must be an integer, got '{every}'" in err
         assert not re.search(r"(?<!\w)_\w", err)  # no private function names
         assert not out_dir.exists()
 
@@ -474,15 +474,18 @@ class TestMetrics:
         assert report["acc"] is None
         assert report["bal"] == 1.0
 
-    @pytest.mark.parametrize("beta", ["nan", "inf", "-1"])
-    def test_bad_beta_is_usage_error(self, tmp_path, capsys, beta):
+    @pytest.mark.parametrize("beta,message", [("nan", "BETA must be a finite number, got nan"),
+                                              ("inf", "BETA must be a finite number, got inf"),
+                                              ("-1", "BETA must be >= 0, got -1.0")],
+                             ids=["nan", "inf", "-1"])
+    def test_bad_beta_is_usage_error(self, tmp_path, capsys, beta, message):
         labels = self.write_labels(tmp_path)
         report_path = tmp_path / "report.json"
         rc = cli.run(["metrics", "--pred", str(labels), "--groups-col", "group",
                       "--truth-col", "truth", "--beta", beta, "--report", str(report_path)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "--beta" in err and f"must be a finite number >= 0, got {beta}" in err
+        assert f"argument --beta: {message}" in err
         assert not report_path.exists()
 
     def test_non_numeric_beta_is_usage_error(self, tmp_path, capsys):
@@ -492,7 +495,7 @@ class TestMetrics:
                       "--beta", "abc", "--report", str(report_path)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "argument --beta: must be a finite number >= 0, got abc" in err
+        assert "argument --beta: BETA must be a finite number, got 'abc'" in err
         assert not re.search(r"(?<!\w)_\w", err)  # no private function names
         assert not report_path.exists()
 

@@ -337,9 +337,10 @@ class TestSoftAssign:
         with pytest.raises(clustering.ClusteringError, match=f"^{re.escape(message)}$"):
             calls[entry]()
 
-    @pytest.mark.parametrize("tau", [np.nan, np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("tau,rule", [(np.nan, "a finite number"), (np.inf, "a finite number"),
+                                          (0.0, "> 0"), (-1.0, "> 0")], ids=["nan", "inf", "0.0", "-1.0"])
     @pytest.mark.parametrize("entry", ["soft_assign", "soft_assign_graph"])
-    def test_temperature_must_be_finite_and_positive(self, entry, tau):
+    def test_temperature_must_be_finite_and_positive(self, entry, tau, rule):
         h = np.array([[1.0, 0.0], [0.0, 1.0]])
         calls = {
             "soft_assign": lambda: clustering.soft_assign(h, self.centers2(), tau=tau),
@@ -347,7 +348,7 @@ class TestSoftAssign:
                 ad.input_node("h", h.shape), self.centers2(), tau=tau),
         }
         with pytest.raises(clustering.ClusteringError,
-                           match=rf"^temperature tau must be a finite number > 0, got {tau}$"):
+                           match=rf"^temperature tau must be {rule}, got {tau}$"):
             calls[entry]()
 
     @pytest.mark.parametrize("entry", ["soft_assign", "soft_assign_graph"])
@@ -361,8 +362,8 @@ class TestSoftAssign:
         assert calls[entry]([[1, 0], [0, 1]]).tobytes() == calls[entry](self.centers2()).tobytes()
 
     @pytest.mark.parametrize("tau,centers,message", [
-        ("x", [[1, 0], [0, 1]], "temperature tau must be a finite number > 0, got 'x'"),
-        (True, [[1, 0], [0, 1]], "temperature tau must be a finite number > 0, got True"),
+        ("x", [[1, 0], [0, 1]], "temperature tau must be a finite number, got 'x'"),
+        (True, [[1, 0], [0, 1]], "temperature tau must be a finite number, got True"),
         (0.1, [["a", 0], [0, 1]], "centers must be a 2-d numeric matrix, got list of dtype <U21"),
         (0.1, [[1, 0], [0]], "centers must be a 2-d numeric matrix, got a ragged list"),
     ], ids=["string-tau", "bool-tau", "string-center", "ragged-centers"])

@@ -265,22 +265,43 @@ class TestFBeta:
         np.testing.assert_allclose(metrics.f_beta(0.6, 0.9, 1e6), 0.9, atol=1e-6)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(metrics.MetricError):
-            metrics.f_beta(1.2, 0.5, 1.0)
-        with pytest.raises(metrics.MetricError):
-            metrics.f_beta(0.5, 0.5, -1.0)
+        for side in ("quality", "fairness"):
+            scores = {"quality": 0.5, "fairness": 0.5}
+            with pytest.raises(metrics.MetricError, match=r"^scores must lie in \[0, 1\]$"):
+                metrics.f_beta(**{**scores, side: 1.2}, beta=1.0)
+            with pytest.raises(metrics.MetricError) as err:
+                metrics.f_beta(**{**scores, side: -0.2}, beta=1.0)
+            assert str(err.value) == f"{side} must be >= 0, got -0.2"
 
-    @pytest.mark.parametrize("beta", [float("nan"), float("inf"), -float("inf"), -1.0])
-    def test_non_finite_or_negative_beta_rejected(self, beta):
-        with pytest.raises(metrics.MetricError, match="beta must be a finite number >= 0"):
-            metrics.f_beta(0.5, 0.5, beta)
-
-    @pytest.mark.parametrize("beta,shown", [("2", "'2'"), (None, "None"), (True, "True"),
-                                            (np.float64(-1.0), "-1.0")])
-    def test_a_beta_that_is_not_a_number_is_named_before_any_comparison(self, beta, shown):
+    @pytest.mark.parametrize("beta,message", [
+        (float("nan"), "beta must be a finite number, got nan"),
+        (float("inf"), "beta must be a finite number, got inf"),
+        (-float("inf"), "beta must be a finite number, got -inf"),
+        (-1.0, "beta must be >= 0, got -1.0"),
+    ], ids=["nan", "inf", "-inf", "-1.0"])
+    def test_non_finite_or_negative_beta_rejected(self, beta, message):
         with pytest.raises(metrics.MetricError) as err:
             metrics.f_beta(0.5, 0.5, beta)
-        assert str(err.value) == f"beta must be a finite number >= 0, got {shown}"
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("beta,message", [("2", "beta must be a finite number, got '2'"),
+                                              (None, "beta must be a finite number, got None"),
+                                              (True, "beta must be a finite number, got True"),
+                                              (np.float64(-1.0), "beta must be >= 0, got -1.0")],
+                             ids=["2-'2'", "None-None", "True-True", "-1.0--1.0"])
+    def test_a_beta_that_is_not_a_number_is_named_before_any_comparison(self, beta, message):
+        with pytest.raises(metrics.MetricError) as err:
+            metrics.f_beta(0.5, 0.5, beta)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("score,shown", [("0.5", "'0.5'"), (None, "None"), (True, "True"),
+                                             (float("nan"), "nan")])
+    @pytest.mark.parametrize("side", ["quality", "fairness"])
+    def test_a_score_that_is_not_a_finite_number_is_named_before_any_comparison(self, side, score, shown):
+        scores = {"quality": 0.5, "fairness": 0.5, side: score}
+        with pytest.raises(metrics.MetricError) as err:
+            metrics.f_beta(scores["quality"], scores["fairness"], 1.0)
+        assert str(err.value) == f"{side} must be a finite number, got {shown}"
 
     @given(
         st.floats(0.01, 1.0), st.floats(0.01, 1.0),

@@ -36,8 +36,8 @@ CORRUPTIONS = {
     "block-no-names": "holds 0 feature names",
     "block-flags": "0 or 1",
     "block-nan-center": "centers must be finite: row 0, column 1 holds nan",
-    "block-nan-tau": "tau must be a finite number > 0, got nan",
-    "block-zero-tau": "tau must be a finite number > 0, got 0.0",
+    "block-nan-tau": "tau must be a finite number, got nan",
+    "block-zero-tau": "tau must be > 0, got 0.0",
     "block-tiny-tau": "tau must be large enough that 1 / tau is finite, got 1e-310",
     "block-inf-mean": "finite means",
     "block-zero-std": "stds > 0",
@@ -418,8 +418,8 @@ class TestCheckpoint:
         assert scoring.k == 2
 
     @pytest.mark.parametrize("centers,tau,message", [
-        ([[0, 1], [1, 0]], "x", "scoring tau must be a finite number > 0, got 'x'"),
-        ([[0, 1], [1, 0]], None, "scoring tau must be a finite number > 0, got None"),
+        ([[0, 1], [1, 0]], "x", "scoring tau must be a finite number, got 'x'"),
+        ([[0, 1], [1, 0]], None, "scoring tau must be a finite number, got None"),
         ([[0, 1]], 0.1, "scoring centers must be a 2-d matrix of k >= 2 rows, got shape (1, 2)"),
         ([["a", 1], [1, 0]], 0.1, "scoring centers must be a 2-d numeric matrix, got list of dtype <U21"),
     ], ids=["string-tau", "no-tau", "one-center", "string-center"])

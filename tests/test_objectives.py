@@ -286,11 +286,27 @@ class TestTotalLoss:
     def test_zero_weights_pass_reconstruction_through(self):
         assert total_loss_value(2.5, 100.0, 100.0, alpha=0.0, beta_fair=0.0) == 2.5
 
-    def test_negative_weights_rejected(self):
-        with pytest.raises(obj.ObjectiveError):
-            total_loss_value(1.0, 0.0, 0.0, alpha=-0.1, beta_fair=0.0)
-        with pytest.raises(obj.ObjectiveError):
-            total_loss_value(1.0, 0.0, 0.0, alpha=0.0, beta_fair=-0.1)
+    @pytest.mark.parametrize("weight", ["alpha", "beta_fair"])
+    def test_negative_weights_rejected_by_name(self, weight):
+        with pytest.raises(obj.ObjectiveError) as err:
+            total_loss_value(1.0, 0.0, 0.0, **{"alpha": 0.0, "beta_fair": 0.0, weight: -0.1})
+        assert str(err.value) == f"{weight} must be >= 0, got -0.1"
+
+    @pytest.mark.parametrize("value,shown", [("1", "'1'"), (True, "True"), (float("nan"), "nan"),
+                                             (float("inf"), "inf")])
+    @pytest.mark.parametrize("weight", ["alpha", "beta_fair"])
+    def test_a_weight_that_is_not_a_finite_number_is_named_before_any_node_is_built(
+            self, monkeypatch, weight, value, shown):
+        rec, clu, fair = (ad.constant(np.asarray(v)) for v in (1.0, 0.0, 0.0))
+
+        def no_node(*args):
+            raise AssertionError("a node was built before the weights were checked")
+
+        monkeypatch.setattr(ad, "scale", no_node)
+        monkeypatch.setattr(ad, "add", no_node)
+        with pytest.raises(obj.ObjectiveError) as err:
+            obj.total_loss_graph(rec, clu, fair, **{"alpha": 0.04, "beta_fair": 0.2, weight: value})
+        assert str(err.value) == f"{weight} must be a finite number, got {shown}"
 
 
 class TestConditionalMI:

@@ -9,14 +9,14 @@ import math
 import re
 import runpy
 import sys
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fairmi
-from fairmi import cli, model, trainer
+from fairmi import cli, data, model, trainer
 
 SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -134,11 +134,42 @@ def test_the_integer_id_check_has_one_home():
 
 
 def test_the_per_width_check_has_one_home():
-    """Only ``data.check_widths`` loops ``check_count`` over a list of widths."""
-    def loops_check_count(node):
-        return isinstance(node, ast.For) and any(_calls(sub, "check_count") for sub in ast.walk(node))
+    """Only ``data.check_widths`` loops ``check_number`` over a list it is given; the other loops
+    of it run over a literal table of fields and their bounds."""
+    def loops_check_number_over_a_given_list(node):
+        return (isinstance(node, ast.For) and not isinstance(node.iter, ast.Tuple)
+                and any(_calls(sub, "check_number") for sub in ast.walk(node)))
 
-    assert _homes(loops_check_count) == [("data", "check_widths")]
+    assert _homes(loops_check_number_over_a_given_list) == [("data", "check_widths")]
+
+
+def test_the_number_type_check_has_one_home():
+    """Only ``data.check_number``, ``data.check_seed`` and ``data._shown`` ask whether a value is one
+    of the ``numbers`` types, so every scalar input is refused alike, bools and non-finite reals too."""
+    def names_a_number_type(node):
+        return isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "numbers"
+
+    assert _homes(names_a_number_type) == [("data", "_shown"), ("data", "check_number"), ("data", "check_seed")]
+
+
+def _valid_records():
+    """A valid record of each dataclass whose scalar fields hold a run's settings, with its error class."""
+    spec = data.SyntheticSpec(classes=2, groups=2, per_cell_count=5, class_sep=1.0, group_shift=1.0, dim=4,
+                              noise_sd=1.0, seed=0)
+    return [(trainer.TrainConfig(k=3), trainer.TrainError), (spec, data.DataError)]
+
+
+@pytest.mark.parametrize("record,error,field", [
+    pytest.param(record, error, f, id=f"{type(record).__name__}.{f.name}")
+    for record, error in _valid_records() for f in fields(record) if f.type in ("int", "float")])
+@pytest.mark.parametrize("bad", ["x", True], ids=["str", "bool"])
+def test_every_scalar_field_refuses_a_non_number_by_name(record, error, field, bad):
+    """A field added without a rule fails here: each ``int`` and ``float`` field of the config and of
+    the synthetic spec refuses a string and a bool with a message that starts with its name."""
+    with pytest.raises(error) as err:
+        replace(record, **{field.name: bad})
+    kind = "an integer" if field.type == "int" else "a finite number"
+    assert str(err.value) == f"{field.name} must be {kind}, got {bad!r}"
 
 
 def test_the_float_matrix_conversion_has_one_home():
