@@ -51,14 +51,27 @@ MUTANTS = {
     "select-rows-plain-assignment": (
         "src/fairmi/autodiff.py", "np.add.at(total, node.indices, g)", "total[node.indices] = g",
         ("tests/test_autodiff.py",)),
-    # a matrix with a NaN or an inf cell passes the matrix rule
-    "check-matrix-no-finite-check": (
-        "src/fairmi/data.py", "if not np.isfinite(m).all():", "if False:",
+    # a matrix with a NaN or an inf cell passes the array rule
+    "check-array-no-finite-check": (
+        "src/fairmi/data.py", "if not integer and not np.isfinite(m).all():", "if False:",
         ("tests/test_data.py",)),
-    # a 2-d matrix of the wrong rows or columns passes the matrix rule, e.g. a warm start of the wrong k
-    "check-matrix-no-shape-check": (
-        "src/fairmi/data.py", "m.shape != (rows or m.shape[0], cols or m.shape[1])", "False",
+    # an array of the wrong shape passes the array rule, e.g. a warm start of the wrong k
+    "check-array-no-shape-check": (
+        "src/fairmi/data.py", "m.shape != tuple(w or n for n, w in zip(m.shape, shape))", "False",
         ("tests/test_clustering.py",)),
+    # bools pass as integers: [True, False] counts as the ids [1, 0]
+    "check-array-bools-as-integers": (
+        "src/fairmi/data.py", "np.issubdtype(arr.dtype, np.integer) if integer", "arr.dtype.kind in 'biu' if integer",
+        ("tests/test_data.py",)),
+    # the least bound is skipped, so negative ids and counts pass
+    "check-array-no-least-bound": (
+        "src/fairmi/data.py", "if least is not None and m.min() < least:", "if False:",
+        ("tests/test_data.py",)),
+    # ModelParams keeps the array it was given, so a list or a float32 array is stored as such
+    "params-keep-given-arrays": (
+        "src/fairmi/model.py", "{name: check_array(self.arrays[name], name, ModelError, shape)",
+        "{name: (check_array(self.arrays[name], name, ModelError, shape), self.arrays[name])[1]",
+        ("tests/test_model.py",)),
     # the number rule compares with its bound before it knows the value is a number, so f_beta's
     # beta "2" or None raises a bare TypeError
     "check-number-bound-before-type": (

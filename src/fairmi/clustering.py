@@ -22,7 +22,7 @@ import logging
 import numpy as np
 
 from . import autodiff as ad
-from .data import check_centers, check_matrix, check_number, check_seed, check_tau
+from .data import check_array, check_centers, check_number, check_seed, check_tau
 
 logger = logging.getLogger(__name__)
 
@@ -121,7 +121,7 @@ def kmeans(features: np.ndarray, k: int, seed, restarts: int = 1, init=None):
     lowest-inertia one wins (``init``, then the first restart, on a tie);
     use restarts where a stray local minimum would corrupt a reported metric.
     """
-    x = check_matrix(features, "features", ClusteringError)
+    x = check_array(features, "features", ClusteringError, (None, None))
     check_number(k, "k", ClusteringError, least=2, integer=True)
     check_number(restarts, "restarts", ClusteringError, least=1, integer=True)
     check_seed(seed, "seed", ClusteringError)
@@ -129,7 +129,7 @@ def kmeans(features: np.ndarray, k: int, seed, restarts: int = 1, init=None):
         raise ClusteringError(f"need at least k={k} points, got {x.shape[0]}")
     if np.all(np.ptp(x, axis=0) == 0.0):
         raise ClusteringError("all points identical: clustering is degenerate")
-    starts = [] if init is None else [check_matrix(init, "init", ClusteringError, rows=k, cols=x.shape[1])]
+    starts = [] if init is None else [check_array(init, "init", ClusteringError, (k, x.shape[1]))]
     if restarts == 1:
         seeds = [seed]
     else:
@@ -146,7 +146,7 @@ def kmeans(features: np.ndarray, k: int, seed, restarts: int = 1, init=None):
 def soft_assign(h: np.ndarray, centers: np.ndarray, tau: float) -> np.ndarray:
     """Temperature softmax over cosine similarities to the (K, d) centers: an (N, K) array."""
     dirs = _center_directions(centers, tau)
-    h = check_matrix(h, "latents", ClusteringError, cols=dirs.shape[1])
+    h = check_array(h, "latents", ClusteringError, (None, dirs.shape[1]))
     sims = ad.unit_rows(h)[0] @ dirs.T
     return ad.softmax(sims * (1.0 / tau))  # the graph path's scale, so both assign bit for bit
 

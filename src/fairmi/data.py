@@ -64,19 +64,15 @@ class Dataset:
     transform: tuple | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "features", check_matrix(self.features, "features", DataError))
-        object.__setattr__(self, "groups", check_ids(self.groups, "groups", DataError))
-        if self.labels is not None:
-            object.__setattr__(self, "labels", check_ids(self.labels, "labels", DataError))
-        if self.groups.shape != (self.n,):
-            raise DataError("need exactly one group id per row")
-        if self.labels is not None and self.labels.shape != (self.n,):
-            raise DataError("need exactly one label per row when labels are present")
-        if self.feature_names is None:
-            object.__setattr__(self, "feature_names", tuple(f"f{i}" for i in range(self.dim)))
-        if len(self.feature_names) != self.dim:
-            raise DataError(f"need one name per feature column: {len(self.feature_names)} names "
-                            f"for {self.dim} columns")
+        object.__setattr__(self, "features", check_array(self.features, "features", DataError, (None, None)))
+        for name in ("groups", "labels") if self.labels is not None else ("groups",):
+            ids = check_array(getattr(self, name), name, DataError, (self.n,), integer=True, least=0)
+            object.__setattr__(self, name, ids)
+        names = tuple(f"f{i}" for i in range(self.dim)) if self.feature_names is None else self.feature_names
+        if not (isinstance(names, (tuple, list)) and all(isinstance(n, str) for n in names)
+                and len(set(names)) == len(names) == self.dim):
+            raise DataError(f"feature_names must be {self.dim} distinct strings, one per column, got {names!r}")
+        object.__setattr__(self, "feature_names", tuple(names))
         check_dense(self.groups, "groups", DataError)
 
     def __len__(self):
@@ -309,7 +305,11 @@ def check_number(value, name, error, least=None, above=None, integer=False):
     numpy scalars accepted either way, that is >= ``least`` and > ``above`` where they are given;
     else ``error`` names it and the value."""
     kind = numbers.Integral if integer else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, kind) or not (integer or math.isfinite(value)):
+    try:
+        number = not isinstance(value, bool) and isinstance(value, kind) and (integer or math.isfinite(value))
+    except OverflowError:  # an int too large for a float
+        number = False
+    if not number:
         raise error(f"{name} must be {'an integer' if integer else 'a finite number'}, got {_shown(value)}")
     if least is not None and value < least:
         raise error(f"{name} must be >= {least}, got {value}")
@@ -330,20 +330,8 @@ def check_widths(widths, name, least, error):
     return tuple(map(int, widths))
 
 
-def check_ids(ids, name, error):
-    """``ids`` as int64 once it is a non-empty 1-d array of integer ids >= 0, bools refused; else ``error`` names it."""
-    arr = np.asarray(ids)
-    if arr.ndim != 1 or arr.size == 0:
-        raise error(f"{name} must be a non-empty 1-d id array, got shape {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise error(f"{name} must be an integer id array, got dtype {arr.dtype}")
-    if arr.min() < 0:
-        raise error(f"{name} must be non-negative ids, got {arr.min()}")
-    return arr.astype(np.int64, copy=False)
-
-
 def check_dense(ids, name, error, count=None):
-    """Reject, raising ``error``, ids (as ``check_ids`` returns them) unless each id below ``count``, by
+    """Reject, raising ``error``, ids (as ``check_array`` returns them) unless each id below ``count``, by
     default the largest + 1, has a member; n rows cannot cover more than n ids, so such a count fails
     before any count array is sized by it."""
     count = int(ids.max()) + 1 if count is None else count
@@ -374,28 +362,42 @@ def check_tau(tau, name, error):
     return float(tau)
 
 
-def check_matrix(value, name, error, rows=None, cols=None):
-    """``value`` as a float64 array, not copied when it is one, once it is a numeric (bools count),
-    non-empty 2-d matrix, finite in every cell, of ``rows`` rows and ``cols`` columns where given.
-    Else ``error`` names it and what is wrong: its type, its shape, or the first non-finite cell."""
+def check_array(value, name, error, shape, integer=False, least=None, above=None):
+    """``value`` as a float64 array, or int64 with ``integer``, not copied when it is one, once it is
+    numeric (bools count), or of an integer dtype with ``integer``; of ``shape``, where None stands for
+    any length >= 1; finite; and >= ``least`` and > ``above`` in every cell where they are given. Else
+    ``error`` names it and what is wrong: its type, its shape, or the first cell that breaks a rule."""
+    noun = "matrix" if len(shape) == 2 else "array"
+    kind = f"{len(shape)}-d {'integer' if integer else 'numeric'} {noun}"
     try:
         arr = np.asarray(value)
     except ValueError:  # a ragged nesting of sequences
-        raise error(f"{name} must be a 2-d numeric matrix, got a ragged {type(value).__name__}") from None
-    if arr.dtype.kind not in "biuf":
-        raise error(f"{name} must be a 2-d numeric matrix, got {type(value).__name__} of dtype {arr.dtype}")
-    m = np.asarray(arr, dtype=np.float64)
-    if m.ndim != 2 or m.size == 0 or m.shape != (rows or m.shape[0], cols or m.shape[1]):
-        raise error(f"{name} must be a non-empty ({rows or 'n'}, {cols or 'd'}) matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        r, c = np.argwhere(~np.isfinite(m))[0]
-        raise error(f"{name} must be finite: row {r}, column {c} holds {m[r, c]}")
+        raise error(f"{name} must be a {kind}, got a ragged {type(value).__name__}") from None
+    if not (np.issubdtype(arr.dtype, np.integer) if integer else arr.dtype.kind in "biuf"):
+        raise error(f"{name} must be a {kind}, got {type(value).__name__} of dtype {arr.dtype}")
+    m = np.asarray(arr, dtype=np.int64 if integer else np.float64)
+    if m.ndim != len(shape) or m.size == 0 or m.shape != tuple(w or n for n, w in zip(m.shape, shape)):
+        axes = ", ".join(str(w or "nd"[i]) for i, w in enumerate(shape)) + "," * (len(shape) == 1)
+        raise error(f"{name} must be a non-empty ({axes}) {noun}, got shape {m.shape}")
+    if not integer and not np.isfinite(m).all():  # an integer cell is always finite
+        raise error(f"{name} must be finite: {_first_cell(m, ~np.isfinite(m))}")
+    if least is not None and m.min() < least:
+        raise error(f"{name} must be >= {least}: {_first_cell(m, m < least)}")
+    if above is not None and m.min() <= above:
+        raise error(f"{name} must be > {above}: {_first_cell(m, m <= above)}")
     return m
 
 
+def _first_cell(m, bad):
+    """The first True cell of ``bad``, as a row and column of 2-d ``m`` or an entry of 1-d ``m``,
+    and the value ``m`` holds there."""
+    at = tuple(np.argwhere(bad)[0])
+    return f"{f'row {at[0]}, column {at[1]}' if m.ndim == 2 else f'entry {at[0]}'} holds {m[at]}"
+
+
 def check_centers(centers, name, error):
-    """``centers`` as ``check_matrix`` returns them once they also hold k >= 2 rows; else ``error`` names them."""
-    c = check_matrix(centers, name, error)
+    """``centers`` as ``check_array`` returns a matrix once they also hold k >= 2 rows; else ``error`` names them."""
+    c = check_array(centers, name, error, (None, None))
     if c.shape[0] < 2:
         raise error(f"{name} must be a 2-d matrix of k >= 2 rows, got shape {c.shape}")
     return c

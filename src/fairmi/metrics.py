@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import check_dense, check_ids, check_number
+from .data import check_array, check_dense, check_number
 from .objectives import _at_least_zero, _entropy, _mutual_information
 
 logger = logging.getLogger(__name__)
@@ -36,12 +36,8 @@ class MetricError(ValueError):
 
 def _counts(table, name):
     """The 2-d table of non-negative integer counts with a positive total that ``name`` scores."""
-    table = np.asarray(table)
-    if table.ndim != 2:
-        raise MetricError(f"{name}: table must be a 2-d count table, got {table.ndim}-d")
-    if not np.issubdtype(table.dtype, np.integer):
-        raise MetricError(f"{name}: table must hold integer counts, got {table.dtype}")
-    if table.size == 0 or table.min() < 0 or table.sum() == 0:
+    table = check_array(table, f"{name}: table", MetricError, (None, None), integer=True, least=0)
+    if table.sum() == 0:
         raise MetricError(f"{name}: table must hold non-negative counts with a positive total")
     return table
 
@@ -58,10 +54,8 @@ def _present_rows(table, name):
 def contingency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Counts of each (a id, b id) pair, indexed by id; when that table would hold more than
     4n + 65,536 cells, by rank among the ids present, which is the same on ids with no gap."""
-    a = check_ids(a, "a", MetricError)
-    b = check_ids(b, "b", MetricError)
-    if a.shape != b.shape:
-        raise MetricError("label arrays must have the same length")
+    a = check_array(a, "a", MetricError, (None,), integer=True, least=0)
+    b = check_array(b, "b", MetricError, a.shape, integer=True, least=0)
     na, nb = int(a.max()) + 1, int(b.max()) + 1
     if na * nb > 4 * a.size + 65_536:
         a, b = (np.unique(ids, return_inverse=True)[1] for ids in (a, b))
@@ -214,8 +208,8 @@ def full_report(pred, groups, truth=None, beta: float = 1.0) -> MetricsReport:
     `truth` is optional; without it the quality metrics and the combined
     score are None. `beta` is the quality/fairness trade-off weight.
     """
-    pred = check_ids(pred, "pred", MetricError)
-    groups = check_ids(groups, "groups", MetricError)
+    pred = check_array(pred, "pred", MetricError, (None,), integer=True, least=0)
+    groups = check_array(groups, "groups", MetricError, pred.shape, integer=True, least=0)
     check_dense(groups, "groups", MetricError)
     by_group = contingency(pred, groups)
     # balance and mnce skip empty clusters; drop them here so the warning is logged once
@@ -224,7 +218,7 @@ def full_report(pred, groups, truth=None, beta: float = 1.0) -> MetricsReport:
     fair = mnce(present)
     report_acc = report_nmi = combined = None
     if truth is not None:
-        by_class = contingency(pred, check_ids(truth, "truth", MetricError))
+        by_class = contingency(pred, check_array(truth, "truth", MetricError, pred.shape, integer=True, least=0))
         report_acc = accuracy(by_class)
         report_nmi = nmi(by_class)
         combined = f_beta(report_nmi, fair, beta)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .data import check_centers, check_matrix, check_number, check_seed, check_tau, check_widths
+from .data import check_array, check_centers, check_number, check_seed, check_tau, check_widths
 
 CHECKPOINT_MAGIC = b"FCMI"
 CHECKPOINT_VERSION = 2
@@ -56,10 +56,9 @@ class Scoring:
     def __post_init__(self):
         object.__setattr__(self, "centers", check_centers(self.centers, "scoring centers", ModelError))
         object.__setattr__(self, "tau", check_tau(self.tau, "scoring tau", ModelError))
-        if self.transform is not None:
-            mean, std = self.transform
-            if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std)) and np.all(std > 0.0)):
-                raise ModelError("the feature transform needs finite means and finite stds > 0")
+        if self.transform is not None:  # kept as given: fit's scoring holds the dataset's own pair
+            check_array(self.transform, "scoring transform", ModelError, (2, None))
+            check_array(self.transform[1], "scoring transform std", ModelError, (None,), above=0)
 
     @property
     def k(self) -> int:
@@ -71,10 +70,11 @@ class ModelParams:
     """Encoder stack plus one mirrored decoder stack per group.
 
     `arrays` maps every `_layout` name to its array, in checkpoint order:
-    each weight is d_in x d_out and each bias d_out. Treated as immutable
-    during evaluation. `scoring` is None only on a record that never went
-    through `fit`, such as one from `init_params`: it cannot be scored or
-    saved.
+    each weight is d_in x d_out and each bias d_out, held as
+    `data.check_array` returns it, so a float64 array is the one given.
+    Treated as immutable during evaluation. `scoring` is None only on a
+    record that never went through `fit`, such as one from `init_params`:
+    it cannot be scored or saved.
     """
 
     layer_dims: tuple
@@ -91,12 +91,8 @@ class ModelParams:
         for i, (got, want) in enumerate(itertools.zip_longest(self.arrays, names)):
             if got != want:
                 raise ModelError(f"parameter {i} is named {got!r} where the layout has {want!r}")
-        for name, shape in layout:
-            a = self.arrays[name]
-            if a.shape != shape:
-                raise ModelError(f"{name} has shape {a.shape}, wanted {shape}")
-            if not (np.issubdtype(a.dtype, np.floating) and np.all(np.isfinite(a))):
-                raise ModelError(f"{name} is non-finite or not a float array")
+        object.__setattr__(self, "arrays", {name: check_array(self.arrays[name], name, ModelError, shape)
+                                            for name, shape in layout})
         s = self.scoring
         if s is not None:
             shapes = [("centers", s.centers.shape[1:], (dims[-1],))]
@@ -152,7 +148,7 @@ def init_params(layer_dims, group_count: int, seed: int) -> ModelParams:
 
 
 def encode(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    z = check_matrix(x, "features", ModelError, cols=params.layer_dims[0])
+    z = check_array(x, "features", ModelError, (None, params.layer_dims[0]))
     depth = len(params.layer_dims) - 1  # the encoder's pairs come first
     for i, (w, b) in enumerate(itertools.islice(params.all_arrays(), depth), start=1):
         z = z @ w  # a fresh array per layer, so the in-place steps never touch x

@@ -33,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .data import check_dense, check_ids, check_matrix, check_number
+from .data import check_array, check_dense, check_number
 
 
 class ObjectiveError(ValueError):
@@ -53,7 +53,7 @@ def _entropy(p):
 
 def _check_assignment(assign):
     """The (N, K) float array of a row-stochastic assignment; one-hot rows are allowed."""
-    p = check_matrix(assign, "assignment", ObjectiveError)
+    p = check_array(assign, "assignment", ObjectiveError, (None, None))
     if np.any(p < 0.0) or np.any(p > 1.0):
         raise ObjectiveError("assignment entries must lie in [0, 1]")
     if np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-9):
@@ -61,10 +61,11 @@ def _check_assignment(assign):
     return p
 
 
-def _check_groups(groups, n_groups):
-    """``groups`` as int64 ids once each is an integer id below ``n_groups``, itself an integer >= 1."""
+def _check_groups(groups, n_groups, rows=None):
+    """``groups`` as int64 ids once each is an integer id below ``n_groups``, itself an integer >= 1,
+    and there is one per row where ``rows`` is given."""
     check_number(n_groups, "n_groups", ObjectiveError, least=1, integer=True)
-    groups = check_ids(groups, "groups", ObjectiveError)
+    groups = check_array(groups, "groups", ObjectiveError, (rows,), integer=True, least=0)
     if groups.max() >= n_groups:
         raise ObjectiveError(f"group ids must lie in [0, {n_groups})")
     return groups
@@ -97,10 +98,8 @@ def group_cluster_mi(assign: np.ndarray, groups, n_groups: int) -> float:
     builder below, which lets a batch-empty group contribute zero instead.
     """
     p = _check_assignment(assign)
-    groups = _check_groups(groups, n_groups)
+    groups = _check_groups(groups, n_groups, p.shape[0])
     check_dense(groups, "groups", ObjectiveError, n_groups)
-    if groups.shape != (p.shape[0],):
-        raise ObjectiveError("need one group id per assignment row")
     return _mutual_information(_group_onehot(groups, n_groups) @ p / p.shape[0])
 
 

@@ -264,6 +264,8 @@ class TestTrainEval:
             ({"learning_rate": float("inf")}, "learning_rate must be a finite number, got inf"),
             ({"tau": 1e-310}, "tau must be large enough that 1 / tau is finite, got 1e-310"),
             ({"seed": -1}, "seed must be >= 0, got -1"),
+            # an int too large for a float
+            pytest.param({"alpha": 10**400}, f"alpha must be a finite number, got {10**400}", id="huge-alpha"),
         ],
     )
     def test_bad_config_field_is_named_before_training(self, synth_csv, tmp_path, capsys, change, fragment):

@@ -43,25 +43,45 @@ class TestDataset:
     def test_rejects_length_mismatches(self):
         with pytest.raises(data.DataError):
             data.Dataset(features=np.ones((3, 2)), groups=np.array([0, 1]))
-        with pytest.raises(data.DataError, match="1 names for 2 columns"):
+        with pytest.raises(data.DataError) as err:
             data.Dataset(features=np.ones((2, 2)), groups=np.array([0, 1]), feature_names=("a",))
+        assert str(err.value) == "feature_names must be 2 distinct strings, one per column, got ('a',)"
         with pytest.raises(data.DataError):
             data.Dataset(
                 features=np.ones((2, 2)), groups=np.array([0, 1]),
                 labels=np.array([0, 1, 0]),
             )
 
+    @pytest.mark.parametrize("names", [(0, 1), 5, ("a", "a"), "ab", ("a", None)],
+                             ids=["ints", "int", "duplicates", "str", "none"])
+    def test_feature_names_must_be_one_distinct_string_per_column(self, names):
+        """Names that a checkpoint could not encode, or that ``load_csv`` would refuse as a header."""
+        with pytest.raises(data.DataError) as err:
+            data.Dataset(features=np.ones((2, 2)), groups=np.array([0, 1]), feature_names=names)
+        assert str(err.value) == f"feature_names must be 2 distinct strings, one per column, got {names!r}"
+
+    def test_a_list_of_feature_names_is_kept_as_a_tuple(self):
+        ds = data.Dataset(features=np.ones((2, 2)), groups=np.array([0, 1]), feature_names=["a", "b"])
+        assert ds.feature_names == ("a", "b")
+
     @pytest.mark.parametrize(
-        "groups,labels,fragment",
+        "groups,labels,message",
         [
-            (np.array([0.0, 1.0]), None, "groups must be an integer id array"),
-            (np.array([0, 1]), np.array([0.0, 1.0]), "labels must be an integer id array"),
-            (np.array([0, 1]), np.array([0, -1]), "labels must be non-negative"),
+            (np.array([0.0, 1.0]), None, "groups must be a 1-d integer array, got ndarray of dtype float64"),
+            (np.array([0, 1]), np.array([0.0, 1.0]), "labels must be a 1-d integer array, got ndarray of dtype float64"),
+            (np.array([0, 1]), np.array([0, -1]), "labels must be >= 0: entry 1 holds -1"),
+            ([[0], [1, 2]], None, "groups must be a 1-d integer array, got a ragged list"),
+            ([True, False], None, "groups must be a 1-d integer array, got list of dtype bool"),
+            (np.array([0, 1, 0]), None, "groups must be a non-empty (2,) array, got shape (3,)"),
+            (np.array([0, 1]), np.array([[0, 1]]), "labels must be a non-empty (2,) array, got shape (1, 2)"),
         ],
+        ids=["float-groups", "float-labels", "negative-label", "ragged-groups", "bool-groups", "long-groups",
+             "2-d-labels"],
     )
-    def test_rejects_bad_id_arrays_by_field(self, groups, labels, fragment):
-        with pytest.raises(data.DataError, match=fragment):
+    def test_rejects_bad_id_arrays_by_field(self, groups, labels, message):
+        with pytest.raises(data.DataError) as err:
             data.Dataset(features=np.ones((2, 2)), groups=groups, labels=labels)
+        assert str(err.value) == message
 
     def test_lists_and_int_arrays_give_the_dataset_the_arrays_give(self):
         ds = tiny_dataset()
@@ -576,8 +596,8 @@ MATRIX_TAKERS = {
 }
 
 
-class TestMatrixRule:
-    """One rule, ``data.check_matrix``, and its three messages for every function that takes a matrix."""
+class TestArrayRule:
+    """One rule, ``data.check_array``, and its messages for every function that takes a matrix."""
 
     @pytest.mark.parametrize("taker", MATRIX_TAKERS)
     def test_a_string_matrix_is_refused_by_name_and_dtype(self, taker):
@@ -602,23 +622,35 @@ class TestMatrixRule:
             call(GOOD_MATRIX.ravel())
         assert str(err.value) == f"{name} must be a non-empty {wanted} matrix, got shape (6,)"
 
-    @pytest.mark.parametrize("value,message", [
-        ([[1.0, 2.0], [3.0]], "m must be a 2-d numeric matrix, got a ragged list"),
-        ([[1.0, None]], "m must be a 2-d numeric matrix, got list of dtype object"),
-        (np.array([[1 + 1j]]), "m must be a 2-d numeric matrix, got ndarray of dtype complex128"),
-        (2.0, "m must be a non-empty (n, d) matrix, got shape ()"),
-        (np.zeros((0, 3)), "m must be a non-empty (n, d) matrix, got shape (0, 3)"),
-        (np.zeros((3, 0)), "m must be a non-empty (n, d) matrix, got shape (3, 0)"),
-        ([[0.0, -np.inf], [np.nan, 0.0]], "m must be finite: row 0, column 1 holds -inf"),
-    ], ids=["ragged", "none", "complex", "scalar", "no-rows", "no-columns", "first-bad-cell"])
-    def test_check_matrix_names_what_is_wrong(self, value, message):
+    @pytest.mark.parametrize("value,shape,rules,message", [
+        ([[1.0, 2.0], [3.0]], (None, None), {}, "m must be a 2-d numeric matrix, got a ragged list"),
+        ([[1.0, None]], (None, None), {}, "m must be a 2-d numeric matrix, got list of dtype object"),
+        (np.array([[1 + 1j]]), (None, None), {}, "m must be a 2-d numeric matrix, got ndarray of dtype complex128"),
+        (2.0, (None, None), {}, "m must be a non-empty (n, d) matrix, got shape ()"),
+        (np.zeros((0, 3)), (None, None), {}, "m must be a non-empty (n, d) matrix, got shape (0, 3)"),
+        (np.zeros((3, 0)), (None, None), {}, "m must be a non-empty (n, d) matrix, got shape (3, 0)"),
+        ([[0.0, -np.inf], [np.nan, 0.0]], (None, None), {}, "m must be finite: row 0, column 1 holds -inf"),
+        ([0, 1, [2]], (None,), {"integer": True}, "m must be a 1-d integer array, got a ragged list"),
+        ([0.0, 1.0], (None,), {"integer": True}, "m must be a 1-d integer array, got list of dtype float64"),
+        ([True, False], (None,), {"integer": True}, "m must be a 1-d integer array, got list of dtype bool"),
+        ([0, 1], (3,), {"integer": True}, "m must be a non-empty (3,) array, got shape (2,)"),
+        ([], (None,), {}, "m must be a non-empty (n,) array, got shape (0,)"),
+        ([0, 2, -1, -2], (None,), {"integer": True, "least": 0}, "m must be >= 0: entry 2 holds -1"),
+        ([[1, 0], [0, 0]], (None, None), {"above": 0}, "m must be > 0: row 0, column 1 holds 0.0"),
+    ], ids=["ragged", "none", "complex", "scalar", "no-rows", "no-columns", "first-bad-cell", "ragged-ids",
+            "float-ids", "bool-ids", "short-ids", "empty", "negative-id", "not-above"])
+    def test_check_array_names_what_is_wrong(self, value, shape, rules, message):
         with pytest.raises(data.DataError) as err:
-            data.check_matrix(value, "m", data.DataError)
+            data.check_array(value, "m", data.DataError, shape, **rules)
         assert str(err.value) == message
 
-    def test_check_matrix_copies_no_float64_array_and_converts_the_rest(self):
-        m = np.ones((2, 3))
-        assert data.check_matrix(m, "m", data.DataError, rows=2, cols=3) is m
+    def test_check_array_copies_no_array_of_its_dtype_and_converts_the_rest(self):
+        m, ids = np.ones((2, 3)), np.arange(3)
+        assert data.check_array(m, "m", data.DataError, (2, 3)) is m
+        assert data.check_array(ids, "ids", data.DataError, (3,), integer=True, least=0) is ids
         for value in ([[1, 0], [0, 1]], np.eye(2, dtype=np.int8), np.eye(2, dtype=bool), np.eye(2, dtype=np.float32)):
-            got = data.check_matrix(value, "m", data.DataError)
+            got = data.check_array(value, "m", data.DataError, (None, None))
             assert got.dtype == np.float64 and got.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        for value in ([2, 0], np.array([2, 0], dtype=np.uint8), np.array([2, 0], dtype=np.int32)):
+            got = data.check_array(value, "ids", data.DataError, (None,), integer=True)
+            assert got.dtype == np.int64 and got.tolist() == [2, 0]

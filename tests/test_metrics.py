@@ -225,18 +225,34 @@ class TestMNCE:
         ]
 
 
+class TestLabelArrays:
+    @pytest.mark.parametrize("call,message", [
+        (lambda: metrics.contingency([0, 1, [2]], [0, 1, 1]), "a must be a 1-d integer array, got a ragged list"),
+        (lambda: metrics.contingency([0, 1, 1], [0, 1]), "b must be a non-empty (3,) array, got shape (2,)"),
+        (lambda: metrics.contingency([0, 1], [True, False]), "b must be a 1-d integer array, got list of dtype bool"),
+        (lambda: metrics.full_report([0, 1, 0, 1], [0, 1, 0, 1], [0, 1, 0]),
+         "truth must be a non-empty (4,) array, got shape (3,)"),
+        (lambda: metrics.full_report([0, 1, 0, 1], [0, 1, 0, -1]), "groups must be >= 0: entry 3 holds -1"),
+    ], ids=["ragged", "two-lengths", "bool", "short-truth", "negative-group"])
+    def test_a_bad_label_array_is_refused_by_name(self, call, message):
+        with pytest.raises(metrics.MetricError) as err:
+            call()
+        assert str(err.value) == message
+
+
 class TestCountTables:
     """The four metrics read a 2-d table of non-negative integer counts with a positive total."""
 
     @pytest.mark.parametrize("table,message", [
-        (np.array([1, 2, 3]), "table must be a 2-d count table, got 1-d"),
-        (np.ones((2, 2, 2), dtype=np.int64), "table must be a 2-d count table, got 3-d"),
-        (np.array([[1.0, 2.0], [3.0, 4.0]]), "table must hold integer counts, got float64"),
-        (np.array([[True, False], [False, True]]), "table must hold integer counts, got bool"),
-        (np.array([[1, -1], [2, 3]]), "table must hold non-negative counts with a positive total"),
+        (np.array([1, 2, 3]), "table must be a non-empty (n, d) matrix, got shape (3,)"),
+        (np.ones((2, 2, 2), dtype=np.int64), "table must be a non-empty (n, d) matrix, got shape (2, 2, 2)"),
+        (np.array([[1.0, 2.0], [3.0, 4.0]]), "table must be a 2-d integer matrix, got ndarray of dtype float64"),
+        (np.array([[True, False], [False, True]]), "table must be a 2-d integer matrix, got ndarray of dtype bool"),
+        (np.array([[1, -1], [2, 3]]), "table must be >= 0: row 0, column 1 holds -1"),
         (np.zeros((2, 2), dtype=np.int64), "table must hold non-negative counts with a positive total"),
-        (np.zeros((0, 2), dtype=np.int64), "table must hold non-negative counts with a positive total"),
-    ], ids=["1-d", "3-d", "float", "bool", "negative", "all-zero", "no-rows"])
+        (np.zeros((0, 2), dtype=np.int64), "table must be a non-empty (n, d) matrix, got shape (0, 2)"),
+        ([[1, 2], [3]], "table must be a 2-d integer matrix, got a ragged list"),
+    ], ids=["1-d", "3-d", "float", "bool", "negative", "all-zero", "no-rows", "ragged"])
     @pytest.mark.parametrize("name", ["accuracy", "nmi", "balance", "mnce"])
     def test_malformed_table_is_refused_with_the_metric_named(self, name, table, message):
         with pytest.raises(metrics.MetricError, match=f"^{name}: {re.escape(message)}$"):

@@ -39,8 +39,8 @@ CORRUPTIONS = {
     "block-nan-tau": "tau must be a finite number, got nan",
     "block-zero-tau": "tau must be > 0, got 0.0",
     "block-tiny-tau": "tau must be large enough that 1 / tau is finite, got 1e-310",
-    "block-inf-mean": "finite means",
-    "block-zero-std": "stds > 0",
+    "block-inf-mean": "scoring transform must be finite: row 0, column 0 holds inf",
+    "block-zero-std": "scoring transform std must be > 0: entry 2 holds 0.0",
     "block-names": "not UTF-8",
 }
 
@@ -147,15 +147,25 @@ class TestLayout:
         nodes = model.param_input_nodes((6, 4, 2), 3)
         assert [(name, node.shape) for name, node in nodes.items()] == layout
 
+    @pytest.mark.parametrize("spoil", [
+        lambda a: np.full_like(a, np.nan), lambda a: np.zeros(a.shape + (1,)), lambda a: a.tolist()[1:],
+        lambda a: [a.tolist(), [0.0]], lambda a: a.astype(str),
+    ], ids=["nan", "extra-axis", "short-list", "ragged-list", "str"])
     @pytest.mark.parametrize("name", ["enc.0.b", "dec.1.1.W"])
-    def test_params_reject_a_bad_array_by_name(self, name):
+    def test_params_reject_a_bad_array_by_name(self, name, spoil):
         flat = tiny_params().arrays
-        bad = dict(flat, **{name: np.full_like(flat[name], np.nan)})
-        with pytest.raises(model.ModelError, match=re.escape(name)):
-            model.ModelParams((5, 4, 3), 2, bad)
-        bad[name] = np.zeros(flat[name].shape + (1,))
-        with pytest.raises(model.ModelError, match=re.escape(name)):
-            model.ModelParams((5, 4, 3), 2, bad)
+        with pytest.raises(model.ModelError, match=f"^{re.escape(name)} must be "):
+            model.ModelParams((5, 4, 3), 2, dict(flat, **{name: spoil(flat[name])}))
+
+    def test_params_hold_the_checked_arrays(self):
+        """A list or a float32 array is stored as float64; a float64 array is stored as given."""
+        flat = tiny_params().arrays
+        given = dict(flat, **{"enc.0.W": flat["enc.0.W"].tolist(), "enc.0.b": flat["enc.0.b"].astype(np.float32)})
+        p = model.ModelParams((5, 4, 3), 2, given)
+        for name in ("enc.0.W", "enc.0.b"):
+            assert type(p.arrays[name]) is np.ndarray and p.arrays[name].dtype == np.float64
+            np.testing.assert_array_equal(p.arrays[name], np.asarray(given[name], dtype=np.float64))
+        assert all(p.arrays[name] is flat[name] for name in list(flat)[2:])
 
     @pytest.mark.parametrize("change,name", [
         ("missing", "enc.1.W"), ("extra", "dec.2.0.W"), ("out of order", "enc.0.b"),
@@ -427,11 +437,22 @@ class TestCheckpoint:
         with pytest.raises(model.ModelError, match=f"^{re.escape(message)}$"):
             model.Scoring(centers, tau, None, ("a", "b"))
 
+    @pytest.mark.parametrize("transform,message", [
+        ((np.zeros(2),), "scoring transform must be a non-empty (2, d) matrix, got shape (1, 2)"),
+        ((np.zeros(2), np.ones(3)), "scoring transform must be a 2-d numeric matrix, got a ragged tuple"),
+        ((np.array(["a", "b"]), np.ones(2)), "scoring transform must be a 2-d numeric matrix, got tuple of dtype <U32"),
+        ((np.zeros(2), np.array([1.0, np.nan])), "scoring transform must be finite: row 1, column 1 holds nan"),
+        ((np.zeros(2), np.array([1.0, -1.0])), "scoring transform std must be > 0: entry 1 holds -1.0"),
+    ], ids=["one-part", "two-lengths", "str", "nan-std", "negative-std"])
+    def test_scoring_names_a_bad_transform(self, transform, message):
+        with pytest.raises(model.ModelError, match=f"^{re.escape(message)}$"):
+            model.Scoring([[0, 1], [1, 0]], 0.1, transform, ("a", "b"))
+
     def test_scoring_must_fit_the_layers(self):
         p = scored_params((5, 4, 3), groups=2)
         s = p.scoring
         for scoring, what in ((model.Scoring(s.centers[:, :2], s.tau, None, s.feature_names), "centers"),
-                              (model.Scoring(s.centers, s.tau, (s.transform[0][:4], s.transform[1]),
+                              (model.Scoring(s.centers, s.tau, (s.transform[0][:4], s.transform[1][:4]),
                                              s.feature_names), "transform mean"),
                               (model.Scoring(s.centers, s.tau, None, s.feature_names[:4]), "feature names")):
             with pytest.raises(model.ModelError, match=f"scoring {what} have shape"):

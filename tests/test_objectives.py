@@ -218,8 +218,13 @@ class TestGroupClusterMI:
         assign = np.full((4, 2), 0.5)
         calls = {"group_cluster_mi": lambda: obj.group_cluster_mi(assign, groups, 2),
                  "group_cluster_mi_graph": lambda: obj.group_cluster_mi_graph(ad.constant(assign), groups, 2)}
-        with pytest.raises(obj.ObjectiveError, match="^groups must be an integer id array, got dtype "):
+        with pytest.raises(obj.ObjectiveError, match="^groups must be a 1-d integer array, got list of dtype "):
             calls[entry]()
+
+    def test_one_group_id_per_assignment_row(self):
+        with pytest.raises(obj.ObjectiveError) as err:
+            obj.group_cluster_mi(np.full((4, 2), 0.5), np.array([0, 1, 0]), 2)
+        assert str(err.value) == "groups must be a non-empty (4,) array, got shape (3,)"
 
     @pytest.mark.parametrize("n_groups,shown", [(True, "True"), (2.0, "2.0"), ("2", "'2'"), (None, "None")])
     @pytest.mark.parametrize("entry", ["group_cluster_mi", "group_cluster_mi_graph"])

@@ -125,12 +125,12 @@ def _calls(node, name):
 
 
 def test_the_integer_id_check_has_one_home():
-    """Only ``data.check_ids`` asks whether an id array's dtype is an integer one, so a float, str
-    or bool id array fails alike everywhere; ``metrics._counts`` asks it of a count table."""
+    """Only ``data.check_array`` asks whether a dtype is an integer one, so a float, str or bool id
+    array or count table fails alike everywhere."""
     def asks_if_integer(node):
         return _calls(node, "issubdtype") and getattr(node.args[-1], "attr", None) == "integer"
 
-    assert _homes(asks_if_integer) == [("data", "check_ids"), ("metrics", "_counts")]
+    assert _homes(asks_if_integer) == [("data", "check_array")]
 
 
 def test_the_per_width_check_has_one_home():
@@ -173,14 +173,27 @@ def test_every_scalar_field_refuses_a_non_number_by_name(record, error, field, b
 
 
 def test_the_float_matrix_conversion_has_one_home():
-    """Only ``data.check_matrix`` turns a caller's matrix into float64, so every matrix is refused
+    """Only ``data.check_array`` turns a caller's array into float64, so every array is refused
     alike; ``autodiff`` converts its graphs' constants and input bindings."""
     def converts_to_float64(node):
         return _calls(node, "asarray") and any(
-            keyword.arg == "dtype" and getattr(keyword.value, "attr", None) == "float64" for keyword in node.keywords)
+            keyword.arg == "dtype" and any(getattr(sub, "attr", None) == "float64" for sub in ast.walk(keyword.value))
+            for keyword in node.keywords)
 
     assert _homes(converts_to_float64) == [("autodiff", "constant"), ("autodiff", "forward"),
-                                           ("data", "check_matrix")]
+                                           ("data", "check_array")]
+
+
+def test_the_finite_array_check_has_one_home():
+    """``np.isfinite`` is called only by ``data.check_array`` on a caller's array, ``data._parse_features``
+    on a CSV's cells, and ``autodiff`` and ``trainer`` on values the program made itself; ``math.isfinite``
+    checks scalars."""
+    def calls_np_isfinite(node):
+        return _calls(node, "isfinite") and getattr(getattr(node.func, "value", None), "id", None) != "math"
+
+    homes = _homes(calls_np_isfinite)
+    assert {module for module, _ in homes} == {"autodiff", "data", "trainer"}
+    assert [home for home in homes if home[0] == "data"] == [("data", "_parse_features"), ("data", "check_array")]
 
 
 def test_readme_lists_the_report_keys_in_field_order():

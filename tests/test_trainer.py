@@ -294,6 +294,8 @@ class TestConfig:
             ({"k": 3, "batch_size": 0}, "batch_size must be >= 1, got 0"),
             ({"k": 3, "encoder_widths": [np.int64(0)]}, "width 0 of encoder_widths [0] must be >= 1, got 0"),
             ({"k": 3, "encoder_widths": []}, "encoder_widths must be a list of 1 or more integers, got []"),
+            # an int too large for a float
+            pytest.param({"k": 3, "alpha": 10**400}, f"alpha must be a finite number, got {10**400}", id="huge-alpha"),
         ],
     )
     def test_range_errors_name_the_field_and_value(self, raw, message):
@@ -596,7 +598,7 @@ class TestFit:
         monkeypatch.setattr(trainer, "adam_step", poison)
         logs = []
         hooks = trainer.TrainerHooks(on_epoch=logs.append)
-        with pytest.raises(model.ModelError, match="enc.0.W is non-finite"):
+        with pytest.raises(model.ModelError, match="^enc.0.W must be finite: row 0, column 0 holds nan$"):
             trainer.fit(small_config(batch_size=ds.n, max_epochs=4), ds, hooks)
         assert [log.epoch for log in logs] == [0]
 
